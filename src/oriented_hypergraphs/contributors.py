@@ -6,17 +6,24 @@ they fix and summed with the right signs, reduced contributors recover
 every coefficient of the det- and perm-style minor polynomials of the
 adjacency and Laplacian matrices.  Everything here is cross-checked
 against the Leibniz oracle in :mod:`.matrices`.
+
+The minor polynomials come from a :class:`MinorCatalog`: every step
+family on a subset of tail vertices, grouped into blocks by (tail set,
+head set).  The families of a block share their completions into full
+permutations, and a completed family's sign splits as eps_f * rel(c), a
+per-family part times a per-completion part, so a block stamps each of
+its monomials once with its summed family weights (the all-minors
+matrix-tree expansion, read as a sum over figures).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import limits
-from .core import IncidenceHypergraph, OrientedHypergraph
+from .core import IncidenceHypergraph, OrientedHypergraph, require_valid
 from .errors import DomainError, InvariantError, ResourceLimitError
 from .matrices import (
     adjacency_matrix,
@@ -249,11 +256,6 @@ def component_profile(og: OrientedHypergraph, c: Contributor) -> ComponentProfil
     return ComponentProfile(backsteps, loops, odd, even, pos, neg, zero, permutation)
 
 
-def tail_profile(c: Contributor) -> tuple[tuple[str, str], ...]:
-    """Tail-incidence/edge signature; equal signatures mean tail-equivalent."""
-    return tuple((s.tail_incidence, s.edge) for s in c.steps)
-
-
 @dataclass(frozen=True)
 class MinorClass:
     """Ordered row vertices paired with ordered column vertices."""
@@ -362,8 +364,33 @@ class StepFamily:
 
 
 @dataclass(frozen=True)
+class MinorBlock:
+    """The step families sharing one tail set T and one head set H.
+
+    Every family of the block leaves the same open rows V - T and open
+    columns V - H, so all of them complete through the same bijections
+    c between the two.  With c0 sending the i-th open row to the i-th
+    open column, the sign of a completed head map h_f + c splits as
+    eps_f * rel(c), eps_f = sign(h_f + c0) and rel(c) = sign(c0^-1 c).
+
+    ``families`` holds (traversed incidence ids, strong, eps_f) per
+    family; ``completions`` holds (monomial, rel(c)) per bijection c;
+    ``odd`` records whether |T| is odd, the sign of the Laplacian factor.
+    """
+
+    odd: bool
+    families: tuple[tuple[tuple[str, ...], bool, int], ...]
+    completions: tuple[tuple[frozenset[tuple[str, str]], int], ...]
+
+
+@dataclass(frozen=True)
 class MinorCatalog:
     """Signing-independent family enumeration, shared by all four polynomials.
+
+    ``families`` lists every step family in enumeration order; ``blocks``
+    groups the same families by (tail set, head set) and stores each
+    block's completions once, so evaluation stamps every monomial once
+    per block rather than once per family.
 
     Families through incidences missing from the evaluation signs score
     zero and drop out, which is exactly the zero-loading convention, so
@@ -373,11 +400,13 @@ class MinorCatalog:
 
     structure: IncidenceHypergraph
     families: tuple[StepFamily, ...]
+    blocks: tuple[MinorBlock, ...]
 
 
 def minor_catalog(
     structure: IncidenceHypergraph, *, max_vertices: int = limits.MAX_MINOR_VERTICES
 ) -> MinorCatalog:
+    require_valid(structure)
     n = len(structure.vertices)
     if n > max_vertices:
         raise ResourceLimitError(
@@ -404,7 +433,37 @@ def minor_catalog(
             used.discard(s.head)
 
     backtrack(0)
-    return MinorCatalog(structure, tuple(families))
+    return MinorCatalog(structure, tuple(families), _minor_blocks(structure, families))
+
+
+def _minor_blocks(
+    structure: IncidenceHypergraph, families: Sequence[StepFamily]
+) -> tuple[MinorBlock, ...]:
+    order = structure.vertices
+    pos = structure.vertex_pos
+    grouped: dict[tuple[frozenset[str], frozenset[str]], list[StepFamily]] = {}
+    for fam in families:
+        key = (frozenset(s.tail for s in fam.steps), frozenset(s.head for s in fam.steps))
+        grouped.setdefault(key, []).append(fam)
+    blocks = []
+    for (tails, heads), members in grouped.items():
+        rows = [v for v in order if v not in tails]
+        cols = [v for v in order if v not in heads]
+        images = [0] * len(order)
+        for r, c in zip(rows, cols):
+            images[pos[r]] = pos[c]
+        entries = []
+        for fam in members:
+            for s in fam.steps:
+                images[pos[s.tail]] = pos[s.head]
+            ids = tuple(i for s in fam.steps for i in (s.tail_incidence, s.head_incidence))
+            entries.append((ids, fam.strong, permutation_sign(images)))
+        completions = tuple(
+            (frozenset(zip(rows, [cols[j] for j in p])), permutation_sign(p))
+            for p in itertools.permutations(range(len(rows)))
+        )
+        blocks.append(MinorBlock(len(tails) % 2 == 1, tuple(entries), completions))
+    return tuple(blocks)
 
 
 def minor_polys_from_catalog(
@@ -412,40 +471,40 @@ def minor_polys_from_catalog(
 ) -> dict[tuple[str, str], MultivariatePolynomial]:
     """Evaluate all four (target, mode) minor polynomials in one sweep.
 
-    Each family fixes the rows outside its tail set; every bijection from
-    those open rows onto the open columns completes the family into a
-    permutation and stamps one monomial.  Signs per combination:
-    plain step-sign product for adjacency/perm, times the completed
-    permutation's sign for det, times (-1)^steps for the Laplacian.
+    Each block sums its family weights w_f (step-sign products) as
+    sum(w) and sum(eps_f * w) over all families and over the strong ones,
+    negating the all-family sums when |T| is odd (the Laplacian's
+    (-1)^steps).  Every completion then gets the plain sum for perm and
+    rel(c) times the eps-sum for det; adjacency takes the strong sums.
+    A monomial fixes its open rows and columns, so one block writes it.
     """
-    g = catalog.structure
-    order = g.vertices
-    pos = g.vertex_pos
-    acc: dict[tuple[str, str], dict] = {combo: defaultdict(int) for combo in COMBOS}
-    for fam in catalog.families:
-        weight = 1
-        for s in fam.steps:
-            weight *= signs.get(s.tail_incidence, 0) * signs.get(s.head_incidence, 0)
-            if weight == 0:
-                break
-        if weight == 0:
+    acc: dict[tuple[str, str], dict] = {combo: {} for combo in COMBOS}
+    lap_det, lap_perm = acc[("laplacian", "det")], acc[("laplacian", "perm")]
+    adj_det, adj_perm = acc[("adjacency", "det")], acc[("adjacency", "perm")]
+    weigh = signs.get
+    for block in catalog.blocks:
+        total = signed = strong_total = strong_signed = 0
+        for ids, strong, eps in block.families:
+            weight = 1
+            for i in ids:
+                weight *= weigh(i, 0)
+                if not weight:
+                    break
+            if weight:
+                total += weight
+                signed += eps * weight
+                if strong:
+                    strong_total += weight
+                    strong_signed += eps * weight
+        if not (total or signed or strong_total or strong_signed):
             continue
-        tails = {s.tail for s in fam.steps}
-        heads = {s.head for s in fam.steps}
-        open_rows = [v for v in order if v not in tails]
-        open_cols = [v for v in order if v not in heads]
-        lap_weight = -weight if len(fam.steps) % 2 else weight
-        base = {s.tail: s.head for s in fam.steps}
-        for assignment in itertools.permutations(open_cols):
-            mono = frozenset(zip(open_rows, assignment))
-            images = dict(base)
-            images.update(zip(open_rows, assignment))
-            eps = permutation_sign([pos[images[v]] for v in order])
-            acc[("laplacian", "perm")][mono] += lap_weight
-            acc[("laplacian", "det")][mono] += eps * lap_weight
-            if fam.strong:
-                acc[("adjacency", "perm")][mono] += weight
-                acc[("adjacency", "det")][mono] += eps * weight
+        if block.odd:
+            total, signed = -total, -signed
+        for mono, rel in block.completions:
+            lap_perm[mono] = total
+            lap_det[mono] = rel * signed
+            adj_perm[mono] = strong_total
+            adj_det[mono] = rel * strong_signed
     return {combo: MultivariatePolynomial(acc[combo]) for combo in COMBOS}
 
 

@@ -186,6 +186,58 @@ def test_catalog_reuse_across_signings():
             assert polys[(target, mode)] == symbolic_minor_poly(m, mode)
 
 
+def test_catalog_evaluation_keeps_no_state():
+    catalog = minor_catalog(one_edge(1).structure)
+    first = minor_polys_from_catalog(catalog, one_edge(1).signs)
+    other = minor_polys_from_catalog(catalog, one_edge(-1).signs)
+    assert other != first
+    assert minor_polys_from_catalog(catalog, one_edge(1).signs) == first
+
+
+@pytest.mark.parametrize(
+    "og, padding", [(triangle(), 3), (one_edge(-1), 0)], ids=["triangle", "one-edge"]
+)
+def test_raw_catalog_follows_zero_loading(og, padding):
+    padded = zero_loading(og)
+    assert len(padded.incidences) - len(og.incidences) == padding
+    raw = minor_catalog(og.structure)
+    loaded = minor_catalog(padded.structure)
+    assert minor_polys_from_catalog(raw, og.signs) == minor_polys_from_catalog(
+        loaded, padded.signs
+    )
+
+
+def test_cancelling_block_leaves_no_zero_terms():
+    # v1 -> v2 through e1 weighs +1 and through e2 weighs -1: one block, sum 0.
+    g = IncidenceHypergraph.build(
+        ["v1", "v2"],
+        ["e1", "e2"],
+        [("a1", "v1", "e1"), ("a2", "v2", "e1"), ("b1", "v1", "e2"), ("b2", "v2", "e2")],
+    )
+    og = OrientedHypergraph.build(g, {"b2": -1})
+    polys = minor_polys_from_catalog(minor_catalog(g), og.signs)
+    for target, mode in COMBOS:
+        m = adjacency_matrix(og) if target == "adjacency" else laplacian_matrix(og)
+        p = polys[(target, mode)]
+        assert p == symbolic_minor_poly(m, mode)
+        assert p.coefficient([("v2", "v1")]) == 0
+        assert all(p.terms.values())
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [
+        IncidenceHypergraph.build(["a"], ["e"], [("i", "ghost", "e")]),
+        IncidenceHypergraph.build(["a"], ["e"], [("i", "a", "ghost")]),
+        IncidenceHypergraph.build(["a", "a"], ["e"], [("i", "a", "e")]),
+    ],
+    ids=["unknown-vertex", "unknown-edge", "duplicate-vertex"],
+)
+def test_minor_catalog_rejects_malformed_structures(structure):
+    with pytest.raises(DomainError):
+        minor_catalog(structure)
+
+
 def test_univariate_matches_frozen_triangle_values():
     og = triangle()
     assert univariate_from_contributors(og, "laplacian", "det").coeffs == (0, 9, -6, 1)
