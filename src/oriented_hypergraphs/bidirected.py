@@ -21,6 +21,7 @@ from .contributors import (
     MinorClass,
     OneStep,
     ReducedContributor,
+    contributor_sign,
     enumerate_contributors,
     vertex_steps,
 )
@@ -289,13 +290,6 @@ class Arborescence:
     assignment: tuple[tuple[str, str], ...]
 
 
-def _weight(og: OrientedHypergraph, steps: Steps) -> int:
-    w = 1
-    for s in steps:
-        w *= og.sigma(s.tail_incidence) * og.sigma(s.head_incidence)
-    return w
-
-
 def total_unpack(bg: BidirectedGraph, reduced: ReducedContributor) -> Arborescence:
     """Unfold an all-backstep survivor into its rooted forest.
 
@@ -382,7 +376,7 @@ def single_element_classes(
     classes = _activation_partition(completed, _reduced_elements(og, mc))
     out = []
     for members in classes:
-        nonzero = [m for m in members if _weight(og, m) != 0]
+        nonzero = [m for m in members if contributor_sign(og, Contributor(m))]
         if len(nonzero) != 1:
             continue
         reduced = ReducedContributor(mc, nonzero[0])

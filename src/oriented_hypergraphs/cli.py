@@ -185,9 +185,11 @@ def cmd_contributors(og, args) -> tuple[list[str], dict[str, Any]]:
         u, w = _parse_class(args.cls)
         cls = MinorClass.build(og, u, w)
         members = class_contributors(og, cls, strong_only=args.strong, max_vertices=guard)
+        _enum_guard(len(members), args.max_enum, "contributor enumeration")
     else:
-        members = enumerate_contributors(og, strong_only=args.strong, max_vertices=guard)
-    _enum_guard(len(members), args.max_enum, "contributor enumeration")
+        members = enumerate_contributors(
+            og, strong_only=args.strong, max_vertices=guard, max_count=args.max_enum
+        )
     lines = [f"contributors: {len(members)}"]
     if cls is not None:
         shown = " ".join(f"{u}->{w}" for u, w in cls.pairs()) or "(empty)"

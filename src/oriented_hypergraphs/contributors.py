@@ -1,26 +1,32 @@
 """Permutation-shaped step families and the minor polynomials they carry.
 
-A contributor selects one length-1 step at every vertex so that the step
-heads sweep out the whole vertex set bijectively.  Grouped by which rows
-they fix and summed with the right signs, reduced contributors recover
-every coefficient of the det- and perm-style minor polynomials of the
-adjacency and Laplacian matrices.  Everything here is cross-checked
+A step family gives at most one length-1 step to each vertex, with
+pairwise-distinct heads; :func:`step_families` streams them all.  A
+contributor is a family covering every vertex, so its heads sweep out
+the whole vertex set bijectively.  Everything here is cross-checked
 against the Leibniz oracle in :mod:`.matrices`.
 
 The minor polynomials come from a :class:`MinorCatalog`: every step
-family on a subset of tail vertices, grouped into blocks by (tail set,
-head set).  The families of a block share their completions into full
-permutations, and a completed family's sign splits as eps_f * rel(c), a
-per-family part times a per-completion part, so a block stamps each of
-its monomials once with its summed family weights (the all-minors
-matrix-tree expansion, read as a sum over figures).
+family, grouped into blocks by (tail set, head set).  The families of a
+block share their completions into full permutations, and a completed
+family's sign splits as eps_f * rel(c), a per-family part times a
+per-completion part, so a block stamps each of its monomials once with
+its summed family weights (the all-minors matrix-tree expansion, read
+as a sum over figures).
+
+The characteristic polynomial needs only the closed families, whose
+head set equals their tail set T: a closed family of weight w adds to
+the coefficient of x^(n - |T|).  :func:`univariate_from_contributors`
+signs each one twice, by its head permutation (the catalog's diagonal
+blocks) and by its census of circles and backsteps, and checks both
+sums against the matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import limits
 from .core import IncidenceHypergraph, OrientedHypergraph, require_valid
@@ -33,7 +39,6 @@ from .matrices import (
     symbolic_minor_poly,
 )
 from .polynomial import IntPolynomial, MultivariatePolynomial
-from .topos import zero_loading
 
 COMBOS: tuple[tuple[str, str], ...] = (
     ("adjacency", "det"),
@@ -142,6 +147,46 @@ def vertex_steps(
     return tuple(out)
 
 
+def step_families(
+    g: IncidenceHypergraph, *, strong_only: bool = False, closed: bool = False
+) -> Iterator[tuple[OneStep, ...]]:
+    """Stream every step family of ``g`` as a tuple of steps.
+
+    Vertices are visited in order; each is either skipped or given a step
+    to a head not used yet, skipping first.  ``strong_only`` drops the
+    backsteps.  ``closed`` keeps only the families whose head set equals
+    their tail set, pruning as it goes: a head earlier in vertex order
+    must already be a tail, and a vertex already used as a head cannot be
+    skipped.
+    """
+    vertices = g.vertices
+    n = len(vertices)
+    options = [vertex_steps(g, v, strong_only=strong_only) for v in vertices]
+    chosen: list[OneStep] = []
+    used: set[str] = set()
+    skipped: set[str] = set()
+
+    def extend(k: int) -> Iterator[tuple[OneStep, ...]]:
+        if k == n:
+            yield tuple(chosen)
+            return
+        v = vertices[k]
+        if not (closed and v in used):
+            skipped.add(v)
+            yield from extend(k + 1)
+            skipped.discard(v)
+        for s in options[k]:
+            if s.head in used or (closed and s.head in skipped):
+                continue
+            used.add(s.head)
+            chosen.append(s)
+            yield from extend(k + 1)
+            chosen.pop()
+            used.discard(s.head)
+
+    return extend(0)
+
+
 def _saturates(head_sets: Sequence[frozenset[str]], start: int, used: set[str]) -> bool:
     # Kuhn's matching: can every vertex from ``start`` on still get a
     # distinct unused head?  Cheap insurance against dead-end branches.
@@ -160,13 +205,40 @@ def _saturates(head_sets: Sequence[frozenset[str]], start: int, used: set[str]) 
     return all(assign(idx, set()) for idx in range(start, len(head_sets)))
 
 
+def _permanent_count(g: IncidenceHypergraph, options: Sequence[Sequence[OneStep]]) -> int:
+    # Contributors are the permutations of the vertex set, each counted
+    # once per choice of steps realizing it: the permanent of the
+    # step-multiplicity matrix, by Ryser's formula in O(2^n n^2).
+    n = len(g.vertices)
+    pos = g.vertex_pos
+    mult = [[0] * n for _ in range(n)]
+    for row, opts in zip(mult, options):
+        for s in opts:
+            row[pos[s.head]] += 1
+    total = 0
+    for mask in range(1 << n):
+        cols = [j for j in range(n) if mask >> j & 1]
+        product = 1
+        for row in mult:
+            product *= sum(row[j] for j in cols)
+            if not product:
+                break
+        total += -product if len(cols) % 2 else product
+    return -total if n % 2 else total
+
+
 def enumerate_contributors(
     og: OrientedHypergraph,
     *,
     strong_only: bool = False,
     max_vertices: int = limits.MAX_CONTRIBUTOR_VERTICES,
+    max_count: int = limits.MAX_CONTRIBUTORS,
 ) -> list[Contributor]:
-    """Every contributor of ``og``, in a deterministic backtracking order."""
+    """Every contributor of ``og``, in a deterministic backtracking order.
+
+    The exact count is computed first, so more than ``max_count``
+    contributors raise :class:`ResourceLimitError` before any is built.
+    """
     g = og.structure
     n = len(g.vertices)
     if n > max_vertices:
@@ -174,6 +246,11 @@ def enumerate_contributors(
             f"contributor enumeration limited to {max_vertices} vertices, got {n}"
         )
     options = [vertex_steps(g, v, strong_only=strong_only) for v in g.vertices]
+    count = _permanent_count(g, options)
+    if count > max_count:
+        raise ResourceLimitError(
+            f"contributor enumeration limited to {max_count} contributors, got {count}"
+        )
     head_sets = [frozenset(s.head for s in opts) for opts in options]
     out: list[Contributor] = []
     chosen: list[OneStep] = []
@@ -201,12 +278,14 @@ def enumerate_contributors(
 def contributor_sign(og: OrientedHypergraph, c: Contributor) -> int:
     """Product of incidence signs along all steps, backstep incidence twice.
 
-    Zero exactly when some traversed incidence carries a 0 sign; only the
-    zero/nonzero distinction feeds the polynomial sums.
+    Zero exactly when some traversed incidence carries a 0 sign.  Any
+    step family can be weighed as ``Contributor(steps)``.
     """
     sign = 1
     for s in c.steps:
         sign *= og.sigma(s.tail_incidence) * og.sigma(s.head_incidence)
+        if not sign:
+            return 0
     return sign
 
 
@@ -412,27 +491,10 @@ def minor_catalog(
         raise ResourceLimitError(
             f"minor catalog limited to {max_vertices} vertices, got {n}"
         )
-    options = [vertex_steps(structure, v) for v in structure.vertices]
-    families: list[StepFamily] = []
-    chosen: list[OneStep] = []
-    used: set[str] = set()
-
-    def backtrack(k: int) -> None:
-        if k == n:
-            steps = tuple(chosen)
-            families.append(StepFamily(steps, all(not s.is_backstep for s in steps)))
-            return
-        backtrack(k + 1)
-        for s in options[k]:
-            if s.head in used:
-                continue
-            used.add(s.head)
-            chosen.append(s)
-            backtrack(k + 1)
-            chosen.pop()
-            used.discard(s.head)
-
-    backtrack(0)
+    families = [
+        StepFamily(steps, all(not s.is_backstep for s in steps))
+        for steps in step_families(structure)
+    ]
     return MinorCatalog(structure, tuple(families), _minor_blocks(structure, families))
 
 
@@ -526,62 +588,6 @@ def total_minor_poly(
     return minor_polys_from_catalog(catalog, og.signs)[(target, mode)]
 
 
-def _step_weight(og: OrientedHypergraph, steps: Iterable[OneStep]) -> int:
-    weight = 1
-    for s in steps:
-        weight *= og.sigma(s.tail_incidence) * og.sigma(s.head_incidence)
-        if weight == 0:
-            return 0
-    return weight
-
-
-def _univariate_direct(og: OrientedHypergraph, target: str, mode: str) -> IntPolynomial:
-    # Enumerate full contributors of the zero-loaded orientation, strip
-    # backsteps (all of them for adjacency, every subset for the
-    # Laplacian), de-duplicate the remnants, and sum literal component
-    # signs.  The padding matters: it is what gives an isolated vertex
-    # its backstep, hence the Laplacian its x-coefficient.
-    loaded = zero_loading(og)
-    n = len(og.vertices)
-    coeffs = [0] * (n + 1)
-    if n == 0:
-        return IntPolynomial([1])
-    seen: set[tuple[OneStep, ...]] = set()
-    for c in enumerate_contributors(loaded):
-        if target == "adjacency":
-            remnants = [tuple(s for s in c.steps if not s.is_backstep)]
-        else:
-            back = [idx for idx, s in enumerate(c.steps) if s.is_backstep]
-            remnants = []
-            for size in range(len(back) + 1):
-                for removed in itertools.combinations(back, size):
-                    drop = set(removed)
-                    remnants.append(
-                        tuple(s for idx, s in enumerate(c.steps) if idx not in drop)
-                    )
-        for remaining in remnants:
-            if remaining in seen:
-                continue
-            seen.add(remaining)
-            if _step_weight(loaded, remaining) == 0:
-                continue
-            prof = component_profile(loaded, Contributor(remaining))
-            if target == "adjacency":
-                if mode == "perm":
-                    sign = (-1) ** (prof.odd_circles + prof.negative_circles)
-                else:
-                    sign = (-1) ** prof.positive_circles
-            else:
-                if mode == "perm":
-                    sign = (-1) ** (prof.negative_circles + prof.backsteps)
-                else:
-                    sign = (-1) ** (
-                        prof.even_circles + prof.negative_circles + prof.backsteps
-                    )
-            coeffs[n - len(remaining)] += sign
-    return IntPolynomial(coeffs)
-
-
 def univariate_from_contributors(
     og: OrientedHypergraph,
     target: str,
@@ -591,26 +597,61 @@ def univariate_from_contributors(
 ) -> IntPolynomial:
     """Characteristic polynomial by two contributor routes, cross-asserted.
 
-    Route one substitutes the diagonal into :func:`total_minor_poly`;
-    route two counts de-duplicated backstep-stripped contributors
-    directly.  Both must agree with the matrix expansion, else the
-    whole theory is broken and an invariant error says so.
+    One pass over the closed step families (head set = tail set T; only
+    strong ones for the adjacency) adds each family of nonzero weight w
+    to the coefficient of x^(n - |T|) twice.  Route one adds w, negated
+    for odd |T| on the Laplacian and times sign(h_f + id) for det: the
+    diagonal of :func:`total_minor_poly`, whose all-diagonal monomials
+    come only from blocks with T = H and the identity completion.  Route
+    two adds the sign its census of circles and backsteps gives: these
+    families are the de-duplicated backstep-stripped contributors of the
+    zero-loaded structure.  Both must agree with the matrix expansion,
+    else the whole theory is broken and an invariant error says so.
     """
     _require_combo(target, mode)
-    n = len(og.vertices)
+    g = og.structure
+    n = len(g.vertices)
     if n > max_vertices:
         raise ResourceLimitError(
             f"univariate contributor route limited to {max_vertices} vertices, got {n}"
         )
-    via_minor = total_minor_poly(og, target, mode, max_vertices=max_vertices)
-    diagonal = via_minor.substitute_diagonal()
-    direct = _univariate_direct(og, target, mode)
-    m = adjacency_matrix(og) if target == "adjacency" else laplacian_matrix(og)
+    pos = g.vertex_pos
+    laplacian = target == "laplacian"
+    diagonal = [0] * (n + 1)
+    direct = [0] * (n + 1)
+    for steps in step_families(g, strong_only=not laplacian, closed=True):
+        fam = Contributor(steps)
+        weight = contributor_sign(og, fam)
+        if not weight:
+            continue
+        k = len(steps)
+        if laplacian and k % 2:
+            weight = -weight
+        if mode == "det":
+            images = list(range(n))
+            for s in steps:
+                images[pos[s.tail]] = pos[s.head]
+            weight *= permutation_sign(images)
+        diagonal[n - k] += weight
+        prof = component_profile(og, fam)
+        if not laplacian:
+            if mode == "perm":
+                sign = (-1) ** (prof.odd_circles + prof.negative_circles)
+            else:
+                sign = (-1) ** prof.positive_circles
+        else:
+            if mode == "perm":
+                sign = (-1) ** (prof.negative_circles + prof.backsteps)
+            else:
+                sign = (-1) ** (prof.even_circles + prof.negative_circles + prof.backsteps)
+        direct[n - k] += sign
+    via_minor, via_census = IntPolynomial(diagonal), IntPolynomial(direct)
+    m = laplacian_matrix(og) if laplacian else adjacency_matrix(og)
     reference = char_poly_univariate(m, mode)
-    if diagonal != reference or direct != reference:
+    if via_minor != reference or via_census != reference:
         raise InvariantError(
             f"contributor routes disagree for {target}/{mode}: "
-            f"diagonal {diagonal!r}, direct {direct!r}, matrix {reference!r}"
+            f"diagonal {via_minor!r}, direct {via_census!r}, matrix {reference!r}"
         )
     return reference
 

@@ -73,7 +73,8 @@ class IncidenceHypergraph:
         )
 
     # Lookup tables are cached per instance; they assume the structure is
-    # valid (see validate), which every public entry point checks first.
+    # valid (see validate).  OrientedHypergraph.build and minor_catalog
+    # check that; the functions taking a bare structure do not.
 
     @cached_property
     def vertex_pos(self) -> dict[str, int]:
@@ -146,6 +147,8 @@ class OrientedHypergraph:
         signs: Mapping[str, int] | None = None,
         loaded: Iterable[str] = (),
     ) -> "OrientedHypergraph":
+        """Validate ``structure`` and its signs; unsigned incidences get +1."""
+        require_valid(structure)
         sign_map = {} if signs is None else dict(signs)
         for i in structure.incidences:
             s = sign_map.setdefault(i.id, 1)

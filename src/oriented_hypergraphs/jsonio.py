@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .core import IncidenceHypergraph, OrientedHypergraph, validate
+from .core import IncidenceHypergraph, OrientedHypergraph
 from .errors import DomainError
 
 __all__ = ["parse_oriented", "loads_oriented", "load_oriented_file", "oriented_to_dict", "dumps_oriented"]
@@ -77,9 +77,6 @@ def parse_oriented(data: Any) -> OrientedHypergraph:
         if flag:
             loaded.add(iid)
     structure = IncidenceHypergraph.build(vertices, edges, triples)
-    report = validate(structure)
-    if not report.ok:
-        raise DomainError(report.first)
     return OrientedHypergraph.build(structure, signs, loaded)
 
 

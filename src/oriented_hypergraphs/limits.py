@@ -13,6 +13,9 @@ MAX_HOM_CANDIDATES = 1_000_000
 # Number of subhypergraphs materialised by enumeration / power construction.
 MAX_SUBHYPERGRAPHS = 100_000
 
+# Exact number of contributors enumeration may build; counted beforehand.
+MAX_CONTRIBUTORS = 1_000_000
+
 # Vertex bounds for the factorial-flavoured enumerations.
 MAX_CONTRIBUTOR_VERTICES = 9
 MAX_MINOR_VERTICES = 8

@@ -35,6 +35,19 @@ def one_edge_three_vertices(third_sign: int) -> OrientedHypergraph:
     return OrientedHypergraph.build(g, {"i1": 1, "i2": 1, "i3": third_sign})
 
 
+MALFORMED_STRUCTURES = [
+    pytest.param(
+        IncidenceHypergraph.build(["a"], ["e"], [("i", "ghost", "e")]), id="unknown-vertex"
+    ),
+    pytest.param(
+        IncidenceHypergraph.build(["a"], ["e"], [("i", "a", "ghost")]), id="unknown-edge"
+    ),
+    pytest.param(
+        IncidenceHypergraph.build(["a", "a"], ["e"], [("i", "a", "e")]), id="duplicate-vertex"
+    ),
+]
+
+
 @pytest.fixture
 def k3() -> OrientedHypergraph:
     return triangle()

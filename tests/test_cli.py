@@ -147,6 +147,16 @@ def test_exit_code_for_enumeration_cap(capsys):
     assert "resource limit" in err
 
 
+def test_enumeration_cap_is_the_exact_contributor_count(capsys):
+    # K3 has 16 contributors.
+    code, _, err = run(capsys, "contributors", K3, "--max-enum", "15")
+    assert code == 2
+    assert "got 16" in err
+    code, out, _ = run(capsys, "contributors", K3, "--max-enum", "16")
+    assert code == 0
+    assert out.startswith("contributors: 16\n")
+
+
 def test_exit_code_for_vertex_guard(capsys):
     code, _, err = run(capsys, "contributors", K3, "--max-vertices", "2")
     assert code == 2

@@ -1,7 +1,11 @@
+import itertools
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import small_oriented, triangle
+from conftest import MALFORMED_STRUCTURES, small_oriented, triangle
 from oriented_hypergraphs.contributors import (
     COMBOS,
     MinorClass,
@@ -16,6 +20,7 @@ from oriented_hypergraphs.contributors import (
     minor_polys_from_catalog,
     oracle_equivalence,
     reduce_contributor,
+    step_families,
     total_minor_poly,
     univariate_from_contributors,
     vertex_steps,
@@ -24,6 +29,8 @@ from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
 from oriented_hypergraphs.errors import DomainError, ResourceLimitError
 from oriented_hypergraphs.matrices import (
     adjacency_matrix,
+    char_poly_univariate,
+    graph_orientation,
     laplacian_matrix,
     symbolic_minor_poly,
 )
@@ -37,6 +44,30 @@ def one_edge(third_sign):
         [("i1", "v1", "e1"), ("i2", "v2", "e1"), ("i3", "v3", "e1")],
     )
     return OrientedHypergraph.build(g, {"i1": 1, "i2": 1, "i3": third_sign})
+
+
+def simple_graph(n, pairs, seed=None):
+    """Vertices v1..vn and one two-incidence edge per pair: the plain graph
+    orientation, or seed-drawn +1/-1 signs."""
+    vertices = [f"v{k}" for k in range(1, n + 1)]
+    edges, triples = [], []
+    for a, b in pairs:
+        e = f"e{a}{b}"
+        edges.append(e)
+        triples += [(f"{e}a", f"v{a}", e), (f"{e}b", f"v{b}", e)]
+    g = IncidenceHypergraph.build(vertices, edges, triples)
+    if seed is None:
+        return graph_orientation(g)
+    rng = random.Random(seed)
+    return OrientedHypergraph.build(g, {i: rng.choice((1, -1)) for i, _, _ in triples})
+
+
+def complete_graph(n, seed=None):
+    return simple_graph(n, itertools.combinations(range(1, n + 1), 2), seed)
+
+
+def cycle_graph(n):
+    return simple_graph(n, [(k, k % n + 1) for k in range(1, n + 1)])
 
 
 def test_vertex_steps_order_and_kinds():
@@ -93,6 +124,38 @@ def test_zero_sign_makes_contributor_weight_zero():
 def test_contributor_enumeration_guard():
     with pytest.raises(ResourceLimitError):
         enumerate_contributors(triangle(), max_vertices=2)
+
+
+def test_contributor_count_guard_runs_before_enumeration():
+    # K9 holds 330,492,736 contributors; the exact count refuses it at once.
+    with pytest.raises(ResourceLimitError):
+        enumerate_contributors(complete_graph(9))
+    k5 = complete_graph(5)
+    assert len(enumerate_contributors(k5, max_count=2208)) == 2208
+    with pytest.raises(ResourceLimitError):
+        enumerate_contributors(k5, max_count=2207)
+
+
+def _derangements(k):
+    return round(math.factorial(k) / math.e) if k else 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_closed_family_counts_on_complete_graphs(n):
+    # Closed strong families are the derangements of their tail sets,
+    # n! in all.  With backsteps, a fixed point has n - 1 of them.
+    g = complete_graph(n).structure
+    assert sum(1 for _ in step_families(g, strong_only=True, closed=True)) == math.factorial(n)
+    expected = sum(
+        math.comb(n, k) * math.comb(k, j) * (n - 1) ** j * _derangements(k - j)
+        for k in range(n + 1)
+        for j in range(k + 1)
+    )
+    assert expected == {3: 38, 4: 393, 5: 5144, 6: 81445}[n]
+    closed = list(step_families(g, closed=True))
+    assert len(closed) == expected
+    for steps in closed:
+        assert {s.tail for s in steps} == {s.head for s in steps}
 
 
 def test_minor_class_validation():
@@ -224,15 +287,7 @@ def test_cancelling_block_leaves_no_zero_terms():
         assert all(p.terms.values())
 
 
-@pytest.mark.parametrize(
-    "structure",
-    [
-        IncidenceHypergraph.build(["a"], ["e"], [("i", "ghost", "e")]),
-        IncidenceHypergraph.build(["a"], ["e"], [("i", "a", "ghost")]),
-        IncidenceHypergraph.build(["a", "a"], ["e"], [("i", "a", "e")]),
-    ],
-    ids=["unknown-vertex", "unknown-edge", "duplicate-vertex"],
-)
+@pytest.mark.parametrize("structure", MALFORMED_STRUCTURES)
 def test_minor_catalog_rejects_malformed_structures(structure):
     with pytest.raises(DomainError):
         minor_catalog(structure)
@@ -284,3 +339,22 @@ def test_minor_polys_match_oracle_on_random_structures(og):
 def test_univariate_triple_route_never_diverges(og):
     for target, mode in COMBOS:
         univariate_from_contributors(og, target, mode)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_oriented(max_vertices=4, max_edges=3, max_incidences=6))
+def test_univariate_route_is_the_catalog_diagonal(og):
+    for target, mode in COMBOS:
+        diagonal = total_minor_poly(og, target, mode).substitute_diagonal()
+        assert univariate_from_contributors(og, target, mode) == diagonal
+
+
+@pytest.mark.parametrize(
+    "og", [cycle_graph(6), complete_graph(5, seed=2019)], ids=["plain-C6", "seeded-K5"]
+)
+def test_univariate_route_on_zero_loading_heavy_structures(og):
+    # The zero-loaded C6 has 33,592,320 contributors; the closed families
+    # of the raw structure are all the route needs.
+    for target, mode in COMBOS:
+        m = adjacency_matrix(og) if target == "adjacency" else laplacian_matrix(og)
+        assert univariate_from_contributors(og, target, mode) == char_poly_univariate(m, mode)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import small_oriented, triangle
+from conftest import MALFORMED_STRUCTURES, small_oriented, triangle
 from oriented_hypergraphs.core import (
     Homomorphism,
     IncidenceHypergraph,
@@ -59,6 +59,12 @@ def test_oriented_build_checks_signs():
         OrientedHypergraph.build(g, {"i": 1, "ghost": 1})
     og = OrientedHypergraph.build(g)
     assert og.sigma("i") == 1
+
+
+@pytest.mark.parametrize("structure", MALFORMED_STRUCTURES)
+def test_oriented_build_rejects_malformed_structures(structure):
+    with pytest.raises(DomainError):
+        OrientedHypergraph.build(structure)
 
 
 def test_identity_and_compose():
