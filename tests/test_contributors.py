@@ -334,16 +334,11 @@ def test_minor_polys_match_oracle_on_random_structures(og):
     assert all(oracle_equivalence(og).values())
 
 
-@settings(max_examples=20, deadline=None)
-@given(small_oriented(max_vertices=3, max_edges=2, max_incidences=4))
-def test_univariate_triple_route_never_diverges(og):
-    for target, mode in COMBOS:
-        univariate_from_contributors(og, target, mode)
-
-
 @settings(max_examples=25, deadline=None)
 @given(small_oriented(max_vertices=4, max_edges=3, max_incidences=6))
-def test_univariate_route_is_the_catalog_diagonal(og):
+def test_univariate_triple_route_never_diverges(og):
+    # The route's own checks raise on any disagreement; the catalog's
+    # diagonal is a third, test-side reference.
     for target, mode in COMBOS:
         diagonal = total_minor_poly(og, target, mode).substitute_diagonal()
         assert univariate_from_contributors(og, target, mode) == diagonal
