@@ -23,6 +23,7 @@ from .contributors import (
     ReducedContributor,
     contributor_sign,
     enumerate_contributors,
+    step_families,
     vertex_steps,
 )
 
@@ -322,37 +323,6 @@ def total_unpack(bg: BidirectedGraph, reduced: ReducedContributor) -> Arborescen
     return Arborescence(roots, tuple(edge_ids), tuple(assignment))
 
 
-def _reduced_elements(og: OrientedHypergraph, cls: MinorClass) -> list[Steps]:
-    # Step families on the non-row vertices whose heads exactly avoid the
-    # class columns; this is the direct form of reducing every class
-    # member and de-duplicating.
-    g = og.structure
-    tails = [v for v in g.vertices if v not in set(cls.u)]
-    allowed = set(g.vertices) - set(cls.w)
-    options = [
-        [s for s in vertex_steps(g, v) if s.head in allowed] for v in tails
-    ]
-    out: list[Steps] = []
-    chosen: list[OneStep] = []
-    used: set[str] = set()
-
-    def backtrack(k: int) -> None:
-        if k == len(tails):
-            out.append(tuple(chosen))
-            return
-        for s in options[k]:
-            if s.head in used:
-                continue
-            used.add(s.head)
-            chosen.append(s)
-            backtrack(k + 1)
-            chosen.pop()
-            used.discard(s.head)
-
-    backtrack(0)
-    return out
-
-
 def single_element_classes(
     bg: BidirectedGraph,
     cls: MinorClass,
@@ -373,7 +343,16 @@ def single_element_classes(
             f"single-element class search limited to {max_vertices} vertices, got {n}"
         )
     mc = MinorClass.build(og, cls.u, cls.w)
-    classes = _activation_partition(completed, _reduced_elements(og, mc))
+    # The reduced elements are the spanning step families on the non-row
+    # vertices whose heads avoid the class columns: the direct form of
+    # reducing every class member and de-duplicating.
+    g = og.structure
+    options = {
+        v: [s for s in vertex_steps(g, v) if s.head not in mc.w]
+        for v in g.vertices
+        if v not in mc.u
+    }
+    classes = _activation_partition(completed, list(step_families(options, spanning=True)))
     out = []
     for members in classes:
         nonzero = [m for m in members if contributor_sign(og, Contributor(m))]

@@ -179,17 +179,17 @@ def cmd_total_minor(og, args) -> tuple[list[str], dict[str, Any]]:
 
 
 def cmd_contributors(og, args) -> tuple[list[str], dict[str, Any]]:
-    guard = args.max_vertices or limits.MAX_CONTRIBUTOR_VERTICES
+    guards = {
+        "strong_only": args.strong,
+        "max_vertices": args.max_vertices or limits.MAX_CONTRIBUTOR_VERTICES,
+        "max_count": args.max_enum,
+    }
     cls = None
     if args.cls is not None:
-        u, w = _parse_class(args.cls)
-        cls = MinorClass.build(og, u, w)
-        members = class_contributors(og, cls, strong_only=args.strong, max_vertices=guard)
-        _enum_guard(len(members), args.max_enum, "contributor enumeration")
+        cls = MinorClass.build(og, *_parse_class(args.cls))
+        members = class_contributors(og, cls, **guards)
     else:
-        members = enumerate_contributors(
-            og, strong_only=args.strong, max_vertices=guard, max_count=args.max_enum
-        )
+        members = enumerate_contributors(og, **guards)
     lines = [f"contributors: {len(members)}"]
     if cls is not None:
         shown = " ".join(f"{u}->{w}" for u, w in cls.pairs()) or "(empty)"

@@ -1,10 +1,15 @@
 """Permutation-shaped step families and the minor polynomials they carry.
 
 A step family gives at most one length-1 step to each vertex, with
-pairwise-distinct heads; :func:`step_families` streams them all.  A
-contributor is a family covering every vertex, so its heads sweep out
-the whole vertex set bijectively.  Everything here is cross-checked
-against the Leibniz oracle in :mod:`.matrices`.
+pairwise-distinct heads.  :func:`step_families` is the one generator
+that chooses steps: it streams the families drawn from a map of each
+tail vertex to its allowed steps.  A contributor is a spanning family of
+the full map, so its heads sweep out the whole vertex set bijectively;
+a class member pins each class row to its steps onto the matching
+column; the bidirected reduced elements (:mod:`.bidirected`) span the
+non-row vertices with heads off the class columns.  Spanning families
+are counted exactly (a permanent) before any is built.  Everything here
+is cross-checked against the Leibniz oracle in :mod:`.matrices`.
 
 The minor polynomials come from a :class:`MinorCatalog`: every step
 family, grouped into blocks by (tail set, head set).  The families of a
@@ -68,10 +73,6 @@ class OneStep:
     @property
     def is_backstep(self) -> bool:
         return self.tail_incidence == self.head_incidence
-
-    @property
-    def is_loop(self) -> bool:
-        return self.tail == self.head and not self.is_backstep
 
 
 @dataclass(frozen=True)
@@ -147,21 +148,28 @@ def vertex_steps(
     return tuple(out)
 
 
-def step_families(
-    g: IncidenceHypergraph, *, strong_only: bool = False, closed: bool = False
-) -> Iterator[tuple[OneStep, ...]]:
-    """Stream every step family of ``g`` as a tuple of steps.
+def _all_steps(
+    g: IncidenceHypergraph, *, strong_only: bool = False
+) -> dict[str, tuple[OneStep, ...]]:
+    return {v: vertex_steps(g, v, strong_only=strong_only) for v in g.vertices}
 
-    Vertices are visited in order; each is either skipped or given a step
-    to a head not used yet, skipping first.  ``strong_only`` drops the
-    backsteps.  ``closed`` keeps only the families whose head set equals
-    their tail set, pruning as it goes: a head earlier in vertex order
-    must already be a tail, and a vertex already used as a head cannot be
-    skipped.
+
+def step_families(
+    options: Mapping[str, Sequence[OneStep]], *, spanning: bool = False, closed: bool = False
+) -> Iterator[tuple[OneStep, ...]]:
+    """Stream every step family drawn from ``options`` as a tuple of steps.
+
+    ``options`` maps each tail vertex, in order, to the steps it may take.
+    Each tail is either skipped or given one of its steps to a head not
+    used yet, skipping first.  ``spanning`` forbids skipping, so every
+    tail gets a step.  ``closed`` keeps only the families whose head set
+    equals their tail set (heads must lie among the tails), pruning as it
+    goes: a head earlier in order must already be a tail, and a tail
+    already used as a head cannot be skipped.
     """
-    vertices = g.vertices
-    n = len(vertices)
-    options = [vertex_steps(g, v, strong_only=strong_only) for v in vertices]
+    tails = list(options)
+    rows = list(options.values())
+    n = len(rows)
     chosen: list[OneStep] = []
     used: set[str] = set()
     skipped: set[str] = set()
@@ -170,12 +178,12 @@ def step_families(
         if k == n:
             yield tuple(chosen)
             return
-        v = vertices[k]
-        if not (closed and v in used):
+        v = tails[k]
+        if not (spanning or closed and v in used):
             skipped.add(v)
             yield from extend(k + 1)
             skipped.discard(v)
-        for s in options[k]:
+        for s in rows[k]:
             if s.head in used or (closed and s.head in skipped):
                 continue
             used.add(s.head)
@@ -187,32 +195,15 @@ def step_families(
     return extend(0)
 
 
-def _saturates(head_sets: Sequence[frozenset[str]], start: int, used: set[str]) -> bool:
-    # Kuhn's matching: can every vertex from ``start`` on still get a
-    # distinct unused head?  Cheap insurance against dead-end branches.
-    match: dict[str, int] = {}
-
-    def assign(idx: int, seen: set[str]) -> bool:
-        for h in head_sets[idx]:
-            if h in used or h in seen:
-                continue
-            seen.add(h)
-            if h not in match or assign(match[h], seen):
-                match[h] = idx
-                return True
-        return False
-
-    return all(assign(idx, set()) for idx in range(start, len(head_sets)))
-
-
-def _permanent_count(g: IncidenceHypergraph, options: Sequence[Sequence[OneStep]]) -> int:
-    # Contributors are the permutations of the vertex set, each counted
-    # once per choice of steps realizing it: the permanent of the
-    # step-multiplicity matrix, by Ryser's formula in O(2^n n^2).
-    n = len(g.vertices)
-    pos = g.vertex_pos
+def _permanent_count(options: Mapping[str, Sequence[OneStep]]) -> int:
+    # Spanning families are the bijections from the tails onto the same
+    # vertex set, each counted once per choice of steps realizing it: the
+    # permanent of the step-multiplicity matrix, by Ryser's formula in
+    # O(2^n n^2).
+    n = len(options)
+    pos = {v: j for j, v in enumerate(options)}
     mult = [[0] * n for _ in range(n)]
-    for row, opts in zip(mult, options):
+    for row, opts in zip(mult, options.values()):
         for s in opts:
             row[pos[s.head]] += 1
     total = 0
@@ -227,6 +218,26 @@ def _permanent_count(g: IncidenceHypergraph, options: Sequence[Sequence[OneStep]
     return -total if n % 2 else total
 
 
+def _contributors_from(
+    options: Mapping[str, Sequence[OneStep]], max_vertices: int, max_count: int
+) -> list[Contributor]:
+    # Guard on the vertex count, then on the exact count, before any
+    # contributor is built; a zero count skips the dead-end search.
+    n = len(options)
+    if n > max_vertices:
+        raise ResourceLimitError(
+            f"contributor enumeration limited to {max_vertices} vertices, got {n}"
+        )
+    count = _permanent_count(options)
+    if count > max_count:
+        raise ResourceLimitError(
+            f"contributor enumeration limited to {max_count} contributors, got {count}"
+        )
+    if not count:
+        return []
+    return [Contributor(steps) for steps in step_families(options, spanning=True)]
+
+
 def enumerate_contributors(
     og: OrientedHypergraph,
     *,
@@ -234,45 +245,14 @@ def enumerate_contributors(
     max_vertices: int = limits.MAX_CONTRIBUTOR_VERTICES,
     max_count: int = limits.MAX_CONTRIBUTORS,
 ) -> list[Contributor]:
-    """Every contributor of ``og``, in a deterministic backtracking order.
+    """Every contributor of ``og``, in :func:`step_families` order.
 
     The exact count is computed first, so more than ``max_count``
     contributors raise :class:`ResourceLimitError` before any is built.
     """
-    g = og.structure
-    n = len(g.vertices)
-    if n > max_vertices:
-        raise ResourceLimitError(
-            f"contributor enumeration limited to {max_vertices} vertices, got {n}"
-        )
-    options = [vertex_steps(g, v, strong_only=strong_only) for v in g.vertices]
-    count = _permanent_count(g, options)
-    if count > max_count:
-        raise ResourceLimitError(
-            f"contributor enumeration limited to {max_count} contributors, got {count}"
-        )
-    head_sets = [frozenset(s.head for s in opts) for opts in options]
-    out: list[Contributor] = []
-    chosen: list[OneStep] = []
-    used: set[str] = set()
-
-    def backtrack(k: int) -> None:
-        if k == n:
-            out.append(Contributor(tuple(chosen)))
-            return
-        if not _saturates(head_sets, k, used):
-            return
-        for s in options[k]:
-            if s.head in used:
-                continue
-            used.add(s.head)
-            chosen.append(s)
-            backtrack(k + 1)
-            chosen.pop()
-            used.discard(s.head)
-
-    backtrack(0)
-    return out
+    return _contributors_from(
+        _all_steps(og.structure, strong_only=strong_only), max_vertices, max_count
+    )
 
 
 def contributor_sign(og: OrientedHypergraph, c: Contributor) -> int:
@@ -377,14 +357,19 @@ def class_contributors(
     *,
     strong_only: bool = False,
     max_vertices: int = limits.MAX_CONTRIBUTOR_VERTICES,
+    max_count: int = limits.MAX_CONTRIBUTORS,
 ) -> list[Contributor]:
-    """Contributors whose step at each u_i heads to the matching w_i."""
-    wanted = dict(zip(cls.u, cls.w))
-    kept = []
-    for c in enumerate_contributors(og, strong_only=strong_only, max_vertices=max_vertices):
-        if all(c.step_at(u).head == w for u, w in wanted.items()):
-            kept.append(c)
-    return kept
+    """Contributors whose step at each u_i heads to the matching w_i.
+
+    Each class row keeps only its steps to w_i, so the exact count (and
+    the ``max_count`` guard) covers the class members alone.
+    """
+    options = _all_steps(og.structure, strong_only=strong_only)
+    for u, w in cls.pairs():
+        if u not in options:
+            raise DomainError(f"no step tailed at {u!r}")
+        options[u] = tuple(s for s in options[u] if s.head == w)
+    return _contributors_from(options, max_vertices, max_count)
 
 
 def reduce_contributor(c: Contributor, cls: MinorClass) -> ReducedContributor:
@@ -493,7 +478,7 @@ def minor_catalog(
         )
     families = [
         StepFamily(steps, all(not s.is_backstep for s in steps))
-        for steps in step_families(structure)
+        for steps in step_families(_all_steps(structure))
     ]
     return MinorCatalog(structure, tuple(families), _minor_blocks(structure, families))
 
@@ -619,7 +604,7 @@ def univariate_from_contributors(
     laplacian = target == "laplacian"
     diagonal = [0] * (n + 1)
     direct = [0] * (n + 1)
-    for steps in step_families(g, strong_only=not laplacian, closed=True):
+    for steps in step_families(_all_steps(g, strong_only=not laplacian), closed=True):
         fam = Contributor(steps)
         weight = contributor_sign(og, fam)
         if not weight:

@@ -232,15 +232,6 @@ class Homomorphism:
     edge_map: dict[str, str]
     incidence_map: dict[str, str]
 
-    def apply_vertex(self, v: str) -> str:
-        return self.vertex_map[v]
-
-    def apply_edge(self, e: str) -> str:
-        return self.edge_map[e]
-
-    def apply_incidence(self, i: str) -> str:
-        return self.incidence_map[i]
-
 
 def validate_homomorphism(h: Homomorphism) -> ValidationReport:
     problems: list[str] = []

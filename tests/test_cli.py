@@ -157,6 +157,16 @@ def test_enumeration_cap_is_the_exact_contributor_count(capsys):
     assert out.startswith("contributors: 16\n")
 
 
+def test_class_enumeration_cap_runs_on_the_class_count(capsys):
+    # K3 has 3 contributors sending v1 to v2.
+    code, _, err = run(capsys, "contributors", K3, "--class", "v1:v2", "--max-enum", "2")
+    assert code == 2
+    assert "got 3" in err
+    code, out, _ = run(capsys, "contributors", K3, "--class", "v1:v2", "--max-enum", "3")
+    assert code == 0
+    assert out.startswith("contributors: 3\n")
+
+
 def test_exit_code_for_vertex_guard(capsys):
     code, _, err = run(capsys, "contributors", K3, "--max-vertices", "2")
     assert code == 2

@@ -4,10 +4,12 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MALFORMED_STRUCTURES, small_oriented, triangle
 from oriented_hypergraphs.contributors import (
     COMBOS,
+    Contributor,
     MinorClass,
     class_contributors,
     class_extensions,
@@ -24,6 +26,7 @@ from oriented_hypergraphs.contributors import (
     total_minor_poly,
     univariate_from_contributors,
     vertex_steps,
+    _permanent_count,
 )
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
 from oriented_hypergraphs.errors import DomainError, ResourceLimitError
@@ -136,6 +139,61 @@ def test_contributor_count_guard_runs_before_enumeration():
         enumerate_contributors(k5, max_count=2207)
 
 
+def test_zero_count_returns_at_once():
+    # K8 plus an isolated vertex: the isolated vertex has no step at all.
+    k8_plus = simple_graph(9, itertools.combinations(range(1, 9), 2))
+    assert enumerate_contributors(k8_plus) == []
+
+
+def test_class_count_guard_runs_before_enumeration():
+    # K9 holds 9,073,911 contributors sending v1 to v2; the pinned count
+    # refuses them at once.
+    with pytest.raises(ResourceLimitError, match="got 9073911"):
+        class_contributors(complete_graph(9), MinorClass(("v1",), ("v2",)))
+
+
+def test_class_row_outside_vertex_set():
+    with pytest.raises(DomainError, match="no step tailed at 'ghost'"):
+        class_contributors(triangle(), MinorClass(("ghost",), ("v2",)))
+
+
+def _product_reference(g, strong_only, pinned):
+    # Every choice of one step per vertex, pinned rows restricted to their
+    # column, kept when the heads are pairwise distinct.
+    options = {
+        v: tuple(
+            s
+            for s in vertex_steps(g, v, strong_only=strong_only)
+            if v not in pinned or s.head == pinned[v]
+        )
+        for v in g.vertices
+    }
+    members = [
+        combo
+        for combo in itertools.product(*options.values())
+        if len({s.head for s in combo}) == len(combo)
+    ]
+    return members, _permanent_count(options)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_oriented(), st.data())
+def test_contributors_match_product_reference(og, data):
+    g = og.structure
+    k = data.draw(st.integers(0, len(g.vertices)))
+    rows = data.draw(st.permutations(g.vertices))[:k]
+    cols = data.draw(st.permutations(g.vertices))[:k]
+    cls = MinorClass(tuple(rows), tuple(cols))
+    for strong_only in (False, True):
+        for pinned, got in (
+            ({}, enumerate_contributors(og, strong_only=strong_only)),
+            (dict(cls.pairs()), class_contributors(og, cls, strong_only=strong_only)),
+        ):
+            expected, count = _product_reference(g, strong_only, pinned)
+            assert got == [Contributor(steps) for steps in expected]
+            assert len(got) == count
+
+
 def _derangements(k):
     return round(math.factorial(k) / math.e) if k else 1
 
@@ -145,14 +203,15 @@ def test_closed_family_counts_on_complete_graphs(n):
     # Closed strong families are the derangements of their tail sets,
     # n! in all.  With backsteps, a fixed point has n - 1 of them.
     g = complete_graph(n).structure
-    assert sum(1 for _ in step_families(g, strong_only=True, closed=True)) == math.factorial(n)
+    strong = {v: vertex_steps(g, v, strong_only=True) for v in g.vertices}
+    assert sum(1 for _ in step_families(strong, closed=True)) == math.factorial(n)
     expected = sum(
         math.comb(n, k) * math.comb(k, j) * (n - 1) ** j * _derangements(k - j)
         for k in range(n + 1)
         for j in range(k + 1)
     )
     assert expected == {3: 38, 4: 393, 5: 5144, 6: 81445}[n]
-    closed = list(step_families(g, closed=True))
+    closed = list(step_families({v: vertex_steps(g, v) for v in g.vertices}, closed=True))
     assert len(closed) == expected
     for steps in closed:
         assert {s.tail for s in steps} == {s.head for s in steps}
