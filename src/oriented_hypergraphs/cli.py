@@ -37,7 +37,7 @@ from .matrices import (
     laplacian_matrix,
     symbolic_minor_poly,
 )
-from .polynomial import MultivariatePolynomial, render_multivariate, render_univariate
+from .polynomial import MultivariatePolynomial, canonical_terms, render_multivariate, render_univariate
 from .topos import classify, loading, subobject_classifier
 
 JSON_FORMAT = 1
@@ -94,16 +94,10 @@ def _matrix_json(m) -> dict[str, Any]:
 
 
 def _poly_json(p: MultivariatePolynomial, order: Sequence[str]) -> list[dict[str, Any]]:
-    pos = {v: k for k, v in enumerate(order)}
-
-    def mono_key(mono):
-        return tuple(sorted((pos[u], pos[w]) for u, w in mono))
-
-    out = []
-    for mono, coeff in sorted(p.terms.items(), key=lambda kv: (-len(kv[0]), mono_key(kv[0]))):
-        pairs = sorted(mono, key=lambda uw: (pos[uw[0]], pos[uw[1]]))
-        out.append({"monomial": [list(uw) for uw in pairs], "coefficient": coeff})
-    return out
+    return [
+        {"monomial": [list(uw) for uw in pairs], "coefficient": coeff}
+        for pairs, coeff in canonical_terms(p, order)
+    ]
 
 
 def _step_text(s) -> str:

@@ -8,6 +8,10 @@ signs over ordered incidence pairs with i != j (loops included, repeats
 of a single incidence excluded); the degree matrix D puts
 sum(sigma(i)^2) on the diagonal, which keeps L = H*H^T = D - A true
 when 0 signs are present. Everything is plain integer arithmetic.
+
+The one Leibniz loop, ``_leibniz``, is the oracle behind both
+``symbolic_minor_poly`` and ``char_poly_univariate``; integer
+determinants use Bareiss fraction-free elimination instead.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import limits
-from .core import IncidenceHypergraph, OrientedHypergraph
+from .core import IncidenceHypergraph, OrientedHypergraph, require_valid
 from .errors import DomainError, InvariantError, ResourceLimitError
 from .polynomial import IntPolynomial, MultivariatePolynomial
 
@@ -45,9 +49,6 @@ class IntegerMatrix:
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
-
-    def at(self, i: int, j: int) -> int:
-        return self.rows[i][j]
 
     def entry(self, row: str, col: str) -> int:
         return self.rows[self.row_labels.index(row)][self.col_labels.index(col)]
@@ -211,10 +212,50 @@ def permutation_sign(images: Sequence[int]) -> int:
     return -1 if even_cycles % 2 else 1
 
 
-def _check_square(m: IntegerMatrix) -> int:
+def _leibniz(
+    m: IntegerMatrix, mode: str, max_vertices: int, *, diagonal_only: bool
+) -> MultivariatePolynomial:
+    """Leibniz expansion of det or perm of (X - M), collected into canonical form.
+
+    X has a variable x[u,w] at every position, or only on the diagonal
+    when ``diagonal_only`` is set. A factor without a variable scales its
+    permutation's term, and a zero one ends it.
+    """
+    if mode not in ("det", "perm"):
+        raise DomainError(f"mode must be 'det' or 'perm', got {mode!r}")
     if m.row_labels != m.col_labels:
         raise DomainError("expected a square matrix with matching row/column labels")
-    return len(m.row_labels)
+    n = len(m.row_labels)
+    if n > max_vertices:
+        raise ResourceLimitError(f"Leibniz expansion limited to {max_vertices} rows, got {n}")
+    x = [[frozenset({(u, w)}) for w in m.col_labels] for u in m.row_labels]  # monomials x[u,w]
+    total: dict[frozenset, int] = {}
+    for images in itertools.permutations(range(n)):
+        scale = permutation_sign(images) if mode == "det" else 1
+        # expand prod_v (x[v, pi(v)] - M[v, pi(v)]) incrementally
+        partial: dict[frozenset, int] = {frozenset(): 1}
+        for v, w in enumerate(images):
+            c = -m.rows[v][w]
+            if diagonal_only and v != w:
+                scale *= c
+                if not scale:
+                    break
+                continue
+            nxt: dict[frozenset, int] = {}
+            for mono, coeff in partial.items():
+                withvar = mono | x[v][w]
+                nxt[withvar] = nxt.get(withvar, 0) + coeff
+                if c:
+                    nxt[mono] = nxt.get(mono, 0) + coeff * c
+            partial = nxt
+        else:
+            for mono, coeff in partial.items():
+                new = total.get(mono, 0) + coeff * scale
+                if new:
+                    total[mono] = new
+                else:
+                    total.pop(mono, None)
+    return MultivariatePolynomial(total)
 
 
 def symbolic_minor_poly(
@@ -223,41 +264,12 @@ def symbolic_minor_poly(
     *,
     max_vertices: int = limits.MAX_ORACLE_VERTICES,
 ) -> MultivariatePolynomial:
-    """Leibniz expansion of det or perm of (X - M), X a matrix of variables.
+    """det or perm of (X - M), X a matrix of variables, by Leibniz expansion.
 
-    The expansion is collected into canonical form; this is the oracle
-    that every contributor-side computation is compared against, so it
-    deliberately stays a direct sum over permutations.
+    This is the oracle that every contributor-side computation is compared
+    against, so it deliberately stays a direct sum over permutations.
     """
-    if mode not in ("det", "perm"):
-        raise DomainError(f"mode must be 'det' or 'perm', got {mode!r}")
-    n = _check_square(m)
-    if n > max_vertices:
-        raise ResourceLimitError(f"symbolic expansion limited to {max_vertices} rows, got {n}")
-    labels = m.row_labels
-    total: dict[frozenset, int] = {}
-    for images in itertools.permutations(range(n)):
-        sign = permutation_sign(images) if mode == "det" else 1
-        # expand prod_v (x[v, pi(v)] - M[v, pi(v)]) incrementally
-        partial: dict[frozenset, int] = {frozenset(): sign}
-        for v in range(n):
-            w = images[v]
-            var = (labels[v], labels[w])
-            c = -m.rows[v][w]
-            nxt: dict[frozenset, int] = {}
-            for mono, coeff in partial.items():
-                withvar = mono | {var}
-                nxt[withvar] = nxt.get(withvar, 0) + coeff
-                if c:
-                    nxt[mono] = nxt.get(mono, 0) + coeff * c
-            partial = nxt
-        for mono, coeff in partial.items():
-            new = total.get(mono, 0) + coeff
-            if new:
-                total[mono] = new
-            else:
-                total.pop(mono, None)
-    return MultivariatePolynomial(total)
+    return _leibniz(m, mode, max_vertices, diagonal_only=False)
 
 
 def char_poly_univariate(
@@ -266,55 +278,42 @@ def char_poly_univariate(
     *,
     max_vertices: int = limits.MAX_ORACLE_VERTICES,
 ) -> IntPolynomial:
-    """det or perm of (x*I - M) by direct Leibniz expansion."""
-    if mode not in ("det", "perm"):
-        raise DomainError(f"mode must be 'det' or 'perm', got {mode!r}")
-    n = _check_square(m)
-    if n > max_vertices:
-        raise ResourceLimitError(f"expansion limited to {max_vertices} rows, got {n}")
-    total = [0] * (n + 1)
-    for images in itertools.permutations(range(n)):
-        sign = permutation_sign(images) if mode == "det" else 1
-        partial = [sign]
-        for v in range(n):
-            w = images[v]
-            c = -m.rows[v][w]
-            lead = 1 if v == w else 0
-            nxt = [0] * (len(partial) + 1)
-            for k, coeff in enumerate(partial):
-                if c:
-                    nxt[k] += coeff * c
-                if lead:
-                    nxt[k + 1] += coeff
-            partial = nxt
-        for k, coeff in enumerate(partial):
-            total[k] += coeff
-    return IntPolynomial(total)
+    """det or perm of (x*I - M) by Leibniz expansion."""
+    return _leibniz(m, mode, max_vertices, diagonal_only=True).substitute_diagonal()
 
 
 def integer_determinant(m: IntegerMatrix) -> int:
-    n = _check_square(m) if m.row_labels == m.col_labels else None
-    if n is None:
-        if len(m.row_labels) != len(m.col_labels):
-            raise DomainError("determinant needs a square matrix")
-        n = len(m.row_labels)
-    det = 0
-    for images in itertools.permutations(range(n)):
-        term = permutation_sign(images)
-        for v in range(n):
-            term *= m.rows[v][images[v]]
-            if term == 0:
-                break
-        det += term
-    return det
+    """Determinant by Bareiss fraction-free elimination (exact divisions).
+
+    Only the shape must be square: a cofactor's labels differ."""
+    n, cols = m.shape
+    if n != cols:
+        raise DomainError("determinant needs a square matrix")
+    a = [list(r) for r in m.rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if n else 1
 
 
 def is_graph(g: IncidenceHypergraph) -> bool:
-    """Every edge carries exactly two incidences."""
+    """Every edge carries exactly two incidences; an invalid structure raises DomainError."""
+    require_valid(g)
     return all(len(g.incidences_on_edge[e]) == 2 for e in g.edges)
 
 
 def _require_graph(g: IncidenceHypergraph) -> None:
+    require_valid(g)
     for e in g.edges:
         if len(g.incidences_on_edge[e]) != 2:
             raise DomainError(f"edge {e!r} has {len(g.incidences_on_edge[e])} incidences, want 2")

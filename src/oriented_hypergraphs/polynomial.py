@@ -12,7 +12,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InvariantError
 
-__all__ = ["MultivariatePolynomial", "IntPolynomial", "render_multivariate", "render_univariate"]
+__all__ = [
+    "MultivariatePolynomial",
+    "IntPolynomial",
+    "canonical_terms",
+    "render_multivariate",
+    "render_univariate",
+]
 
 Monomial = frozenset  # frozenset[tuple[str, str]]
 
@@ -203,30 +209,29 @@ def render_univariate(p: IntPolynomial, var: str = "x") -> str:
     return " ".join(parts)
 
 
-def render_multivariate(
-    p: MultivariatePolynomial, row_order: Sequence[str], col_order: Sequence[str] | None = None
-) -> str:
-    """Canonical text form: degree-descending, then variable-lexicographic.
+def canonical_terms(
+    p: MultivariatePolynomial, order: Sequence[str]
+) -> list[tuple[list[tuple[str, str]], int]]:
+    """Terms as (variables, coefficient) pairs, in the one canonical order.
+
+    Each term's variables x[u,w] are sorted by the positions of (u, w) in
+    ``order``; terms come degree-descending, then by those sorted positions.
+    """
+    pos = {v: k for k, v in enumerate(order)}
+    keyed = [(sorted((pos[u], pos[w], u, w) for u, w in mono), c) for mono, c in p.terms.items()]
+    keyed.sort(key=lambda t: (-len(t[0]), t[0]))
+    return [([(u, w) for _, _, u, w in key], c) for key, c in keyed]
+
+
+def render_multivariate(p: MultivariatePolynomial, order: Sequence[str]) -> str:
+    """Canonical text form in the order of ``canonical_terms``.
 
     Every coefficient is printed with an explicit sign and magnitude, for
     example ``-1*x[v1,v2]*x[v2,v3]``.
     """
     if not p:
         return "0"
-    cols = row_order if col_order is None else col_order
-    rpos = {v: k for k, v in enumerate(row_order)}
-    cpos = {v: k for k, v in enumerate(cols)}
-
-    def mono_key(mono: Monomial) -> tuple:
-        return tuple(sorted((rpos[u], cpos[w]) for u, w in mono))
-
-    ordered = sorted(p.terms.items(), key=lambda kv: (-len(kv[0]), mono_key(kv[0])))
-    pieces: list[str] = []
-    for mono, coeff in ordered:
-        sign = "+" if coeff > 0 else "-"
-        body = f"{sign}{abs(coeff)}"
-        vars_sorted = sorted(mono, key=lambda uw: (rpos[uw[0]], cpos[uw[1]]))
-        for u, w in vars_sorted:
-            body += f"*x[{u},{w}]"
-        pieces.append(body)
-    return " ".join(pieces)
+    return " ".join(
+        f"{'+' if c > 0 else '-'}{abs(c)}" + "".join(f"*x[{u},{w}]" for u, w in pairs)
+        for pairs, c in canonical_terms(p, order)
+    )

@@ -1,11 +1,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_oriented, triangle
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
+from oriented_hypergraphs.corpus import graph_structure
 from oriented_hypergraphs.errors import DomainError, ResourceLimitError
 from oriented_hypergraphs.matrices import (
     IntegerMatrix,
@@ -15,6 +16,7 @@ from oriented_hypergraphs.matrices import (
     graph_orientation,
     incidence_matrix,
     integer_determinant,
+    is_graph,
     laplacian_matrix,
     matrix_tree_cofactor,
     permutation_sign,
@@ -28,6 +30,17 @@ from oriented_hypergraphs.matrices import (
 def square(entries):
     labels = tuple(f"r{k}" for k in range(len(entries)))
     return IntegerMatrix(labels, labels, tuple(tuple(r) for r in entries))
+
+
+# Square integer matrices up to 6 x 6, mostly zeros, so that elimination
+# meets zero pivots and singular matrices often.
+square_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.just(0), st.just(0), st.integers(-4, 4)), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+).map(square)
 
 
 def test_triangle_matrices():
@@ -99,19 +112,60 @@ def test_symbolic_minor_poly_2x2():
     assert q.coefficient([]) == 1 * 4 + 2 * 3
 
 
-def test_symbolic_minor_poly_diagonal_substitution_matches_univariate():
-    og = triangle()
-    for m in (adjacency_matrix(og), laplacian_matrix(og)):
-        for mode in ("det", "perm"):
-            assert (
-                symbolic_minor_poly(m, mode).substitute_diagonal()
-                == char_poly_univariate(m, mode)
-            )
+@settings(max_examples=40, deadline=None)
+@given(square_matrices)
+@example(adjacency_matrix(triangle()))
+@example(laplacian_matrix(triangle()))
+def test_symbolic_minor_poly_diagonal_substitution_matches_univariate(m):
+    for mode in ("det", "perm"):
+        assert symbolic_minor_poly(m, mode).substitute_diagonal() == char_poly_univariate(m, mode)
 
 
 def test_integer_determinant():
     assert integer_determinant(square([[2, -1], [-1, 2]])) == 3
     assert integer_determinant(square([])) == 1
+    # a zero pivot needs a row swap, which flips the sign
+    assert integer_determinant(square([[0, 1], [1, 0]])) == -1
+    assert integer_determinant(square([[0, 2, 1], [0, 1, 3], [4, 0, 0]])) == 4 * (2 * 3 - 1 * 1)
+    assert integer_determinant(square([[1, 2], [2, 4]])) == 0
+    assert integer_determinant(square([[0, 1], [0, 2]])) == 0
+    # a cofactor's minor keeps different row and column labels
+    minor = laplacian_matrix(triangle()).delete("v1", "v2")
+    assert minor.row_labels != minor.col_labels
+    assert integer_determinant(minor) == -3
+    with pytest.raises(DomainError):
+        integer_determinant(IntegerMatrix(("a",), ("a", "b"), ((1, 2),)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices)
+def test_integer_determinant_matches_leibniz_constant_term(m):
+    n = m.shape[0]
+    assert integer_determinant(m) == (-1) ** n * char_poly_univariate(m, "det").coefficient(0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(square_matrices)
+def test_determinant_and_char_poly_match_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    n = m.shape[0]
+    sm = sympy.Matrix(n, n, [v for row in m.rows for v in row])
+    assert integer_determinant(m) == sm.det(method="berkowitz")
+    descending = sm.charpoly(sympy.Symbol("x")).all_coeffs()
+    assert char_poly_univariate(m, "det").coeffs == tuple(int(c) for c in reversed(descending))
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[(k, (k + 1) % n) for k in range(n)] for n in range(3, 8)]
+    + [list(itertools.combinations(range(n), 2)) for n in range(3, 7)],
+    ids=[f"C{n}" for n in range(3, 8)] + [f"K{n}" for n in range(3, 7)],
+)
+def test_spanning_tree_count_matches_networkx(pairs):
+    nx = pytest.importorskip("networkx")
+    n = max(max(p) for p in pairs) + 1
+    g = graph_structure([f"v{k}" for k in range(n)], [(f"v{a}", f"v{b}") for a, b in pairs])
+    assert spanning_tree_count(g) == round(nx.number_of_spanning_trees(nx.Graph(pairs)))
 
 
 def test_weak_walk_sign():
@@ -129,6 +183,35 @@ def test_graph_orientation_requires_two_incidences():
     g = IncidenceHypergraph.build(["a"], ["e"], [("i", "a", "e")])
     with pytest.raises(DomainError):
         graph_orientation(g)
+
+
+# Malformed structures whose edge "e" holds two incidences, so only
+# validation can reject them.
+MALFORMED_GRAPHS = [
+    pytest.param(
+        IncidenceHypergraph.build(["a", "b"], ["e"], [("i", "ghost", "e"), ("j", "b", "e")]),
+        id="unknown-vertex",
+    ),
+    pytest.param(
+        IncidenceHypergraph.build(
+            ["a", "b"], ["e"], [("i", "a", "e"), ("j", "b", "e"), ("k", "a", "ghost")]
+        ),
+        id="unknown-edge",
+    ),
+    pytest.param(
+        IncidenceHypergraph.build(["a", "a", "b"], ["e"], [("i", "a", "e"), ("j", "b", "e")]),
+        id="duplicate-vertex",
+    ),
+]
+
+
+@pytest.mark.parametrize("g", MALFORMED_GRAPHS)
+@pytest.mark.parametrize(
+    "fn", [spanning_tree_count, sachs_char_poly, graph_orientation, is_graph], ids=lambda f: f.__name__
+)
+def test_graph_entry_points_validate_first(g, fn):
+    with pytest.raises(DomainError):
+        fn(g)
 
 
 def test_graph_orientation_makes_adjacency_count_edges():
