@@ -2,7 +2,7 @@
 
 A step family gives at most one length-1 step to each vertex, with
 pairwise-distinct heads.  :func:`step_families` is the one generator
-that chooses steps: it streams the families drawn from a map of each
+of step families: it streams the families drawn from a map of each
 tail vertex to its allowed steps.  A contributor is a spanning family of
 the full map, so its heads sweep out the whole vertex set bijectively;
 a class member pins each class row to its steps onto the matching
@@ -21,21 +21,27 @@ as a sum over figures).
 
 The characteristic polynomial needs only the closed families, whose
 head set equals their tail set T: a closed family of weight w adds to
-the coefficient of x^(n - |T|).  :func:`univariate_from_contributors`
-signs each one twice, by its head permutation (the catalog's diagonal
-blocks) and by its census of circles and backsteps, and checks both
-sums against the matrix.
+the coefficient of x^(n - |T|).  Such a family is a disjoint cover of T
+by circles of strong steps and backsteps, and its term is a product
+over these pieces (the Sachs-coefficient type of the all-minors
+theorem).  :func:`univariate_from_contributors` picks every circle once,
+step by step, gives each piece a factor by two independent rules (its
+permutation sign, as on the catalog's diagonal, and its census of
+parity and sign), combines disjoint pieces by subset convolution over
+vertex masks, and checks both sums against the matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import limits
 from .core import IncidenceHypergraph, OrientedHypergraph, require_valid
 from .errors import DomainError, InvariantError, ResourceLimitError
+from .jsonio import dumps_oriented
 from .matrices import (
     adjacency_matrix,
     char_poly_univariate,
@@ -155,36 +161,28 @@ def _all_steps(
 
 
 def step_families(
-    options: Mapping[str, Sequence[OneStep]], *, spanning: bool = False, closed: bool = False
+    options: Mapping[str, Sequence[OneStep]], *, spanning: bool = False
 ) -> Iterator[tuple[OneStep, ...]]:
     """Stream every step family drawn from ``options`` as a tuple of steps.
 
     ``options`` maps each tail vertex, in order, to the steps it may take.
     Each tail is either skipped or given one of its steps to a head not
     used yet, skipping first.  ``spanning`` forbids skipping, so every
-    tail gets a step.  ``closed`` keeps only the families whose head set
-    equals their tail set (heads must lie among the tails), pruning as it
-    goes: a head earlier in order must already be a tail, and a tail
-    already used as a head cannot be skipped.
+    tail gets a step.
     """
-    tails = list(options)
     rows = list(options.values())
     n = len(rows)
     chosen: list[OneStep] = []
     used: set[str] = set()
-    skipped: set[str] = set()
 
     def extend(k: int) -> Iterator[tuple[OneStep, ...]]:
         if k == n:
             yield tuple(chosen)
             return
-        v = tails[k]
-        if not (spanning or closed and v in used):
-            skipped.add(v)
+        if not spanning:
             yield from extend(k + 1)
-            skipped.discard(v)
         for s in rows[k]:
-            if s.head in used or (closed and s.head in skipped):
+            if s.head in used:
                 continue
             used.add(s.head)
             chosen.append(s)
@@ -195,17 +193,25 @@ def step_families(
     return extend(0)
 
 
+def _steps_between(options: Mapping[str, Sequence[OneStep]]) -> list[list[list[OneStep]]]:
+    # The steps of ``options`` by (tail position, head position); every
+    # head must itself be a tail.
+    pos = {v: j for j, v in enumerate(options)}
+    n = len(pos)
+    between: list[list[list[OneStep]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for row, opts in zip(between, options.values()):
+        for s in opts:
+            row[pos[s.head]].append(s)
+    return between
+
+
 def _permanent_count(options: Mapping[str, Sequence[OneStep]]) -> int:
     # Spanning families are the bijections from the tails onto the same
     # vertex set, each counted once per choice of steps realizing it: the
     # permanent of the step-multiplicity matrix, by Ryser's formula in
     # O(2^n n^2).
     n = len(options)
-    pos = {v: j for j, v in enumerate(options)}
-    mult = [[0] * n for _ in range(n)]
-    for row, opts in zip(mult, options.values()):
-        for s in opts:
-            row[pos[s.head]] += 1
+    mult = [[len(steps) for steps in row] for row in _steps_between(options)]
     total = 0
     for mask in range(1 << n):
         cols = [j for j in range(n) if mask >> j & 1]
@@ -216,6 +222,105 @@ def _permanent_count(options: Mapping[str, Sequence[OneStep]]) -> int:
                 break
         total += -product if len(cols) % 2 else product
     return -total if n % 2 else total
+
+
+def _bits(mask: int) -> list[int]:
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def _circles(
+    options: Mapping[str, Sequence[OneStep]],
+    signs: Mapping[str, int],
+    max_circles: int = limits.MAX_CIRCLES,
+) -> dict[tuple[int, int], int]:
+    """Every circle of the backstep-free ``options``, by vertex mask and weight.
+
+    A circle is a closed walk of steps through pairwise-distinct vertices
+    (a loop is one of length 1); its length is the size of its mask and
+    its weight W is the product of the signs of every traversed
+    incidence.  Returns {(vertex mask, W): number of circles}, leaving
+    out the zero-weight ones.
+
+    Each circle is picked once, one step at a time, from its lowest
+    vertex s.  A table of the walks out of s (over exactly the vertices
+    of a mask above s, ending at v) first counts the circles, weighted by
+    step multiplicity, so more than ``max_circles`` are refused before
+    any is built.  The table then steers the search, which picks each
+    circle backwards from s and so never follows a walk that cannot close.
+    """
+    between = _steps_between(options)
+    n = len(between)
+    walks: list[dict[int, list[int]]] = []
+    count = 0
+    for s in range(n):
+        table: dict[int, list[int]] = {}
+        for m in range(1, 1 << (n - s - 1)):
+            mask = m << (s + 1)
+            row = [0] * n
+            for w in _bits(mask):
+                rest = mask ^ (1 << w)
+                if rest:
+                    row[w] = sum(table[rest][v] * len(between[v][w]) for v in _bits(rest))
+                else:
+                    row[w] = len(between[s][w])
+                count += row[w] * len(between[w][s])
+            table[mask] = row
+        count += len(between[s][s])
+        walks.append(table)
+    if count > max_circles:
+        raise ResourceLimitError(
+            f"circle enumeration limited to {max_circles} circles, got {count}"
+        )
+
+    def weigh(step: OneStep) -> int:
+        return signs[step.tail_incidence] * signs[step.head_incidence]
+
+    weights = [[[w for w in map(weigh, steps) if w] for steps in row] for row in between]
+    found: defaultdict[tuple[int, int], int] = defaultdict(int)
+
+    def back(s: int, circle: int, mask: int, v: int, weight: int) -> None:
+        # The circle's steps from v round to s are chosen (none while
+        # v = s); a walk out of s over the rest of ``mask`` and a step
+        # into v complete it.
+        rest = mask ^ (1 << v)
+        if not rest:
+            for w in weights[s][v]:
+                found[circle, weight * w] += 1
+            return
+        row = walks[s][rest]
+        for u in _bits(rest):
+            if row[u]:
+                for w in weights[u][v]:
+                    back(s, circle, rest, u, weight * w)
+
+    for s in range(n):
+        for m in range(1 << (n - s - 1)):
+            circle = m << (s + 1) | 1 << s
+            back(s, circle, circle, s, 1)
+    return found
+
+
+def _cover_sums(pieces: Mapping[int, int], n: int) -> list[int]:
+    """Sum over disjoint covers of each vertex mask S by the given pieces.
+
+    ``pieces`` maps a vertex mask to the summed factor of its pieces; a
+    cover's term is the product of its pieces' factors.  The subset
+    convolution f(S) = sum over C containing min S of g(C) * f(S - C),
+    f(empty) = 1, counts each cover once.
+    """
+    by_low: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for mask, factor in pieces.items():
+        if factor:
+            by_low[(mask & -mask).bit_length() - 1].append((mask, factor))
+    f = [0] * (1 << n)
+    f[0] = 1
+    for cover in range(1, 1 << n):
+        f[cover] = sum(
+            factor * f[cover ^ mask]
+            for mask, factor in by_low[(cover & -cover).bit_length() - 1]
+            if mask & cover == mask
+        )
+    return f
 
 
 def _contributors_from(
@@ -580,18 +685,24 @@ def univariate_from_contributors(
     *,
     max_vertices: int = limits.MAX_MINOR_VERTICES,
 ) -> IntPolynomial:
-    """Characteristic polynomial by two contributor routes, cross-asserted.
+    """Characteristic polynomial by two circle-cover routes, cross-asserted.
 
-    One pass over the closed step families (head set = tail set T; only
-    strong ones for the adjacency) adds each family of nonzero weight w
-    to the coefficient of x^(n - |T|) twice.  Route one adds w, negated
-    for odd |T| on the Laplacian and times sign(h_f + id) for det: the
-    diagonal of :func:`total_minor_poly`, whose all-diagonal monomials
-    come only from blocks with T = H and the identity completion.  Route
-    two adds the sign its census of circles and backsteps gives: these
-    families are the de-duplicated backstep-stripped contributors of the
-    zero-loaded structure.  Both must agree with the matrix expansion,
-    else the whole theory is broken and an invariant error says so.
+    A closed step family (head set = tail set T) is a disjoint union of
+    circles of strong steps and, on the Laplacian, backsteps; its term
+    is a product over these pieces and adds to the coefficient of
+    x^(n - |T|).  Each circle of length L and weight W is picked once
+    (:func:`_circles`, which refuses more than ``limits.MAX_CIRCLES``)
+    and gets two factors.  Route one: W, times (-1)^(L-1) for det (the sign of its
+    cyclic permutation) and (-1)^L on the Laplacian; a backstep gives
+    -sigma^2.  This is the diagonal of :func:`total_minor_poly`.  Route
+    two: the sign the census of :func:`component_profile` gives the
+    circle, by length parity and the sign of its product of
+    -sigma*sigma factors; a backstep of nonzero sign gives -1.  Each
+    route sums its factors per vertex mask and combines disjoint pieces
+    by subset convolution (:func:`_cover_sums`).  No matrix entry is
+    read; both results must equal the Leibniz expansion of the matrix,
+    else an :class:`InvariantError` carries the structure as JSON and
+    the (target, mode) pair so the failure can be replayed.
     """
     _require_combo(target, mode)
     g = og.structure
@@ -600,43 +711,44 @@ def univariate_from_contributors(
         raise ResourceLimitError(
             f"univariate contributor route limited to {max_vertices} vertices, got {n}"
         )
-    pos = g.vertex_pos
     laplacian = target == "laplacian"
-    diagonal = [0] * (n + 1)
-    direct = [0] * (n + 1)
-    for steps in step_families(_all_steps(g, strong_only=not laplacian), closed=True):
-        fam = Contributor(steps)
-        weight = contributor_sign(og, fam)
-        if not weight:
-            continue
-        k = len(steps)
-        if laplacian and k % 2:
-            weight = -weight
-        if mode == "det":
-            images = list(range(n))
-            for s in steps:
-                images[pos[s.tail]] = pos[s.head]
-            weight *= permutation_sign(images)
-        diagonal[n - k] += weight
-        prof = component_profile(og, fam)
-        if not laplacian:
-            if mode == "perm":
-                sign = (-1) ** (prof.odd_circles + prof.negative_circles)
-            else:
-                sign = (-1) ** prof.positive_circles
+    det = mode == "det"
+    steps = _all_steps(g)
+    strong = {v: tuple(s for s in opts if not s.is_backstep) for v, opts in steps.items()}
+    first: defaultdict[int, int] = defaultdict(int)
+    census: defaultdict[int, int] = defaultdict(int)
+    for (mask, weight), count in _circles(strong, og.signs).items():
+        length = mask.bit_count()
+        odd = length % 2 == 1
+        flips = (det and not odd) + (laplacian and odd)
+        first[mask] += count * weight * (-1) ** flips
+        negative = (-1) ** length * weight < 0
+        if laplacian:
+            flips = negative + (det and not odd)
         else:
-            if mode == "perm":
-                sign = (-1) ** (prof.negative_circles + prof.backsteps)
-            else:
-                sign = (-1) ** (prof.even_circles + prof.negative_circles + prof.backsteps)
-        direct[n - k] += sign
-    via_minor, via_census = IntPolynomial(diagonal), IntPolynomial(direct)
+            flips = not negative if det else negative + odd
+        census[mask] += count * (-1) ** flips
+    if laplacian:
+        for j, opts in enumerate(steps.values()):
+            for s in opts:
+                sign = og.signs[s.tail_incidence]
+                if s.is_backstep and sign:
+                    first[1 << j] -= sign * sign
+                    census[1 << j] -= 1
+    routes = []
+    for pieces in (first, census):
+        coeffs = [0] * (n + 1)
+        for cover, total in enumerate(_cover_sums(pieces, n)):
+            coeffs[n - cover.bit_count()] += total
+        routes.append(IntPolynomial(coeffs))
+    via_minor, via_census = routes
     m = laplacian_matrix(og) if laplacian else adjacency_matrix(og)
     reference = char_poly_univariate(m, mode)
     if via_minor != reference or via_census != reference:
         raise InvariantError(
             f"contributor routes disagree for {target}/{mode}: "
-            f"diagonal {via_minor!r}, direct {via_census!r}, matrix {reference!r}"
+            f"diagonal {via_minor!r}, census {via_census!r}, matrix {reference!r}",
+            reproducer={"input": dumps_oriented(og), "target": target, "mode": mode},
         )
     return reference
 

@@ -16,4 +16,13 @@ class ResourceLimitError(RuntimeError):
 
 
 class InvariantError(RuntimeError):
-    """An internal cross-check failed; this signals an implementation bug."""
+    """An internal cross-check failed; this signals an implementation bug.
+
+    ``reproducer``, when the check knows it, names the failing input: a
+    mapping with the structure as JSON under ``"input"`` (what ``ohg``
+    reads) plus whatever else selects the failing check.
+    """
+
+    def __init__(self, message: str, *, reproducer: dict | None = None) -> None:
+        super().__init__(message)
+        self.reproducer = reproducer

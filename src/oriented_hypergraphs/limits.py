@@ -16,6 +16,10 @@ MAX_SUBHYPERGRAPHS = 100_000
 # Exact number of contributors enumeration may build; counted beforehand.
 MAX_CONTRIBUTORS = 1_000_000
 
+# Circles (weighted by step multiplicity) the univariate route may pick;
+# counted beforehand.  Strong K8 has 16,064.
+MAX_CIRCLES = 1_000_000
+
 # Vertex bounds for the factorial-flavoured enumerations.
 MAX_CONTRIBUTOR_VERTICES = 9
 MAX_MINOR_VERTICES = 8

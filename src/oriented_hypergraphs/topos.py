@@ -34,7 +34,6 @@ from .core import (
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
-    "TaggedElement",
     "TildeResult",
     "SubobjectClassifier",
     "PowerResult",
@@ -64,22 +63,6 @@ TRUE_PREFIX = "1:"
 FALSE_ID = "0"
 
 
-@dataclass(frozen=True)
-class TaggedElement:
-    """Provenance of one element of an extended hypergraph.
-
-    ``kind`` is one of "true", "false_vertex", "false_edge",
-    "false_incidence". True elements carry the original id in
-    ``payload``; false incidences carry the (vertex, edge) ids of the
-    extended hypergraph they connect.
-    """
-
-    kind: str
-    payload: str | None = None
-    vertex: str | None = None
-    edge: str | None = None
-
-
 def true_id(original: str) -> str:
     return TRUE_PREFIX + original
 
@@ -100,20 +83,14 @@ class TildeResult:
     hypergraph: IncidenceHypergraph
     eta: Homomorphism
     false_incidence: dict[tuple[str, str], str]
-    tags: dict[str, TaggedElement]
 
 
 def tilde(g: IncidenceHypergraph) -> TildeResult:
     vertices = [true_id(v) for v in g.vertices] + [FALSE_ID]
     edges = [true_id(e) for e in g.edges] + [FALSE_ID]
-    tags: dict[str, TaggedElement] = {}
-    for v in g.vertices:
-        tags[true_id(v)] = TaggedElement("true", payload=v)
     incidences: list[tuple[str, str, str]] = []
     for i in g.incidences:
-        iid = true_id(i.id)
-        incidences.append((iid, true_id(i.vertex), true_id(i.edge)))
-        tags[iid] = TaggedElement("true", payload=i.id)
+        incidences.append((true_id(i.id), true_id(i.vertex), true_id(i.edge)))
     false_incidence: dict[tuple[str, str], str] = {}
     k = 0
     for v in vertices:
@@ -121,7 +98,6 @@ def tilde(g: IncidenceHypergraph) -> TildeResult:
             iid = f"0:{k}"
             false_incidence[(v, e)] = iid
             incidences.append((iid, v, e))
-            tags[iid] = TaggedElement("false_incidence", vertex=v, edge=e)
             k += 1
     ext = IncidenceHypergraph.build(vertices, edges, incidences)
     eta = Homomorphism(
@@ -131,7 +107,7 @@ def tilde(g: IncidenceHypergraph) -> TildeResult:
         {e: true_id(e) for e in g.edges},
         {i.id: true_id(i.id) for i in g.incidences},
     )
-    return TildeResult(ext, eta, false_incidence, tags)
+    return TildeResult(ext, eta, false_incidence)
 
 
 def tilde_map(phi: Homomorphism) -> Homomorphism:

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MALFORMED_STRUCTURES, small_oriented, triangle
+from oriented_hypergraphs import contributors
 from oriented_hypergraphs.contributors import (
     COMBOS,
     Contributor,
@@ -22,14 +24,17 @@ from oriented_hypergraphs.contributors import (
     minor_polys_from_catalog,
     oracle_equivalence,
     reduce_contributor,
-    step_families,
     total_minor_poly,
     univariate_from_contributors,
     vertex_steps,
+    _all_steps,
+    _circles,
+    _cover_sums,
     _permanent_count,
 )
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
-from oriented_hypergraphs.errors import DomainError, ResourceLimitError
+from oriented_hypergraphs.errors import DomainError, InvariantError, ResourceLimitError
+from oriented_hypergraphs.jsonio import loads_oriented
 from oriented_hypergraphs.matrices import (
     adjacency_matrix,
     char_poly_univariate,
@@ -37,6 +42,7 @@ from oriented_hypergraphs.matrices import (
     laplacian_matrix,
     symbolic_minor_poly,
 )
+from oriented_hypergraphs.polynomial import IntPolynomial
 from oriented_hypergraphs.topos import zero_loading
 
 
@@ -200,21 +206,67 @@ def _derangements(k):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_closed_family_counts_on_complete_graphs(n):
-    # Closed strong families are the derangements of their tail sets,
-    # n! in all.  With backsteps, a fixed point has n - 1 of them.
+    # A closed family is a disjoint cover of its tail set T by circles of
+    # strong steps and backsteps.  With unit weights the circle enumerator
+    # and the subset convolution count them; on each T the count is the
+    # permanent of the step-multiplicity submatrix on T.  Closed strong
+    # families are the derangements of their tail sets, n! in all.  With
+    # backsteps, a fixed point has n - 1 of them.
     g = complete_graph(n).structure
+    unit = {i.id: 1 for i in g.incidences}
+    steps = {v: vertex_steps(g, v) for v in g.vertices}
     strong = {v: vertex_steps(g, v, strong_only=True) for v in g.vertices}
-    assert sum(1 for _ in step_families(strong, closed=True)) == math.factorial(n)
-    expected = sum(
-        math.comb(n, k) * math.comb(k, j) * (n - 1) ** j * _derangements(k - j)
-        for k in range(n + 1)
-        for j in range(k + 1)
-    )
+    circles = {}
+    for (mask, weight), count in _circles(strong, unit).items():
+        assert weight == 1
+        circles[mask] = circles.get(mask, 0) + count
+    pieces = dict(circles)
+    for j, v in enumerate(g.vertices):
+        pieces[1 << j] = pieces.get(1 << j, 0) + sum(s.is_backstep for s in steps[v])
+
+    def with_backsteps(k):
+        return sum(math.comb(k, j) * (n - 1) ** j * _derangements(k - j) for j in range(k + 1))
+
+    expected = sum(math.comb(n, k) * with_backsteps(k) for k in range(n + 1))
     assert expected == {3: 38, 4: 393, 5: 5144, 6: 81445}[n]
-    closed = list(step_families({v: vertex_steps(g, v) for v in g.vertices}, closed=True))
-    assert len(closed) == expected
-    for steps in closed:
-        assert {s.tail for s in steps} == {s.head for s in steps}
+    for options, covers, total, per_size in (
+        (strong, _cover_sums(circles, n), math.factorial(n), _derangements),
+        (steps, _cover_sums(pieces, n), expected, with_backsteps),
+    ):
+        assert sum(covers) == total
+        for mask, count in enumerate(covers):
+            tails = [v for j, v in enumerate(g.vertices) if mask >> j & 1]
+            sub = {v: tuple(s for s in options[v] if s.head in tails) for v in tails}
+            assert count == _permanent_count(sub) == per_size(len(tails))
+
+
+def test_circle_count_guard_runs_before_enumeration():
+    # One edge holding ten incidences at each of four vertices: 100 steps
+    # between any two vertices, 90 loops at each, and 6 * 10^8 circles of
+    # length 4 alone, refused from the count without building any.
+    vertices = ["v1", "v2", "v3", "v4"]
+    triples = [(f"i{v}_{k}", v, "e") for v in vertices for k in range(10)]
+    og = OrientedHypergraph.build(IncidenceHypergraph.build(vertices, ["e"], triples))
+    start = time.perf_counter()
+    for target, mode in COMBOS:
+        with pytest.raises(ResourceLimitError, match="got 608060360"):
+            univariate_from_contributors(og, target, mode)
+    assert time.perf_counter() - start < 1.0
+    strong = _all_steps(og.structure, strong_only=True)
+    with pytest.raises(ResourceLimitError):
+        _circles(strong, og.signs, max_circles=608060359)
+
+
+def test_route_disagreement_carries_a_reproducer(monkeypatch):
+    og = one_edge(-1)
+    monkeypatch.setattr(
+        contributors, "char_poly_univariate", lambda m, mode: IntPolynomial((1,))
+    )
+    with pytest.raises(InvariantError, match="laplacian/perm") as info:
+        univariate_from_contributors(og, "laplacian", "perm")
+    reproducer = info.value.reproducer
+    assert (reproducer["target"], reproducer["mode"]) == ("laplacian", "perm")
+    assert loads_oriented(reproducer["input"]) == og
 
 
 def test_minor_class_validation():
@@ -404,11 +456,19 @@ def test_univariate_triple_route_never_diverges(og):
 
 
 @pytest.mark.parametrize(
-    "og", [cycle_graph(6), complete_graph(5, seed=2019)], ids=["plain-C6", "seeded-K5"]
+    "og",
+    [
+        cycle_graph(6),
+        complete_graph(5, seed=2019),
+        complete_graph(7, seed=2019),
+        complete_graph(8, seed=2019),
+    ],
+    ids=["plain-C6", "seeded-K5", "seeded-K7", "seeded-K8"],
 )
 def test_univariate_route_on_zero_loading_heavy_structures(og):
-    # The zero-loaded C6 has 33,592,320 contributors; the closed families
-    # of the raw structure are all the route needs.
+    # The zero-loaded C6 has 33,592,320 contributors and K8 has
+    # 32,237,681 closed step families; the route needs only the circles
+    # of the raw structure (16,064 on K8).
     for target, mode in COMBOS:
         m = adjacency_matrix(og) if target == "adjacency" else laplacian_matrix(og)
         assert univariate_from_contributors(og, target, mode) == char_poly_univariate(m, mode)
