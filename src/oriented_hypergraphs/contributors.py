@@ -25,10 +25,9 @@ the coefficient of x^(n - |T|).  Such a family is a disjoint cover of T
 by circles of strong steps and backsteps, and its term is a product
 over these pieces (the Sachs-coefficient type of the all-minors
 theorem).  :func:`univariate_from_contributors` picks every circle once,
-step by step, gives each piece a factor by two independent rules (its
-permutation sign, as on the catalog's diagonal, and its census of
-parity and sign), combines disjoint pieces by subset convolution over
-vertex masks, and checks both sums against the matrix.
+step by step, gives each piece its permutation-sign factor (as on the
+catalog's diagonal), combines disjoint pieces by subset convolution
+over vertex masks, and checks the sum against the matrix.
 """
 
 from __future__ import annotations
@@ -231,7 +230,6 @@ def _bits(mask: int) -> list[int]:
 def _circles(
     options: Mapping[str, Sequence[OneStep]],
     signs: Mapping[str, int],
-    max_circles: int = limits.MAX_CIRCLES,
 ) -> dict[tuple[int, int], int]:
     """Every circle of the backstep-free ``options``, by vertex mask and weight.
 
@@ -244,7 +242,7 @@ def _circles(
     Each circle is picked once, one step at a time, from its lowest
     vertex s.  A table of the walks out of s (over exactly the vertices
     of a mask above s, ending at v) first counts the circles, weighted by
-    step multiplicity, so more than ``max_circles`` are refused before
+    step multiplicity, so more than ``limits.MAX_CIRCLES`` are refused before
     any is built.  The table then steers the search, which picks each
     circle backwards from s and so never follows a walk that cannot close.
     """
@@ -267,9 +265,9 @@ def _circles(
             table[mask] = row
         count += len(between[s][s])
         walks.append(table)
-    if count > max_circles:
+    if count > limits.MAX_CIRCLES:
         raise ResourceLimitError(
-            f"circle enumeration limited to {max_circles} circles, got {count}"
+            f"circle enumeration limited to {limits.MAX_CIRCLES} circles, got {count}"
         )
 
     def weigh(step: OneStep) -> int:
@@ -685,22 +683,19 @@ def univariate_from_contributors(
     *,
     max_vertices: int = limits.MAX_MINOR_VERTICES,
 ) -> IntPolynomial:
-    """Characteristic polynomial by two circle-cover routes, cross-asserted.
+    """Characteristic polynomial by circle covers, checked against the matrix.
 
     A closed step family (head set = tail set T) is a disjoint union of
     circles of strong steps and, on the Laplacian, backsteps; its term
     is a product over these pieces and adds to the coefficient of
     x^(n - |T|).  Each circle of length L and weight W is picked once
     (:func:`_circles`, which refuses more than ``limits.MAX_CIRCLES``)
-    and gets two factors.  Route one: W, times (-1)^(L-1) for det (the sign of its
-    cyclic permutation) and (-1)^L on the Laplacian; a backstep gives
-    -sigma^2.  This is the diagonal of :func:`total_minor_poly`.  Route
-    two: the sign the census of :func:`component_profile` gives the
-    circle, by length parity and the sign of its product of
-    -sigma*sigma factors; a backstep of nonzero sign gives -1.  Each
-    route sums its factors per vertex mask and combines disjoint pieces
+    and gives W, times (-1)^(L-1) for det (the sign of its cyclic
+    permutation) and (-1)^L on the Laplacian; a backstep gives -sigma^2.
+    These are the factors on the diagonal of :func:`total_minor_poly`.
+    The factors are summed per vertex mask and disjoint pieces combined
     by subset convolution (:func:`_cover_sums`).  No matrix entry is
-    read; both results must equal the Leibniz expansion of the matrix,
+    read; the result must equal the Leibniz expansion of the matrix,
     else an :class:`InvariantError` carries the structure as JSON and
     the (target, mode) pair so the failure can be replayed.
     """
@@ -713,41 +708,25 @@ def univariate_from_contributors(
         )
     laplacian = target == "laplacian"
     det = mode == "det"
-    steps = _all_steps(g)
-    strong = {v: tuple(s for s in opts if not s.is_backstep) for v, opts in steps.items()}
-    first: defaultdict[int, int] = defaultdict(int)
-    census: defaultdict[int, int] = defaultdict(int)
+    pieces: defaultdict[int, int] = defaultdict(int)
+    strong = _all_steps(g, strong_only=True)
     for (mask, weight), count in _circles(strong, og.signs).items():
-        length = mask.bit_count()
-        odd = length % 2 == 1
+        odd = mask.bit_count() % 2 == 1
         flips = (det and not odd) + (laplacian and odd)
-        first[mask] += count * weight * (-1) ** flips
-        negative = (-1) ** length * weight < 0
-        if laplacian:
-            flips = negative + (det and not odd)
-        else:
-            flips = not negative if det else negative + odd
-        census[mask] += count * (-1) ** flips
+        pieces[mask] += count * weight * (-1) ** flips
     if laplacian:
-        for j, opts in enumerate(steps.values()):
-            for s in opts:
-                sign = og.signs[s.tail_incidence]
-                if s.is_backstep and sign:
-                    first[1 << j] -= sign * sign
-                    census[1 << j] -= 1
-    routes = []
-    for pieces in (first, census):
-        coeffs = [0] * (n + 1)
-        for cover, total in enumerate(_cover_sums(pieces, n)):
-            coeffs[n - cover.bit_count()] += total
-        routes.append(IntPolynomial(coeffs))
-    via_minor, via_census = routes
+        for j, v in enumerate(g.vertices):
+            pieces[1 << j] -= sum(og.signs[i] ** 2 for i in g.incidences_at_vertex[v])
+    coeffs = [0] * (n + 1)
+    for cover, total in enumerate(_cover_sums(pieces, n)):
+        coeffs[n - cover.bit_count()] += total
+    via_circles = IntPolynomial(coeffs)
     m = laplacian_matrix(og) if laplacian else adjacency_matrix(og)
     reference = char_poly_univariate(m, mode)
-    if via_minor != reference or via_census != reference:
+    if via_circles != reference:
         raise InvariantError(
-            f"contributor routes disagree for {target}/{mode}: "
-            f"diagonal {via_minor!r}, census {via_census!r}, matrix {reference!r}",
+            f"contributor route disagrees for {target}/{mode}: "
+            f"circle covers {via_circles!r}, matrix {reference!r}",
             reproducer={"input": dumps_oriented(og), "target": target, "mode": mode},
         )
     return reference

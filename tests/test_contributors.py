@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -243,18 +242,14 @@ def test_closed_family_counts_on_complete_graphs(n):
 def test_circle_count_guard_runs_before_enumeration():
     # One edge holding ten incidences at each of four vertices: 100 steps
     # between any two vertices, 90 loops at each, and 6 * 10^8 circles of
-    # length 4 alone, refused from the count without building any.
+    # length 4 alone, refused from the count without building any: the
+    # exact count in the message exists only before enumeration starts.
     vertices = ["v1", "v2", "v3", "v4"]
     triples = [(f"i{v}_{k}", v, "e") for v in vertices for k in range(10)]
     og = OrientedHypergraph.build(IncidenceHypergraph.build(vertices, ["e"], triples))
-    start = time.perf_counter()
     for target, mode in COMBOS:
         with pytest.raises(ResourceLimitError, match="got 608060360"):
             univariate_from_contributors(og, target, mode)
-    assert time.perf_counter() - start < 1.0
-    strong = _all_steps(og.structure, strong_only=True)
-    with pytest.raises(ResourceLimitError):
-        _circles(strong, og.signs, max_circles=608060359)
 
 
 def test_route_disagreement_carries_a_reproducer(monkeypatch):
