@@ -1,17 +1,17 @@
-"""Bidirected graphs: packing, activation lattices, and arborescence counts.
+"""Bidirected graphs: unpacking, activation lattices, and arborescence counts.
 
 A bidirected graph is an orientation whose every edge holds exactly two
 incidences.  Backsteps can then be unpacked in exactly one way, which
-turns contributor sets into Boolean lattices under circle activation and
-ties single-survivor classes to rooted spanning forests.
+turns contributor sets into Boolean lattices under circle activation,
+each built from its all-backstep bottom, and ties single-survivor
+classes to rooted spanning forests.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import limits
 from .core import IncidenceHypergraph, OrientedHypergraph
@@ -21,9 +21,8 @@ from .contributors import (
     MinorClass,
     OneStep,
     ReducedContributor,
+    _permanent_count,
     contributor_sign,
-    enumerate_contributors,
-    step_families,
     vertex_steps,
 )
 
@@ -91,57 +90,32 @@ def complete(bg: BidirectedGraph) -> BidirectedGraph:
     return BidirectedGraph(og, bg.completion_edges | frozenset(added_edges))
 
 
-def _partner(g: IncidenceHypergraph, edge: str, incidence: str) -> str:
-    on_edge = g.incidences_on_edge[edge]
+def _opened(g: IncidenceHypergraph, s: OneStep) -> OneStep:
+    # The backstep ``s`` unpacked toward its edge's other incidence.
+    on_edge = g.incidences_on_edge[s.edge]
     if len(on_edge) != 2:
-        raise DomainError(f"edge {edge!r} has {len(on_edge)} incidences, cannot unpack")
-    return on_edge[0] if on_edge[1] == incidence else on_edge[1]
-
-
-def _step_index(pre: Steps, vertex: str) -> int:
-    for idx, s in enumerate(pre):
-        if s.tail == vertex:
-            return idx
-    raise DomainError(f"no step tailed at {vertex!r}")
-
-
-def pack(bg: BidirectedGraph, pre: Steps, vertex: str) -> Steps:
-    """Collapse the adjacency step at ``vertex`` onto its tail incidence."""
-    idx = _step_index(pre, vertex)
-    s = pre[idx]
-    if s.is_backstep:
-        raise DomainError(f"step at {vertex!r} is already a backstep")
-    packed = OneStep(s.tail, s.tail_incidence, s.edge, s.tail_incidence, s.tail)
-    return pre[:idx] + (packed,) + pre[idx + 1 :]
+        raise DomainError(f"edge {s.edge!r} has {len(on_edge)} incidences, cannot unpack")
+    j = on_edge[0] if on_edge[1] == s.tail_incidence else on_edge[1]
+    return OneStep(s.tail, s.tail_incidence, s.edge, j, g.vertex_of(j))
 
 
 def unpack(bg: BidirectedGraph, pre: Steps, vertex: str) -> Steps:
     """Open the backstep at ``vertex`` toward the edge's other incidence."""
-    idx = _step_index(pre, vertex)
-    s = pre[idx]
+    for idx, s in enumerate(pre):
+        if s.tail == vertex:
+            break
+    else:
+        raise DomainError(f"no step tailed at {vertex!r}")
     if not s.is_backstep:
         raise DomainError(f"step at {vertex!r} is not a backstep")
-    g = bg.og.structure
-    j = _partner(g, s.edge, s.tail_incidence)
-    opened = OneStep(s.tail, s.tail_incidence, s.edge, j, g.vertex_of(j))
-    return pre[:idx] + (opened,) + pre[idx + 1 :]
+    return pre[:idx] + (_opened(bg.og.structure, s),) + pre[idx + 1 :]
 
 
-def _backstep_targets(g: IncidenceHypergraph, steps: Steps) -> dict[str, str]:
-    # Where each backstep would head if unpacked.
-    out = {}
-    for s in steps:
-        if s.is_backstep:
-            out[s.tail] = g.vertex_of(_partner(g, s.edge, s.tail_incidence))
-    return out
-
-
-def _unpack_cycles(g: IncidenceHypergraph, steps: Steps) -> list[tuple[str, ...]]:
-    """Vertex cycles of the would-be-head function, i.e. activatable sets."""
-    f = _backstep_targets(g, steps)
+def _unpack_cycles(f: dict[str, str]) -> list[tuple[str, ...]]:
+    """Vertex cycles of the would-be-head map ``f``, i.e. activatable sets."""
     color: dict[str, int] = {}
     cycles: list[tuple[str, ...]] = []
-    for start in (s.tail for s in steps if s.is_backstep):
+    for start in f:
         if start in color:
             continue
         path = []
@@ -157,129 +131,72 @@ def _unpack_cycles(g: IncidenceHypergraph, steps: Steps) -> list[tuple[str, ...]
     return cycles
 
 
-def _closed_circles(steps: Steps) -> list[tuple[str, ...]]:
-    """Vertex cycles traced by the non-backstep steps, complete ones only."""
-    by_tail = {s.tail: s for s in steps}
-    circles = []
-    seen: set[str] = set()
-    for s in steps:
-        if s.is_backstep or s.tail in seen:
-            continue
-        path = []
-        v = s.tail
-        ok = True
-        while True:
-            if v in seen or v not in by_tail or by_tail[v].is_backstep:
-                ok = False
-                break
-            seen.add(v)
-            path.append(v)
-            v = by_tail[v].head
-            if v == s.tail:
-                break
-        if ok:
-            circles.append(tuple(path))
-        # a broken walk marks its vertices visited, so it is skipped once
-    return circles
-
-
-def _activate(bg: BidirectedGraph, steps: Steps, cycle: Iterable[str]) -> Steps:
-    for v in cycle:
-        steps = unpack(bg, steps, v)
-    return steps
-
-
-def _deactivate(bg: BidirectedGraph, steps: Steps, circle: Iterable[str]) -> Steps:
-    for v in circle:
-        steps = pack(bg, steps, v)
-    return steps
-
-
-def _neighbors(bg: BidirectedGraph, steps: Steps) -> list[Steps]:
-    g = bg.og.structure
-    out = [_deactivate(bg, steps, circle) for circle in _closed_circles(steps)]
-    out.extend(_activate(bg, steps, cycle) for cycle in _unpack_cycles(g, steps))
-    return out
-
-
-def _step_key(steps: Steps) -> tuple:
-    return tuple((s.tail, s.tail_incidence, s.edge, s.head_incidence, s.head) for s in steps)
-
-
-def _activation_partition(bg: BidirectedGraph, states: Sequence[Steps]) -> list[list[Steps]]:
-    universe = set(states)
-    assigned: set[Steps] = set()
-    classes: list[list[Steps]] = []
-    for seed in states:
-        if seed in assigned:
-            continue
-        members = []
-        queue = deque([seed])
-        assigned.add(seed)
-        while queue:
-            cur = queue.popleft()
-            members.append(cur)
-            for nxt in _neighbors(bg, cur):
-                if nxt not in universe:
-                    raise InvariantError("activation move left the enumerated universe")
-                if nxt not in assigned:
-                    assigned.add(nxt)
-                    queue.append(nxt)
-        classes.append(sorted(members, key=_step_key))
-    return classes
-
-
 @dataclass(frozen=True)
 class ActivationClass:
-    """A Boolean lattice of contributors under circle activation."""
+    """A Boolean lattice of contributors under circle activation.
+
+    ``members`` starts at the all-backstep ``bottom``; the member opening
+    the generators at positions S sits at index sum(2^i for i in S).
+    """
 
     members: tuple[Contributor, ...]
     bottom: Contributor
     generators: tuple[tuple[str, ...], ...]
 
 
-def _verify_boolean(bg: BidirectedGraph, members: list[Steps]) -> tuple[Steps, tuple[tuple[str, ...], ...]]:
+def _classes(bg: BidirectedGraph, options: dict[str, Steps]) -> list[ActivationClass]:
+    # Every spanning family of ``options`` packs down to one backstep per
+    # tail, so each choice of backsteps, in options order, is the bottom
+    # of one class, and its members open any set of the cycles of the
+    # would-be-head map.  The exact family count (Ryser) guards the build
+    # and then checks that the classes hold every family once.
+    count = _permanent_count(options)
+    if count > limits.MAX_CONTRIBUTORS:
+        raise ResourceLimitError(
+            f"activation classes limited to {limits.MAX_CONTRIBUTORS} members, got {count}"
+        )
     g = bg.og.structure
-    top_count = max(sum(1 for s in m if s.is_backstep) for m in members)
-    bottoms = [m for m in members if sum(1 for s in m if s.is_backstep) == top_count]
-    if len(bottoms) != 1:
-        raise InvariantError(
-            f"activation class has {len(bottoms)} maximal-backstep members, expected 1"
+    tails = set(options)
+    at = {v: k for k, v in enumerate(options)}
+    # Each backstep paired with its unpacked step; one pair per tail, in
+    # options order, gives a class bottom and its fully unpacked row.
+    pairs = [[(s, _opened(g, s)) for s in steps if s.is_backstep] for steps in options.values()]
+    out = []
+    built = 0
+    for choice in itertools.product(*pairs):
+        bottom = tuple(b for b, _ in choice)
+        opened = tuple(o for _, o in choice)
+        generators = tuple(_unpack_cycles({o.tail: o.head for o in opened}))
+        members = [bottom]
+        for cycle in generators:
+            for m in members[:]:
+                member = list(m)
+                for v in cycle:
+                    member[at[v]] = opened[at[v]]
+                members.append(tuple(member))
+        for m in members:
+            if {s.head for s in m} != tails:
+                raise InvariantError("activation class member heads are not a permutation")
+        built += len(members)
+        out.append(
+            ActivationClass(tuple(Contributor(m) for m in members), Contributor(bottom), generators)
         )
-    bottom = bottoms[0]
-    generators = _unpack_cycles(g, bottom)
-    if 2 ** len(generators) != len(members):
-        raise InvariantError(
-            f"activation class of size {len(members)} is not a Boolean lattice "
-            f"over {len(generators)} generators"
-        )
-    span = set()
-    for r in range(len(generators) + 1):
-        for subset in itertools.combinations(generators, r):
-            state = bottom
-            for cycle in subset:
-                state = _activate(bg, state, cycle)
-            span.add(state)
-    if span != set(members):
-        raise InvariantError("activation class members are not the generator span")
-    return bottom, tuple(generators)
+    if built != count:
+        raise InvariantError(f"activation classes hold {built} families, expected {count}")
+    return out
 
 
 def activation_classes(
     bg: BidirectedGraph, *, max_vertices: int = limits.MAX_CONTRIBUTOR_VERTICES
 ) -> list[ActivationClass]:
-    """Partition all contributors by activation, verifying lattice shape."""
-    cs = enumerate_contributors(bg.og, max_vertices=max_vertices)
-    classes = _activation_partition(bg, [c.steps for c in cs])
-    out = []
-    for members in classes:
-        bottom, generators = _verify_boolean(bg, members)
-        out.append(
-            ActivationClass(
-                tuple(Contributor(m) for m in members), Contributor(bottom), generators
-            )
+    """All contributors as Boolean activation classes, in bottom order."""
+    g = bg.og.structure
+    n = len(g.vertices)
+    if n > max_vertices:
+        raise ResourceLimitError(
+            f"contributor enumeration limited to {max_vertices} vertices, got {n}"
         )
-    return out
+    return _classes(bg, {v: vertex_steps(g, v) for v in g.vertices})
 
 
 @dataclass(frozen=True)
@@ -303,8 +220,8 @@ def total_unpack(bg: BidirectedGraph, reduced: ReducedContributor) -> Arborescen
     for s in reduced.steps:
         if not s.is_backstep:
             raise InvariantError(f"total unpacking hit a non-backstep at {s.tail!r}")
-    f = _backstep_targets(g, reduced.steps)
-    if _unpack_cycles(g, reduced.steps):
+    f = {s.tail: _opened(g, s).head for s in reduced.steps}
+    if _unpack_cycles(f):
         raise InvariantError("total unpacking encountered a circle")
     assignment = []
     for v in g.vertices:
@@ -331,34 +248,37 @@ def single_element_classes(
 ) -> list[tuple[ReducedContributor, Arborescence]]:
     """Restricted activation classes with one nonzero member, unfolded.
 
+    Only diagonal classes (the same row and column vertices) are covered;
+    their survivors biject with the k-arborescences rooted at the rows.
     The graph is completed first, so reduced families never miss a step
     option for structural reasons; completion members score zero and can
     only pad classes, never create survivors.
     """
-    completed = complete(bg)
-    og = completed.og
-    n = len(og.vertices)
+    n = len(bg.og.vertices)
     if n > max_vertices:
         raise ResourceLimitError(
             f"single-element class search limited to {max_vertices} vertices, got {n}"
         )
-    mc = MinorClass.build(og, cls.u, cls.w)
+    mc = MinorClass.build(bg.og, cls.u, cls.w)
+    if set(mc.u) != set(mc.w):
+        raise DomainError("single-element classes need the same row and column vertices")
+    completed = complete(bg)
+    og = completed.og
     # The reduced elements are the spanning step families on the non-row
     # vertices whose heads avoid the class columns: the direct form of
     # reducing every class member and de-duplicating.
     g = og.structure
     options = {
-        v: [s for s in vertex_steps(g, v) if s.head not in mc.w]
+        v: tuple(s for s in vertex_steps(g, v) if s.head not in mc.w)
         for v in g.vertices
         if v not in mc.u
     }
-    classes = _activation_partition(completed, list(step_families(options, spanning=True)))
     out = []
-    for members in classes:
-        nonzero = [m for m in members if contributor_sign(og, Contributor(m))]
+    for a in _classes(completed, options):
+        nonzero = [m for m in a.members if contributor_sign(og, m)]
         if len(nonzero) != 1:
             continue
-        reduced = ReducedContributor(mc, nonzero[0])
+        reduced = ReducedContributor(mc, nonzero[0].steps)
         out.append((reduced, total_unpack(completed, reduced)))
     return out
 

@@ -262,12 +262,6 @@ def validate_homomorphism(h: Homomorphism) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-def require_valid_homomorphism(h: Homomorphism) -> None:
-    report = validate_homomorphism(h)
-    if not report.ok:
-        raise DomainError(report.first)
-
-
 def identity_homomorphism(g: IncidenceHypergraph) -> Homomorphism:
     return Homomorphism(
         g,

@@ -1,26 +1,34 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import triangle
 from oriented_hypergraphs.bidirected import (
     Arborescence,
+    _classes,
     activation_classes,
     as_bidirected,
     complete,
     k_arborescences,
-    pack,
     single_element_classes,
     total_unpack,
     unpack,
 )
 from oriented_hypergraphs.contributors import (
     MinorClass,
+    OneStep,
     ReducedContributor,
     enumerate_contributors,
+    step_families,
     total_minor_poly,
+    vertex_steps,
 )
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
 from oriented_hypergraphs.corpus import graph_structure
-from oriented_hypergraphs.errors import DomainError, InvariantError
+from oriented_hypergraphs.errors import DomainError, InvariantError, ResourceLimitError
 from oriented_hypergraphs.matrices import graph_orientation
 
 
@@ -46,6 +54,20 @@ def path3():
     return bidirected_graph(3, [(0, 1), (1, 2)])
 
 
+def seeded(n, pairs, seed):
+    """Bidirected graph on v1..vn with seed-drawn +-1 signs; loops allowed."""
+    ids = [f"v{k}" for k in range(1, n + 1)]
+    g = graph_structure(ids, [(ids[a], ids[b]) for a, b in pairs])
+    rng = random.Random(seed)
+    return as_bidirected(
+        OrientedHypergraph.build(g, {i.id: rng.choice((-1, 1)) for i in g.incidences})
+    )
+
+
+def complete_pairs(n):
+    return list(itertools.combinations(range(n), 2))
+
+
 def isolated(n):
     g = IncidenceHypergraph.build([f"v{k}" for k in range(1, n + 1)], [], [])
     return as_bidirected(OrientedHypergraph.build(g))
@@ -62,19 +84,17 @@ def test_as_bidirected_rejects_bad_shapes():
         as_bidirected(OrientedHypergraph.build(g2, {"i": 1, "j": 0}))
 
 
-def test_pack_unpack_are_mutually_inverse():
+def test_unpack_opens_a_backstep_toward_its_partner():
     bg = k3()
-    strong = [
-        c for c in enumerate_contributors(bg.og) if not any(s.is_backstep for s in c.steps)
-    ]
-    steps = strong[0].steps
-    packed = pack(bg, steps, "v1")
-    assert packed != steps
-    assert unpack(bg, packed, "v1") == steps
+    bottom = enumerate_contributors(bg.og)[0].steps
+    assert all(s.is_backstep for s in bottom)
+    opened = unpack(bg, bottom, "v1")
+    assert opened[1:] == bottom[1:]
+    assert opened[0] == OneStep("v1", "i12a", "e12", "i12b", "v2")
     with pytest.raises(DomainError):
-        unpack(bg, steps, "v1")
+        unpack(bg, opened, "v1")
     with pytest.raises(DomainError):
-        pack(bg, packed, "v1")
+        unpack(bg, bottom, "ghost")
 
 
 def test_activation_classes_on_single_edge():
@@ -191,3 +211,162 @@ def test_total_unpack_refuses_open_steps():
     cls = MinorClass.build(bg.og, (), ())
     with pytest.raises(InvariantError):
         total_unpack(bg, ReducedContributor(cls, strong[0].steps))
+
+
+def test_single_element_classes_refuse_off_diagonal_classes():
+    bg = k3()
+    with pytest.raises(DomainError, match="same row and column"):
+        single_element_classes(bg, MinorClass.build(bg.og, ("v1",), ("v2",)))
+    with pytest.raises(DomainError, match="same row and column"):
+        single_element_classes(bg, MinorClass.build(bg.og, ("v1", "v2"), ("v1", "v3")))
+    # The same vertices in another order are still a diagonal class.
+    cls = MinorClass.build(bg.og, ("v1", "v2"), ("v2", "v1"))
+    assert len(single_element_classes(bg, cls)) == 2
+
+
+def test_class_builder_counts_before_it_builds():
+    # Seeded K8: 1,512,720 reduced families with one root and 13,781,376
+    # contributors, both above limits.MAX_CONTRIBUTORS.
+    bg = seeded(8, complete_pairs(8), 8)
+    with pytest.raises(ResourceLimitError, match="got 1512720"):
+        single_element_classes(bg, MinorClass.build(bg.og, ("v1",), ("v1",)))
+    with pytest.raises(ResourceLimitError, match="got 13781376"):
+        activation_classes(bg)
+
+
+# Reference partition: a breadth-first search over single pack and unpack
+# moves from every spanning family, independent of the class builder.
+
+
+def _flip(g, s):
+    # A backstep opens toward the edge's other incidence; an opened step
+    # packs back onto its tail incidence.
+    if s.tail_incidence != s.head_incidence:
+        return OneStep(s.tail, s.tail_incidence, s.edge, s.tail_incidence, s.tail)
+    (j,) = [i for i in g.incidences_on_edge[s.edge] if i != s.tail_incidence]
+    return OneStep(s.tail, s.tail_incidence, s.edge, j, g.vertex_of(j))
+
+
+def _cycles(f):
+    # Cycles of a partial map, each from where a walk in key order enters it.
+    seen, cycles = set(), []
+    for start in f:
+        path = []
+        v = start
+        while v in f and v not in seen:
+            seen.add(v)
+            path.append(v)
+            v = f[v]
+        if v in path:
+            cycles.append(tuple(path[path.index(v) :]))
+    return cycles
+
+
+def _moves(g, steps):
+    backsteps = {s.tail: _flip(g, s).head for s in steps if s.is_backstep}
+    circles = {s.tail: s.head for s in steps if not s.is_backstep}
+    for cycle in _cycles(backsteps) + _cycles(circles):
+        yield tuple(_flip(g, s) if s.tail in cycle else s for s in steps)
+
+
+def bfs_classes(bg, options):
+    g = bg.og.structure
+    universe = list(step_families(options, spanning=True))
+    known = set(universe)
+    assigned = set()
+    out = []
+    for seed in universe:
+        if seed in assigned:
+            continue
+        assigned.add(seed)
+        members = [seed]
+        for cur in members:
+            for nxt in _moves(g, cur):
+                assert nxt in known
+                if nxt not in assigned:
+                    assigned.add(nxt)
+                    members.append(nxt)
+        (bottom,) = [m for m in members if all(s.is_backstep for s in m)]
+        generators = _cycles({s.tail: _flip(g, s).head for s in bottom})
+        out.append((bottom, tuple(generators), frozenset(members)))
+    return out
+
+
+def built_classes(bg, options):
+    return [
+        (a.bottom.steps, a.generators, frozenset(m.steps for m in a.members))
+        for a in _classes(bg, options)
+    ]
+
+
+def full_options(bg):
+    g = bg.og.structure
+    return {v: vertex_steps(g, v) for v in g.vertices}
+
+
+def reduced_options(bg, roots):
+    g = bg.og.structure
+    return {
+        v: tuple(s for s in vertex_steps(g, v) if s.head not in roots)
+        for v in g.vertices
+        if v not in roots
+    }
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        k2,
+        k3,
+        lambda: bidirected_graph(2, [(0, 1), (0, 1)]),
+        lambda: seeded(2, [(0, 0), (0, 1), (1, 1)], 1),
+        lambda: bidirected_graph(4, [(0, 1), (2, 3)]),
+        lambda: complete(bidirected_graph(5, [(k, (k + 1) % 5) for k in range(5)])),
+    ],
+    ids=["k2", "k3", "parallel", "loops", "disjoint", "completed-c5"],
+)
+def test_class_builder_matches_bfs_reference(make):
+    bg = make()
+    options = full_options(bg)
+    assert built_classes(bg, options) == bfs_classes(bg, options)
+    assert [a.bottom.steps for a in activation_classes(bg)] == [
+        b for b, _, _ in bfs_classes(bg, options)
+    ]
+
+
+@pytest.mark.parametrize(
+    "make, roots",
+    [
+        (k3, ("v1",)),
+        (k4, ("v2",)),
+        (k4, ("v1", "v3")),
+        (path3, ("v2",)),
+        (lambda: bidirected_graph(5, [(k, (k + 1) % 5) for k in range(5)]), ("v1",)),
+    ],
+    ids=["k3-v1", "k4-v2", "k4-v1v3", "path3-v2", "c5-v1"],
+)
+def test_class_builder_matches_bfs_reference_on_reduced_options(make, roots):
+    bg = complete(make())
+    options = reduced_options(bg, roots)
+    assert built_classes(bg, options) == bfs_classes(bg, options)
+
+
+@st.composite
+def small_bidirected(draw):
+    """At most 4 vertices and 4 edges, loops and parallel edges, signs +-1."""
+    n = draw(st.integers(1, 4))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)
+    )
+    return seeded(n, pairs, draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_bidirected(), st.data())
+def test_class_builder_matches_bfs_reference_property(bg, data):
+    options = full_options(bg)
+    assert built_classes(bg, options) == bfs_classes(bg, options)
+    roots = data.draw(st.sets(st.sampled_from(bg.og.vertices), max_size=2))
+    done = complete(bg)
+    reduced = reduced_options(done, roots)
+    assert built_classes(done, reduced) == bfs_classes(done, reduced)

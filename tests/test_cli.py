@@ -127,6 +127,24 @@ def test_activation_subcommand(capsys):
     assert out.splitlines()[0] == "activation classes: 8"
 
 
+def test_activation_text_is_pinned(capsys):
+    # Class order is bottom order; generator order and each cycle's
+    # rotation follow the walk of the would-be-head map.
+    code, out, _ = run(capsys, "activation", K3)
+    assert code == 0
+    assert out == (
+        "activation classes: 8\n"
+        "#1 size=2 generators=1 bottom_backsteps=3 cycles: (v1 v2)\n"
+        "#2 size=2 generators=1 bottom_backsteps=3 cycles: (v1 v2)\n"
+        "#3 size=2 generators=1 bottom_backsteps=3 cycles: (v1 v2 v3)\n"
+        "#4 size=2 generators=1 bottom_backsteps=3 cycles: (v2 v3)\n"
+        "#5 size=2 generators=1 bottom_backsteps=3 cycles: (v1 v3)\n"
+        "#6 size=2 generators=1 bottom_backsteps=3 cycles: (v1 v3 v2)\n"
+        "#7 size=2 generators=1 bottom_backsteps=3 cycles: (v1 v3)\n"
+        "#8 size=2 generators=1 bottom_backsteps=3 cycles: (v3 v2)\n"
+    )
+
+
 def test_exit_code_for_bad_input(tmp_path, capsys):
     src = tmp_path / "broken.json"
     src.write_text("{")
