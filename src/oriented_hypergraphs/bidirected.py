@@ -178,9 +178,8 @@ def _classes(bg: BidirectedGraph, options: dict[str, Steps]) -> list[ActivationC
             if {s.head for s in m} != tails:
                 raise InvariantError("activation class member heads are not a permutation")
         built += len(members)
-        out.append(
-            ActivationClass(tuple(Contributor(m) for m in members), Contributor(bottom), generators)
-        )
+        contributors = tuple(Contributor(m) for m in members)
+        out.append(ActivationClass(contributors, contributors[0], generators))
     if built != count:
         raise InvariantError(f"activation classes hold {built} families, expected {count}")
     return out
