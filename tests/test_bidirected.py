@@ -328,10 +328,9 @@ def reduced_options(bg, roots):
 def test_class_builder_matches_bfs_reference(make):
     bg = make()
     options = full_options(bg)
-    assert built_classes(bg, options) == bfs_classes(bg, options)
-    assert [a.bottom.steps for a in activation_classes(bg)] == [
-        b for b, _, _ in bfs_classes(bg, options)
-    ]
+    reference = bfs_classes(bg, options)
+    assert built_classes(bg, options) == reference
+    assert [a.bottom.steps for a in activation_classes(bg)] == [b for b, _, _ in reference]
 
 
 @pytest.mark.parametrize(
