@@ -48,7 +48,6 @@ from .polynomial import (
 )
 from .topos import loading, subobject_classifier, tilde, zero_loading
 from .contributors import (
-    Contributor,
     MinorClass,
     OneStep,
     component_profile,
@@ -108,7 +107,6 @@ __all__ = [
     "subobject_classifier",
     "tilde",
     "zero_loading",
-    "Contributor",
     "MinorClass",
     "OneStep",
     "component_profile",

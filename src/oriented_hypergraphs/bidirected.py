@@ -17,16 +17,13 @@ from . import limits
 from .core import IncidenceHypergraph, OrientedHypergraph
 from .errors import DomainError, InvariantError, ResourceLimitError
 from .contributors import (
-    Contributor,
     MinorClass,
     OneStep,
-    ReducedContributor,
+    Steps,
     _permanent_count,
     contributor_sign,
     vertex_steps,
 )
-
-Steps = tuple[OneStep, ...]
 
 
 @dataclass(frozen=True)
@@ -139,21 +136,24 @@ class ActivationClass:
     the generators at positions S sits at index sum(2^i for i in S).
     """
 
-    members: tuple[Contributor, ...]
-    bottom: Contributor
+    members: tuple[Steps, ...]
+    bottom: Steps
     generators: tuple[tuple[str, ...], ...]
 
 
-def _classes(bg: BidirectedGraph, options: dict[str, Steps]) -> list[ActivationClass]:
+def _classes(
+    bg: BidirectedGraph, options: dict[str, Steps], max_count: int
+) -> list[ActivationClass]:
     # Every spanning family of ``options`` packs down to one backstep per
     # tail, so each choice of backsteps, in options order, is the bottom
     # of one class, and its members open any set of the cycles of the
-    # would-be-head map.  The exact family count (Ryser) guards the build
-    # and then checks that the classes hold every family once.
+    # would-be-head map.  The exact family count (Ryser) is held to
+    # ``max_count`` before the build and then checks that the classes hold
+    # every family once.
     count = _permanent_count(options)
-    if count > limits.MAX_CONTRIBUTORS:
+    if count > max_count:
         raise ResourceLimitError(
-            f"activation classes limited to {limits.MAX_CONTRIBUTORS} members, got {count}"
+            f"activation classes limited to {max_count} members, got {count}"
         )
     g = bg.og.structure
     tails = set(options)
@@ -178,24 +178,31 @@ def _classes(bg: BidirectedGraph, options: dict[str, Steps]) -> list[ActivationC
             if {s.head for s in m} != tails:
                 raise InvariantError("activation class member heads are not a permutation")
         built += len(members)
-        contributors = tuple(Contributor(m) for m in members)
-        out.append(ActivationClass(contributors, contributors[0], generators))
+        out.append(ActivationClass(tuple(members), bottom, generators))
     if built != count:
         raise InvariantError(f"activation classes hold {built} families, expected {count}")
     return out
 
 
 def activation_classes(
-    bg: BidirectedGraph, *, max_vertices: int = limits.MAX_CONTRIBUTOR_VERTICES
+    bg: BidirectedGraph,
+    *,
+    max_vertices: int = limits.MAX_CONTRIBUTOR_VERTICES,
+    max_count: int = limits.MAX_CONTRIBUTORS,
 ) -> list[ActivationClass]:
-    """All contributors as Boolean activation classes, in bottom order."""
+    """All contributors as Boolean activation classes, in bottom order.
+
+    The exact contributor count is computed first, so more than
+    ``max_count`` members raise :class:`ResourceLimitError` before any
+    class is built.
+    """
     g = bg.og.structure
     n = len(g.vertices)
     if n > max_vertices:
         raise ResourceLimitError(
             f"contributor enumeration limited to {max_vertices} vertices, got {n}"
         )
-    return _classes(bg, {v: vertex_steps(g, v) for v in g.vertices})
+    return _classes(bg, {v: vertex_steps(g, v) for v in g.vertices}, max_count)
 
 
 @dataclass(frozen=True)
@@ -207,19 +214,18 @@ class Arborescence:
     assignment: tuple[tuple[str, str], ...]
 
 
-def total_unpack(bg: BidirectedGraph, reduced: ReducedContributor) -> Arborescence:
-    """Unfold an all-backstep survivor into its rooted forest.
+def total_unpack(bg: BidirectedGraph, roots: tuple[str, ...], reduced: Steps) -> Arborescence:
+    """Unfold an all-backstep survivor off the rows ``roots`` into its rooted forest.
 
     Every chain of would-be heads must drain into the class rows without
     closing a circle; a circle here falsifies the correspondence and is
     reported as an invariant violation, not skipped.
     """
     g = bg.og.structure
-    roots = reduced.minor_class.u
-    for s in reduced.steps:
+    for s in reduced:
         if not s.is_backstep:
             raise InvariantError(f"total unpacking hit a non-backstep at {s.tail!r}")
-    f = {s.tail: _opened(g, s).head for s in reduced.steps}
+    f = {s.tail: _opened(g, s).head for s in reduced}
     if _unpack_cycles(f):
         raise InvariantError("total unpacking encountered a circle")
     assignment = []
@@ -235,7 +241,7 @@ def total_unpack(bg: BidirectedGraph, reduced: ReducedContributor) -> Arborescen
             raise InvariantError(f"chain from {v!r} drains to non-root {w!r}")
         if v in roots or v in f:
             assignment.append((v, w if v in f else v))
-    edge_ids = sorted((s.edge for s in reduced.steps), key=g.edge_pos.__getitem__)
+    edge_ids = sorted((s.edge for s in reduced), key=g.edge_pos.__getitem__)
     return Arborescence(roots, tuple(edge_ids), tuple(assignment))
 
 
@@ -244,7 +250,7 @@ def single_element_classes(
     cls: MinorClass,
     *,
     max_vertices: int = limits.MAX_MINOR_VERTICES,
-) -> list[tuple[ReducedContributor, Arborescence]]:
+) -> list[tuple[Steps, Arborescence]]:
     """Restricted activation classes with one nonzero member, unfolded.
 
     Only diagonal classes (the same row and column vertices) are covered;
@@ -273,12 +279,10 @@ def single_element_classes(
         if v not in mc.u
     }
     out = []
-    for a in _classes(completed, options):
+    for a in _classes(completed, options, limits.MAX_CONTRIBUTORS):
         nonzero = [m for m in a.members if contributor_sign(og, m)]
-        if len(nonzero) != 1:
-            continue
-        reduced = ReducedContributor(mc, nonzero[0].steps)
-        out.append((reduced, total_unpack(completed, reduced)))
+        if len(nonzero) == 1:
+            out.append((nonzero[0], total_unpack(completed, mc.u, nonzero[0])))
     return out
 
 

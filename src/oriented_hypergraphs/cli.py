@@ -193,9 +193,9 @@ def cmd_contributors(og, args) -> tuple[list[str], dict[str, Any]]:
         prof = component_profile(og, c)
         sign = contributor_sign(og, c)
         lines.append(f"#{k} {_profile_text(prof, sign)}")
-        lines.extend(f"  {_step_text(s)}" for s in c.steps)
+        lines.extend(f"  {_step_text(s)}" for s in c)
         record: dict[str, Any] = {
-            "steps": [_step_json(s) for s in c.steps],
+            "steps": [_step_json(s) for s in c],
             "sign": sign,
             "profile": {
                 "backsteps": prof.backsteps,
@@ -209,11 +209,11 @@ def cmd_contributors(og, args) -> tuple[list[str], dict[str, Any]]:
         }
         if cls is not None:
             reduced = reduce_contributor(c, cls)
-            perm = class_permutation(reduced)
+            perm = class_permutation(reduced, cls)
             shown = " ".join(f"{v}->{perm[v]}" for v in og.vertices if v in perm)
-            lines.append(f"  reduced: {'; '.join(_step_text(s) for s in reduced.steps) or '(empty)'}")
+            lines.append(f"  reduced: {'; '.join(map(_step_text, reduced)) or '(empty)'}")
             lines.append(f"  permutation: {shown}")
-            record["reduced"] = [_step_json(s) for s in reduced.steps]
+            record["reduced"] = [_step_json(s) for s in reduced]
             record["class_permutation"] = {v: perm[v] for v in sorted(perm)}
         records.append(record)
     payload: dict[str, Any] = {"count": len(members), "contributors": records}
@@ -336,12 +336,11 @@ def cmd_arborescences(og, args) -> tuple[list[str], dict[str, Any]]:
 def cmd_activation(og, args) -> tuple[list[str], dict[str, Any]]:
     bg = as_bidirected(og)
     guard = args.max_vertices or limits.MAX_CONTRIBUTOR_VERTICES
-    classes = activation_classes(bg, max_vertices=guard)
-    _enum_guard(sum(len(a.members) for a in classes), args.max_enum, "activation classes")
+    classes = activation_classes(bg, max_vertices=guard, max_count=args.max_enum)
     lines = [f"activation classes: {len(classes)}"]
     records = []
     for k, a in enumerate(classes, 1):
-        bottom_back = sum(1 for s in a.bottom.steps if s.is_backstep)
+        bottom_back = sum(1 for s in a.bottom if s.is_backstep)
         cycles = "".join("(" + " ".join(c) + ")" for c in a.generators) or "(none)"
         lines.append(
             f"#{k} size={len(a.members)} generators={len(a.generators)} "
@@ -351,7 +350,7 @@ def cmd_activation(og, args) -> tuple[list[str], dict[str, Any]]:
             {
                 "size": len(a.members),
                 "generators": [list(c) for c in a.generators],
-                "bottom": [_step_json(s) for s in a.bottom.steps],
+                "bottom": [_step_json(s) for s in a.bottom],
             }
         )
     return lines, {"count": len(classes), "classes": records}

@@ -80,29 +80,13 @@ class OneStep:
         return self.tail_incidence == self.head_incidence
 
 
-@dataclass(frozen=True)
-class Contributor:
-    """One step per vertex, heads forming a permutation of the vertex set."""
-
-    steps: tuple[OneStep, ...]
-
-    @property
-    def heads(self) -> tuple[str, ...]:
-        return tuple(s.head for s in self.steps)
-
-    def head_map(self) -> dict[str, str]:
-        return {s.tail: s.head for s in self.steps}
-
-    def step_at(self, vertex: str) -> OneStep:
-        for s in self.steps:
-            if s.tail == vertex:
-                return s
-        raise DomainError(f"no step tailed at {vertex!r}")
+# A step family, and so a contributor: one step per tail, in tail order.
+Steps = tuple[OneStep, ...]
 
 
-def is_strong(c: Contributor) -> bool:
+def is_strong(c: Steps) -> bool:
     """Backstep-free; the cycle-cover analog."""
-    return all(not s.is_backstep for s in c.steps)
+    return all(not s.is_backstep for s in c)
 
 
 @dataclass(frozen=True)
@@ -111,8 +95,7 @@ class ComponentProfile:
 
     Non-backstep steps always close up into disjoint circles, so the
     census is backsteps plus circles sorted by length parity and by the
-    sign of their step-sign product.  ``permutation`` is the head map,
-    frozen as (tail, head) pairs in step order.
+    sign of their step-sign product.
     """
 
     backsteps: int
@@ -122,7 +105,6 @@ class ComponentProfile:
     positive_circles: int
     negative_circles: int
     zero_circles: int
-    permutation: tuple[tuple[str, str], ...]
 
     @property
     def circles(self) -> int:
@@ -161,7 +143,7 @@ def _all_steps(
 
 def step_families(
     options: Mapping[str, Sequence[OneStep]], *, spanning: bool = False
-) -> Iterator[tuple[OneStep, ...]]:
+) -> Iterator[Steps]:
     """Stream every step family drawn from ``options`` as a tuple of steps.
 
     ``options`` maps each tail vertex, in order, to the steps it may take.
@@ -174,7 +156,7 @@ def step_families(
     chosen: list[OneStep] = []
     used: set[str] = set()
 
-    def extend(k: int) -> Iterator[tuple[OneStep, ...]]:
+    def extend(k: int) -> Iterator[Steps]:
         if k == n:
             yield tuple(chosen)
             return
@@ -323,7 +305,7 @@ def _cover_sums(pieces: Mapping[int, int], n: int) -> list[int]:
 
 def _contributors_from(
     options: Mapping[str, Sequence[OneStep]], max_vertices: int, max_count: int
-) -> list[Contributor]:
+) -> list[Steps]:
     # Guard on the vertex count, then on the exact count, before any
     # contributor is built; a zero count skips the dead-end search.
     n = len(options)
@@ -338,7 +320,7 @@ def _contributors_from(
         )
     if not count:
         return []
-    return [Contributor(steps) for steps in step_families(options, spanning=True)]
+    return list(step_families(options, spanning=True))
 
 
 def enumerate_contributors(
@@ -347,7 +329,7 @@ def enumerate_contributors(
     strong_only: bool = False,
     max_vertices: int = limits.MAX_CONTRIBUTOR_VERTICES,
     max_count: int = limits.MAX_CONTRIBUTORS,
-) -> list[Contributor]:
+) -> list[Steps]:
     """Every contributor of ``og``, in :func:`step_families` order.
 
     The exact count is computed first, so more than ``max_count``
@@ -358,33 +340,33 @@ def enumerate_contributors(
     )
 
 
-def contributor_sign(og: OrientedHypergraph, c: Contributor) -> int:
+def contributor_sign(og: OrientedHypergraph, c: Steps) -> int:
     """Product of incidence signs along all steps, backstep incidence twice.
 
-    Zero exactly when some traversed incidence carries a 0 sign.  Any
-    step family can be weighed as ``Contributor(steps)``.
+    Zero exactly when some traversed incidence carries a 0 sign; any step
+    family can be weighed.
     """
     sign = 1
-    for s in c.steps:
+    for s in c:
         sign *= og.sigma(s.tail_incidence) * og.sigma(s.head_incidence)
         if not sign:
             return 0
     return sign
 
 
-def component_profile(og: OrientedHypergraph, c: Contributor) -> ComponentProfile:
+def component_profile(og: OrientedHypergraph, c: Steps) -> ComponentProfile:
     """Census of backsteps and circles, with per-circle parity and sign.
 
     The steps must close up (every non-backstep head is some step's
     tail), which holds for contributors and for anything produced by
     :func:`reduce_contributor` or backstep deletion.
     """
-    by_tail = {s.tail: s for s in c.steps}
-    if len(by_tail) != len(c.steps):
+    by_tail = {s.tail: s for s in c}
+    if len(by_tail) != len(c):
         raise DomainError("two steps share a tail vertex")
     backsteps = loops = odd = even = pos = neg = zero = 0
     seen: set[str] = set()
-    for s in c.steps:
+    for s in c:
         if s.is_backstep:
             backsteps += 1
             continue
@@ -414,8 +396,7 @@ def component_profile(og: OrientedHypergraph, c: Contributor) -> ComponentProfil
             neg += 1
         else:
             zero += 1
-    permutation = tuple((s.tail, s.head) for s in c.steps)
-    return ComponentProfile(backsteps, loops, odd, even, pos, neg, zero, permutation)
+    return ComponentProfile(backsteps, loops, odd, even, pos, neg, zero)
 
 
 @dataclass(frozen=True)
@@ -446,14 +427,6 @@ class MinorClass:
         return tuple(zip(self.u, self.w))
 
 
-@dataclass(frozen=True)
-class ReducedContributor:
-    """What is left of a contributor after deleting the class rows' steps."""
-
-    minor_class: MinorClass
-    steps: tuple[OneStep, ...]
-
-
 def class_contributors(
     og: OrientedHypergraph,
     cls: MinorClass,
@@ -461,7 +434,7 @@ def class_contributors(
     strong_only: bool = False,
     max_vertices: int = limits.MAX_CONTRIBUTOR_VERTICES,
     max_count: int = limits.MAX_CONTRIBUTORS,
-) -> list[Contributor]:
+) -> list[Steps]:
     """Contributors whose step at each u_i heads to the matching w_i.
 
     Each class row keeps only its steps to w_i, so the exact count (and
@@ -475,30 +448,30 @@ def class_contributors(
     return _contributors_from(options, max_vertices, max_count)
 
 
-def reduce_contributor(c: Contributor, cls: MinorClass) -> ReducedContributor:
-    removed = dict(cls.pairs())
-    for u, w in removed.items():
-        step = c.step_at(u)
-        if step.head != w:
-            raise DomainError(f"contributor sends {u!r} to {step.head!r}, class wants {w!r}")
-    steps = tuple(s for s in c.steps if s.tail not in removed)
-    return ReducedContributor(cls, steps)
+def reduce_contributor(c: Steps, cls: MinorClass) -> Steps:
+    """The steps of ``c`` off the class rows, each row checked to head to its column."""
+    heads = {s.tail: s.head for s in c}
+    for u, w in cls.pairs():
+        if u not in heads:
+            raise DomainError(f"no step tailed at {u!r}")
+        if heads[u] != w:
+            raise DomainError(f"contributor sends {u!r} to {heads[u]!r}, class wants {w!r}")
+    return tuple(s for s in c if s.tail not in cls.u)
 
 
-def class_permutation(reduced: ReducedContributor) -> dict[str, str]:
+def class_permutation(reduced: Steps, cls: MinorClass) -> dict[str, str]:
     """Head map of any extension: surviving heads plus the class pairs."""
-    perm = {s.tail: s.head for s in reduced.steps}
-    perm.update(reduced.minor_class.pairs())
+    perm = {s.tail: s.head for s in reduced}
+    perm.update(cls.pairs())
     return perm
 
 
 def class_extensions(
-    og: OrientedHypergraph, reduced: ReducedContributor, *, strong_only: bool = False
-) -> list[Contributor]:
-    """All contributors of ``og`` that reduce to ``reduced``."""
+    og: OrientedHypergraph, reduced: Steps, cls: MinorClass, *, strong_only: bool = False
+) -> list[Steps]:
+    """All contributors of ``og`` in class ``cls`` that reduce to ``reduced``."""
     g = og.structure
-    kept = {s.tail: s for s in reduced.steps}
-    cls = reduced.minor_class
+    kept = {s.tail: s for s in reduced}
     overlap = set(kept) & set(cls.u)
     if overlap:
         raise DomainError(f"reduced steps already cover class rows {sorted(overlap)}")
@@ -515,8 +488,8 @@ def class_extensions(
         by_tail = dict(kept)
         for s in combo:
             by_tail[s.tail] = s
-        c = Contributor(tuple(by_tail[v] for v in g.vertices))
-        if set(c.heads) != set(g.vertices):
+        c = tuple(by_tail[v] for v in g.vertices)
+        if {s.head for s in c} != set(g.vertices):
             raise DomainError("extension heads do not cover the vertex set")
         out.append(c)
     return out
@@ -526,7 +499,7 @@ def class_extensions(
 class StepFamily:
     """Steps on a subset of tail vertices with pairwise-distinct heads."""
 
-    steps: tuple[OneStep, ...]
+    steps: Steps
     strong: bool
 
 
@@ -580,7 +553,7 @@ def minor_catalog(
             f"minor catalog limited to {max_vertices} vertices, got {n}"
         )
     families = [
-        StepFamily(steps, all(not s.is_backstep for s in steps))
+        StepFamily(steps, is_strong(steps))
         for steps in step_families(_all_steps(structure))
     ]
     return MinorCatalog(structure, tuple(families), _minor_blocks(structure, families))

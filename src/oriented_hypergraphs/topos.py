@@ -30,6 +30,7 @@ from .core import (
     identity_homomorphism,
     is_monic,
     product,
+    require_valid,
 )
 from .errors import DomainError, ResourceLimitError
 
@@ -260,6 +261,7 @@ def _mask_subsets(items: tuple[str, ...]) -> list[tuple[str, ...]]:
 
 def count_subhypergraphs(g: IncidenceHypergraph) -> int:
     """Number of subhypergraphs, computed without materializing them."""
+    require_valid(g)
     n, m = len(g.vertices), len(g.edges)
     total = 0
     for mask in range(1 << len(g.incidences)):
@@ -525,6 +527,7 @@ def loading(g: IncidenceHypergraph) -> LoadingResult:
     empty. Original ids are kept, so an already fully-incident input
     comes back unchanged with the identity map.
     """
+    require_valid(g)
     vertices = g.vertices if g.vertices else (FALSE_ID,)
     edges = g.edges if g.edges else (FALSE_ID,)
     taken = set(g.incidence_pos)

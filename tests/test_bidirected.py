@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import triangle
+from oriented_hypergraphs import limits
 from oriented_hypergraphs.bidirected import (
     Arborescence,
     _classes,
@@ -20,7 +21,6 @@ from oriented_hypergraphs.bidirected import (
 from oriented_hypergraphs.contributors import (
     MinorClass,
     OneStep,
-    ReducedContributor,
     enumerate_contributors,
     step_families,
     total_minor_poly,
@@ -86,7 +86,7 @@ def test_as_bidirected_rejects_bad_shapes():
 
 def test_unpack_opens_a_backstep_toward_its_partner():
     bg = k3()
-    bottom = enumerate_contributors(bg.og)[0].steps
+    bottom = enumerate_contributors(bg.og)[0]
     assert all(s.is_backstep for s in bottom)
     opened = unpack(bg, bottom, "v1")
     assert opened[1:] == bottom[1:]
@@ -103,7 +103,7 @@ def test_activation_classes_on_single_edge():
     assert len(classes[0].members) == 2
     assert len(classes[0].generators) == 1
     assert classes[0].generators[0] == ("v1", "v2")
-    assert all(s.is_backstep for s in classes[0].bottom.steps)
+    assert all(s.is_backstep for s in classes[0].bottom)
 
 
 def test_activation_classes_on_disjoint_edges():
@@ -205,12 +205,9 @@ def test_arborescence_count_matches_minor_coefficient():
 
 def test_total_unpack_refuses_open_steps():
     bg = k3()
-    strong = [
-        c for c in enumerate_contributors(bg.og) if not any(s.is_backstep for s in c.steps)
-    ]
-    cls = MinorClass.build(bg.og, (), ())
+    strong = enumerate_contributors(bg.og, strong_only=True)
     with pytest.raises(InvariantError):
-        total_unpack(bg, ReducedContributor(cls, strong[0].steps))
+        total_unpack(bg, (), strong[0])
 
 
 def test_single_element_classes_refuse_off_diagonal_classes():
@@ -232,6 +229,14 @@ def test_class_builder_counts_before_it_builds():
         single_element_classes(bg, MinorClass.build(bg.og, ("v1",), ("v1",)))
     with pytest.raises(ResourceLimitError, match="got 13781376"):
         activation_classes(bg)
+
+
+def test_activation_cap_runs_on_the_exact_count():
+    # Seeded K7 holds 648,240 contributors, under limits.MAX_CONTRIBUTORS;
+    # a tighter cap refuses them from the count.
+    bg = seeded(7, complete_pairs(7), 2019)
+    with pytest.raises(ResourceLimitError, match="got 648240"):
+        activation_classes(bg, max_count=10)
 
 
 # Reference partition: a breadth-first search over single pack and unpack
@@ -294,8 +299,8 @@ def bfs_classes(bg, options):
 
 def built_classes(bg, options):
     return [
-        (a.bottom.steps, a.generators, frozenset(m.steps for m in a.members))
-        for a in _classes(bg, options)
+        (a.bottom, a.generators, frozenset(a.members))
+        for a in _classes(bg, options, limits.MAX_CONTRIBUTORS)
     ]
 
 
@@ -330,7 +335,7 @@ def test_class_builder_matches_bfs_reference(make):
     options = full_options(bg)
     reference = bfs_classes(bg, options)
     assert built_classes(bg, options) == reference
-    assert [a.bottom.steps for a in activation_classes(bg)] == [b for b, _, _ in reference]
+    assert [a.bottom for a in activation_classes(bg)] == [b for b, _, _ in reference]
 
 
 @pytest.mark.parametrize(

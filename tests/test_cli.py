@@ -145,6 +145,35 @@ def test_activation_text_is_pinned(capsys):
     )
 
 
+def test_class_text_is_pinned(capsys):
+    # Each member's steps, then what is left off the class rows and the
+    # head map of any extension.
+    code, out, _ = run(capsys, "contributors", K3, "--class", "v1:v2")
+    assert code == 0
+    assert out == (
+        "contributors: 3\n"
+        "class: v1->v2\n"
+        "#1 backsteps=1 loops=0 circles=1 odd=0 even=1 positive=1 negative=0 zero=0 sign=+1\n"
+        "  v1 -[i12a e12 i12b]-> v2\n"
+        "  v2 -[i12b e12 i12a]-> v1\n"
+        "  v3 -[i13b e13 i13b]-> v3\n"
+        "  reduced: v2 -[i12b e12 i12a]-> v1; v3 -[i13b e13 i13b]-> v3\n"
+        "  permutation: v1->v2 v2->v1 v3->v3\n"
+        "#2 backsteps=1 loops=0 circles=1 odd=0 even=1 positive=1 negative=0 zero=0 sign=+1\n"
+        "  v1 -[i12a e12 i12b]-> v2\n"
+        "  v2 -[i12b e12 i12a]-> v1\n"
+        "  v3 -[i23b e23 i23b]-> v3\n"
+        "  reduced: v2 -[i12b e12 i12a]-> v1; v3 -[i23b e23 i23b]-> v3\n"
+        "  permutation: v1->v2 v2->v1 v3->v3\n"
+        "#3 backsteps=0 loops=0 circles=1 odd=1 even=0 positive=1 negative=0 zero=0 sign=-1\n"
+        "  v1 -[i12a e12 i12b]-> v2\n"
+        "  v2 -[i23a e23 i23b]-> v3\n"
+        "  v3 -[i13b e13 i13a]-> v1\n"
+        "  reduced: v2 -[i23a e23 i23b]-> v3; v3 -[i13b e13 i13a]-> v1\n"
+        "  permutation: v1->v2 v2->v3 v3->v1\n"
+    )
+
+
 def test_exit_code_for_bad_input(tmp_path, capsys):
     src = tmp_path / "broken.json"
     src.write_text("{")
@@ -183,6 +212,16 @@ def test_class_enumeration_cap_runs_on_the_class_count(capsys):
     code, out, _ = run(capsys, "contributors", K3, "--class", "v1:v2", "--max-enum", "3")
     assert code == 0
     assert out.startswith("contributors: 3\n")
+
+
+def test_activation_cap_runs_on_the_contributor_count(capsys):
+    # K3's activation classes hold its 16 contributors.
+    code, _, err = run(capsys, "activation", K3, "--max-enum", "15")
+    assert code == 2
+    assert "got 16" in err
+    code, out, _ = run(capsys, "activation", K3, "--max-enum", "16")
+    assert code == 0
+    assert out.startswith("activation classes: 8\n")
 
 
 def test_exit_code_for_vertex_guard(capsys):

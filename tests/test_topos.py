@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import small_oriented, triangle
+from conftest import MALFORMED_STRUCTURES, small_oriented, triangle
 from oriented_hypergraphs.core import (
     Homomorphism,
     IncidenceHypergraph,
@@ -194,6 +194,15 @@ def test_eta_essential_only_for_empty():
     assert is_essential_mono(tilde(initial()).eta)
     assert not is_essential_mono(tilde(terminal()).eta)
     assert not is_essential_mono(tilde(triangle().structure).eta)
+
+
+@pytest.mark.parametrize(
+    "entry", [count_subhypergraphs, enumerate_subhypergraphs, power, loading]
+)
+@pytest.mark.parametrize("structure", MALFORMED_STRUCTURES)
+def test_entry_points_reject_malformed_structures(entry, structure):
+    with pytest.raises(DomainError):
+        entry(structure)
 
 
 def test_zero_loading_signs_fillers_zero():
