@@ -24,6 +24,7 @@ from .contributors import (
     contributor_sign,
     vertex_steps,
 )
+from .matrices import IntegerMatrix, integer_determinant
 
 
 @dataclass(frozen=True)
@@ -286,16 +287,38 @@ def single_element_classes(
     return out
 
 
+def _forest_count(bg: BidirectedGraph, others: list[str]) -> int:
+    # All-minors matrix-tree theorem: the spanning forests with one root
+    # per component number det(D - A) over the real non-loop edges, with
+    # the root rows and columns deleted.
+    g = bg.og.structure
+    pos = g.vertex_pos
+    lap = [[0] * len(g.vertices) for _ in g.vertices]
+    for e in g.edges:
+        a, b = (pos[g.vertex_of(i)] for i in g.incidences_on_edge[e])
+        if e not in bg.completion_edges and a != b:
+            lap[a][a] += 1
+            lap[b][b] += 1
+            lap[a][b] -= 1
+            lap[b][a] -= 1
+    full = IntegerMatrix(g.vertices, g.vertices, tuple(map(tuple, lap)))
+    return integer_determinant(full.restrict(others))
+
+
 def k_arborescences(
     bg: BidirectedGraph,
     roots: Iterable[str],
     *,
     max_vertices: int = limits.MAX_ARBORESCENCE_VERTICES,
+    max_count: int = limits.MAX_CONTRIBUTORS,
 ) -> list[Arborescence]:
     """Brute-force spanning forests, one designated root per component.
 
     Runs on the real (non-completion) edges.  Every non-root vertex picks
-    a parent edge; choices whose parent chains loop are discarded.
+    a parent edge; choices whose parent chains loop are discarded.  The
+    exact forest count (matrix-tree theorem) is computed first, so more
+    than ``max_count`` forests raise :class:`ResourceLimitError` before
+    the search, and the search must find exactly that many.
     """
     g = bg.og.structure
     n = len(g.vertices)
@@ -311,6 +334,11 @@ def k_arborescences(
     if unknown:
         raise DomainError(f"unknown roots: {sorted(unknown)}")
     others = [v for v in g.vertices if v not in root_set]
+    count = _forest_count(bg, others)
+    if count > max_count:
+        raise ResourceLimitError(
+            f"arborescence enumeration limited to {max_count} forests, got {count}"
+        )
     choices = []
     for v in others:
         opts = []
@@ -348,4 +376,6 @@ def k_arborescences(
             assignment.append((v, w))
         edge_ids = sorted((e for e, _ in combo), key=g.edge_pos.__getitem__)
         out.append(Arborescence(root_list, tuple(edge_ids), tuple(assignment)))
+    if len(out) != count:
+        raise InvariantError(f"arborescence search found {len(out)} forests, expected {count}")
     return out

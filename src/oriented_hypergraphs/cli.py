@@ -123,11 +123,6 @@ def _profile_text(prof, sign: int) -> str:
     )
 
 
-def _enum_guard(count: int, max_enum: int, what: str) -> None:
-    if count > max_enum:
-        raise ResourceLimitError(f"{what} produced {count} items, --max-enum is {max_enum}")
-
-
 def cmd_matrices(og, args) -> tuple[list[str], dict[str, Any]]:
     named = [
         ("H", incidence_matrix(og)),
@@ -309,8 +304,7 @@ def cmd_arborescences(og, args) -> tuple[list[str], dict[str, Any]]:
     bg = as_bidirected(og)
     roots = _csv(args.roots, "--roots")
     guard = args.max_vertices or limits.MAX_ARBORESCENCE_VERTICES
-    forests = k_arborescences(bg, roots, max_vertices=guard)
-    _enum_guard(len(forests), args.max_enum, "arborescence enumeration")
+    forests = k_arborescences(bg, roots, max_vertices=guard, max_count=args.max_enum)
     poly = total_minor_poly(og, "laplacian", "det")
     mono = [(u, u) for u in roots]
     coeff = poly.coefficient(mono)

@@ -306,14 +306,19 @@ class Subhypergraph:
     edge_ids: frozenset[str]
     incidence_ids: frozenset[str]
 
-    def materialize(self) -> IncidenceHypergraph:
-        """A standalone hypergraph in the parent's canonical order."""
+    @cached_property
+    def _materialized(self) -> IncidenceHypergraph:
         p = self.parent
         return IncidenceHypergraph(
             tuple(v for v in p.vertices if v in self.vertex_ids),
             tuple(e for e in p.edges if e in self.edge_ids),
             tuple(i for i in p.incidences if i.id in self.incidence_ids),
         )
+
+    def materialize(self) -> IncidenceHypergraph:
+        """A standalone hypergraph in the parent's canonical order, built
+        once per instance."""
+        return self._materialized
 
     def inclusion(self) -> Homomorphism:
         sub = self.materialize()
@@ -484,6 +489,8 @@ def enumerate_homomorphisms(
     of its two attachments), then sweeps the remaining unconstrained
     vertices and edges. A naive product bound guards the search space.
     """
+    require_valid(g)
+    require_valid(h)
     bound = _hom_search_bound(g, h)
     if bound > max_candidates:
         raise ResourceLimitError(

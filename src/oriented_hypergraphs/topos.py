@@ -72,8 +72,12 @@ def initial() -> IncidenceHypergraph:
     return IncidenceHypergraph.build([], [], [])
 
 
+_POINT = IncidenceHypergraph.build(["v"], ["e"], [("i", "v", "e")])
+
+
 def terminal() -> IncidenceHypergraph:
-    return IncidenceHypergraph.build(["v"], ["e"], [("i", "v", "e")])
+    """The one-incidence point; every call returns the same object."""
+    return _POINT
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,7 @@ class TildeResult:
 
 
 def tilde(g: IncidenceHypergraph) -> TildeResult:
+    require_valid(g)
     vertices = [true_id(v) for v in g.vertices] + [FALSE_ID]
     edges = [true_id(e) for e in g.edges] + [FALSE_ID]
     incidences: list[tuple[str, str, str]] = []
@@ -109,6 +114,11 @@ def tilde(g: IncidenceHypergraph) -> TildeResult:
         {i.id: true_id(i.id) for i in g.incidences},
     )
     return TildeResult(ext, eta, false_incidence)
+
+
+# The truth-value object tilde(point), built once: every characteristic
+# map lands in it, and maps out of the shared point reuse it.
+_POINT_TILDE = tilde(_POINT)
 
 
 def tilde_map(phi: Homomorphism) -> Homomorphism:
@@ -143,7 +153,7 @@ def represent_partial(phi: Homomorphism, psi: Homomorphism) -> Homomorphism:
     if not is_monic(phi):
         raise DomainError("phi must be monic")
     k = phi.target
-    dst = tilde(psi.target)
+    dst = _POINT_TILDE if psi.target is _POINT else tilde(psi.target)
     v_pre = {phi.vertex_map[w]: w for w in phi.source.vertices}
     e_pre = {phi.edge_map[f]: f for f in phi.source.edges}
     i_pre = {phi.incidence_map[j.id]: j.id for j in phi.source.incidences}
@@ -216,9 +226,14 @@ class SubobjectClassifier:
         return self.truth_map.incidence_map["i"]
 
 
+_CLASSIFIER = SubobjectClassifier(
+    _POINT_TILDE.hypergraph, _POINT_TILDE.eta, _POINT_TILDE.false_incidence
+)
+
+
 def subobject_classifier() -> SubobjectClassifier:
-    ext = tilde(terminal())
-    return SubobjectClassifier(ext.hypergraph, ext.eta, ext.false_incidence)
+    """The truth-value object; every call returns the same object."""
+    return _CLASSIFIER
 
 
 def classify(k: Subhypergraph) -> Homomorphism:

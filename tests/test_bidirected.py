@@ -161,6 +161,14 @@ def test_arborescence_counts():
         k_arborescences(k3(), ("ghost",))
 
 
+def test_arborescence_cap_runs_on_the_exact_count():
+    # Seeded K8 has 8^6 = 262,144 forests rooted at v1 (Cayley); the
+    # matrix-tree count refuses them before the search.
+    bg = seeded(8, complete_pairs(8), 2019)
+    with pytest.raises(ResourceLimitError, match="got 262144"):
+        k_arborescences(bg, ("v1",), max_count=10)
+
+
 def test_arborescences_skip_completion_edges():
     done = complete(path3())
     assert len(k_arborescences(done, ("v1",))) == 1
@@ -374,3 +382,6 @@ def test_class_builder_matches_bfs_reference_property(bg, data):
     done = complete(bg)
     reduced = reduced_options(done, roots)
     assert built_classes(done, reduced) == bfs_classes(done, reduced)
+    # The search checks itself against the matrix-tree count; completion
+    # edges add no forest.
+    assert k_arborescences(done, tuple(roots)) == k_arborescences(bg, tuple(roots))

@@ -93,6 +93,46 @@ def test_loading_and_omega(capsys):
     assert "truth: vertex 1:v edge 1:e incidence 1:i" in out
 
 
+def test_omega_text_is_pinned(capsys):
+    code, out, _ = run(capsys, "omega")
+    assert code == 0
+    assert out == (
+        "vertices: 1:v 0\n"
+        "edges: 1:e 0\n"
+        "incidences:\n"
+        "  1:i at (1:v, 1:e)\n"
+        "  0:0 at (1:v, 1:e)\n"
+        "  0:1 at (1:v, 0)\n"
+        "  0:2 at (0, 1:e)\n"
+        "  0:3 at (0, 0)\n"
+        "truth: vertex 1:v edge 1:e incidence 1:i\n"
+    )
+
+
+def test_classify_text_is_pinned(capsys):
+    code, out, _ = run(
+        capsys, "classify", K3, "--vertices", "v1,v2", "--edges", "e12", "--incidences", "i12a,i12b"
+    )
+    assert code == 0
+    assert out == (
+        "vertex map:\n"
+        "  v1 -> 1:v\n"
+        "  v2 -> 1:v\n"
+        "  v3 -> 0\n"
+        "edge map:\n"
+        "  e12 -> 1:e\n"
+        "  e13 -> 0\n"
+        "  e23 -> 0\n"
+        "incidence map:\n"
+        "  i12a -> 1:i\n"
+        "  i12b -> 1:i\n"
+        "  i13a -> 0:1\n"
+        "  i13b -> 0:3\n"
+        "  i23a -> 0:1\n"
+        "  i23b -> 0:3\n"
+    )
+
+
 def test_classify_subcommand(capsys):
     code, out, _ = run(
         capsys,
@@ -119,6 +159,15 @@ def test_arborescences_subcommand(capsys):
     code, out, _ = run(capsys, "arborescences", K3, "--roots", "v1,v2")
     assert out.splitlines()[0] == "arborescences: 2"
     assert out.splitlines()[-1] == "coefficient of x[v1,v1]*x[v2,v2]: -2"
+
+
+def test_arborescences_max_enum_is_checked_on_the_count(capsys):
+    code, _, err = run(capsys, "arborescences", K3, "--roots", "v1", "--max-enum", "2")
+    assert code == 2
+    assert "got 3" in err
+    code, out, _ = run(capsys, "arborescences", K3, "--roots", "v1", "--max-enum", "3")
+    assert code == 0
+    assert out.splitlines()[0] == "arborescences: 3"
 
 
 def test_activation_subcommand(capsys):

@@ -19,7 +19,7 @@ from oriented_hypergraphs.core import (
     validate_homomorphism,
 )
 from oriented_hypergraphs.errors import DomainError, ResourceLimitError
-from oriented_hypergraphs.topos import terminal
+from oriented_hypergraphs.topos import subobject_classifier, terminal
 
 
 def test_build_and_lookup_tables():
@@ -127,6 +127,14 @@ def test_hom_enumeration_guard():
     g = triangle().structure
     with pytest.raises(ResourceLimitError):
         enumerate_homomorphisms(g, g, max_candidates=10)
+
+
+@pytest.mark.parametrize("structure", MALFORMED_STRUCTURES)
+def test_hom_search_rejects_malformed_structures(structure):
+    with pytest.raises(DomainError):
+        enumerate_homomorphisms(structure, subobject_classifier().omega)
+    with pytest.raises(DomainError):
+        enumerate_homomorphisms(terminal(), structure)
 
 
 def test_hom_count_into_triangle_from_point():

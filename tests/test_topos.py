@@ -5,7 +5,9 @@ from conftest import MALFORMED_STRUCTURES, small_oriented, triangle
 from oriented_hypergraphs.core import (
     Homomorphism,
     IncidenceHypergraph,
+    Subhypergraph,
     enumerate_homomorphisms,
+    identity_homomorphism,
     product,
     validate,
     validate_homomorphism,
@@ -78,6 +80,46 @@ def test_tilde_map_extends_along_eta():
     src = tilde(g)
     for v in g.vertices:
         assert ext.vertex_map[src.eta.vertex_map[v]] == src.eta.vertex_map[v]
+
+
+def test_point_and_classifier_are_shared():
+    assert terminal() is terminal()
+    assert subobject_classifier() is subobject_classifier()
+    k = enumerate_subhypergraphs(triangle().structure)[0]
+    assert classify(k).target is subobject_classifier().omega
+
+
+def test_represent_partial_from_an_equal_point_matches_the_shared_one():
+    # A separately built point takes the fresh tilde path; the shared
+    # point takes the prebuilt truth-value object.
+    other = IncidenceHypergraph.build(["v"], ["e"], [("i", "v", "e")])
+    assert other == terminal() and other is not terminal()
+    for k in enumerate_subhypergraphs(triangle().structure):
+        sub = k.materialize()
+        maps = [
+            represent_partial(
+                k.inclusion(),
+                Homomorphism(
+                    sub,
+                    point,
+                    {v: "v" for v in sub.vertices},
+                    {e: "e" for e in sub.edges},
+                    {i.id: "i" for i in sub.incidences},
+                ),
+            )
+            for point in (other, terminal())
+        ]
+        assert maps[0] == maps[1]
+
+
+def test_materialize_builds_once():
+    g = triangle().structure
+    for k in enumerate_subhypergraphs(g):
+        sub = k.materialize()
+        assert k.materialize() is sub
+        assert k.inclusion().source is sub
+        fresh = Subhypergraph(g, k.vertex_ids, k.edge_ids, k.incidence_ids).materialize()
+        assert fresh == sub and fresh is not sub
 
 
 def test_classify_and_recover_subobject():
@@ -196,8 +238,13 @@ def test_eta_essential_only_for_empty():
     assert not is_essential_mono(tilde(triangle().structure).eta)
 
 
+def tilde_map_of_identity(g):
+    return tilde_map(identity_homomorphism(g))
+
+
 @pytest.mark.parametrize(
-    "entry", [count_subhypergraphs, enumerate_subhypergraphs, power, loading]
+    "entry",
+    [count_subhypergraphs, enumerate_subhypergraphs, power, loading, tilde, tilde_map_of_identity],
 )
 @pytest.mark.parametrize("structure", MALFORMED_STRUCTURES)
 def test_entry_points_reject_malformed_structures(entry, structure):
