@@ -20,11 +20,12 @@ from .contributors import (
     MinorClass,
     OneStep,
     Steps,
+    _map_cycles,
     _permanent_count,
     contributor_sign,
     vertex_steps,
 )
-from .matrices import IntegerMatrix, integer_determinant
+from .matrices import edge_endpoints, graph_orientation, integer_determinant, laplacian_matrix
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,7 @@ def complete(bg: BidirectedGraph) -> BidirectedGraph:
     g = bg.og.structure
     adjacent: set[frozenset[str]] = set()
     for e in g.edges:
-        ends = [g.vertex_of(i) for i in g.incidences_on_edge[e]]
-        adjacent.add(frozenset(ends))
+        adjacent.add(frozenset(edge_endpoints(g, e)))
     taken_edges = set(g.edge_pos)
     taken_incs = set(g.incidence_pos)
     edges = list(g.edges)
@@ -109,26 +109,6 @@ def unpack(bg: BidirectedGraph, pre: Steps, vertex: str) -> Steps:
     return pre[:idx] + (_opened(bg.og.structure, s),) + pre[idx + 1 :]
 
 
-def _unpack_cycles(f: dict[str, str]) -> list[tuple[str, ...]]:
-    """Vertex cycles of the would-be-head map ``f``, i.e. activatable sets."""
-    color: dict[str, int] = {}
-    cycles: list[tuple[str, ...]] = []
-    for start in f:
-        if start in color:
-            continue
-        path = []
-        v = start
-        while v in f and v not in color:
-            color[v] = 1
-            path.append(v)
-            v = f[v]
-        if v in f and color.get(v) == 1:
-            cycles.append(tuple(path[path.index(v) :]))
-        for p in path:
-            color[p] = 2
-    return cycles
-
-
 @dataclass(frozen=True)
 class ActivationClass:
     """A Boolean lattice of contributors under circle activation.
@@ -167,7 +147,7 @@ def _classes(
     for choice in itertools.product(*pairs):
         bottom = tuple(b for b, _ in choice)
         opened = tuple(o for _, o in choice)
-        generators = tuple(_unpack_cycles({o.tail: o.head for o in opened}))
+        generators = tuple(_map_cycles({o.tail: o.head for o in opened}))
         members = [bottom]
         for cycle in generators:
             for m in members[:]:
@@ -227,17 +207,13 @@ def total_unpack(bg: BidirectedGraph, roots: tuple[str, ...], reduced: Steps) ->
         if not s.is_backstep:
             raise InvariantError(f"total unpacking hit a non-backstep at {s.tail!r}")
     f = {s.tail: _opened(g, s).head for s in reduced}
-    if _unpack_cycles(f):
+    if _map_cycles(f):
         raise InvariantError("total unpacking encountered a circle")
     assignment = []
     for v in g.vertices:
         w = v
-        hops = 0
         while w in f:
             w = f[w]
-            hops += 1
-            if hops > len(g.vertices):
-                raise InvariantError("total unpacking encountered a circle")
         if w not in roots and v in f:
             raise InvariantError(f"chain from {v!r} drains to non-root {w!r}")
         if v in roots or v in f:
@@ -289,20 +265,15 @@ def single_element_classes(
 
 def _forest_count(bg: BidirectedGraph, others: list[str]) -> int:
     # All-minors matrix-tree theorem: the spanning forests with one root
-    # per component number det(D - A) over the real non-loop edges, with
-    # the root rows and columns deleted.
+    # per component number the principal minor of the graph Laplacian of
+    # the real edges off the roots.  Loops cancel in that Laplacian.
     g = bg.og.structure
-    pos = g.vertex_pos
-    lap = [[0] * len(g.vertices) for _ in g.vertices]
-    for e in g.edges:
-        a, b = (pos[g.vertex_of(i)] for i in g.incidences_on_edge[e])
-        if e not in bg.completion_edges and a != b:
-            lap[a][a] += 1
-            lap[b][b] += 1
-            lap[a][b] -= 1
-            lap[b][a] -= 1
-    full = IntegerMatrix(g.vertices, g.vertices, tuple(map(tuple, lap)))
-    return integer_determinant(full.restrict(others))
+    real = IncidenceHypergraph.build(
+        g.vertices,
+        [e for e in g.edges if e not in bg.completion_edges],
+        [(i.id, i.vertex, i.edge) for i in g.incidences if i.edge not in bg.completion_edges],
+    )
+    return integer_determinant(laplacian_matrix(graph_orientation(real)).restrict(others))
 
 
 def k_arborescences(
@@ -312,13 +283,14 @@ def k_arborescences(
     max_vertices: int = limits.MAX_ARBORESCENCE_VERTICES,
     max_count: int = limits.MAX_CONTRIBUTORS,
 ) -> list[Arborescence]:
-    """Brute-force spanning forests, one designated root per component.
+    """Spanning forests, one designated root per component, grown depth-first.
 
-    Runs on the real (non-completion) edges.  Every non-root vertex picks
-    a parent edge; choices whose parent chains loop are discarded.  The
-    exact forest count (matrix-tree theorem) is computed first, so more
-    than ``max_count`` forests raise :class:`ResourceLimitError` before
-    the search, and the search must find exactly that many.
+    Runs on the real (non-completion) edges.  Every non-root vertex, in
+    vertex order, picks a parent edge in edge order, skipping any choice
+    whose parent chain would loop back to it.  The exact forest count
+    (matrix-tree theorem) is computed first, so more than ``max_count``
+    forests raise :class:`ResourceLimitError` before the search, and the
+    search must find exactly that many.
     """
     g = bg.og.structure
     n = len(g.vertices)
@@ -345,37 +317,38 @@ def k_arborescences(
         for e in g.edges:
             if e in bg.completion_edges or not g.inc(v, e):
                 continue
-            ends = [g.vertex_of(i) for i in g.incidences_on_edge[e]]
-            other = ends[0] if ends[1] == v else ends[1]
-            if other == v:
-                continue
-            opts.append((e, other))
+            a, b = edge_endpoints(g, e)
+            other = a if b == v else b
+            if other != v:
+                opts.append((e, other))
         choices.append(opts)
+    parent: dict[str, str] = {}
+    edges: list[str] = []
     out = []
-    for combo in itertools.product(*choices):
-        parent = dict(zip(others, combo))
-        ok = True
-        for v in others:
-            w = v
-            hops = 0
-            while w in parent:
-                w = parent[w][1]
-                hops += 1
-                if hops > n:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        assignment = []
-        for v in g.vertices:
-            w = v
-            while w in parent:
-                w = parent[w][1]
-            assignment.append((v, w))
-        edge_ids = sorted((e for e, _ in combo), key=g.edge_pos.__getitem__)
-        out.append(Arborescence(root_list, tuple(edge_ids), tuple(assignment)))
+
+    def end(v: str) -> str:
+        # The parent chain from v stops at a root or an unplaced vertex.
+        while v in parent:
+            v = parent[v]
+        return v
+
+    def grow(k: int) -> None:
+        if k == len(others):
+            edge_ids = sorted(edges, key=g.edge_pos.__getitem__)
+            assignment = tuple((v, end(v)) for v in g.vertices)
+            out.append(Arborescence(root_list, tuple(edge_ids), assignment))
+            return
+        v = others[k]
+        for e, w in choices[k]:
+            if end(w) == v:
+                continue
+            parent[v] = w
+            edges.append(e)
+            grow(k + 1)
+            edges.pop()
+            del parent[v]
+
+    grow(0)
     if len(out) != count:
         raise InvariantError(f"arborescence search found {len(out)} forests, expected {count}")
     return out

@@ -138,9 +138,8 @@ def cmd_matrices(og, args) -> tuple[list[str], dict[str, Any]]:
 
 def cmd_charpoly(og, args) -> tuple[list[str], dict[str, Any]]:
     m = adjacency_matrix(og) if args.matrix == "adjacency" else laplacian_matrix(og)
-    guard = args.max_vertices or limits.MAX_ORACLE_VERTICES
     if args.multivariate:
-        p = symbolic_minor_poly(m, args.mode, max_vertices=guard)
+        p = symbolic_minor_poly(m, args.mode, max_vertices=args.max_vertices)
         text = render_multivariate(p, og.vertices)
         return [text], {
             "matrix": args.matrix,
@@ -148,7 +147,7 @@ def cmd_charpoly(og, args) -> tuple[list[str], dict[str, Any]]:
             "multivariate": True,
             "terms": _poly_json(p, og.vertices),
         }
-    p = char_poly_univariate(m, args.mode, max_vertices=guard)
+    p = char_poly_univariate(m, args.mode, max_vertices=args.max_vertices)
     return [render_univariate(p)], {
         "matrix": args.matrix,
         "mode": args.mode,
@@ -158,8 +157,7 @@ def cmd_charpoly(og, args) -> tuple[list[str], dict[str, Any]]:
 
 
 def cmd_total_minor(og, args) -> tuple[list[str], dict[str, Any]]:
-    guard = args.max_vertices or limits.MAX_MINOR_VERTICES
-    p = total_minor_poly(og, args.target, args.mode, max_vertices=guard)
+    p = total_minor_poly(og, args.target, args.mode, max_vertices=args.max_vertices)
     return [render_multivariate(p, og.vertices)], {
         "target": args.target,
         "mode": args.mode,
@@ -170,7 +168,7 @@ def cmd_total_minor(og, args) -> tuple[list[str], dict[str, Any]]:
 def cmd_contributors(og, args) -> tuple[list[str], dict[str, Any]]:
     guards = {
         "strong_only": args.strong,
-        "max_vertices": args.max_vertices or limits.MAX_CONTRIBUTOR_VERTICES,
+        "max_vertices": args.max_vertices,
         "max_count": args.max_enum,
     }
     cls = None
@@ -303,8 +301,7 @@ def cmd_omega(args) -> tuple[list[str], dict[str, Any]]:
 def cmd_arborescences(og, args) -> tuple[list[str], dict[str, Any]]:
     bg = as_bidirected(og)
     roots = _csv(args.roots, "--roots")
-    guard = args.max_vertices or limits.MAX_ARBORESCENCE_VERTICES
-    forests = k_arborescences(bg, roots, max_vertices=guard, max_count=args.max_enum)
+    forests = k_arborescences(bg, roots, max_vertices=args.max_vertices, max_count=args.max_enum)
     poly = total_minor_poly(og, "laplacian", "det")
     mono = [(u, u) for u in roots]
     coeff = poly.coefficient(mono)
@@ -329,8 +326,7 @@ def cmd_arborescences(og, args) -> tuple[list[str], dict[str, Any]]:
 
 def cmd_activation(og, args) -> tuple[list[str], dict[str, Any]]:
     bg = as_bidirected(og)
-    guard = args.max_vertices or limits.MAX_CONTRIBUTOR_VERTICES
-    classes = activation_classes(bg, max_vertices=guard, max_count=args.max_enum)
+    classes = activation_classes(bg, max_vertices=args.max_vertices, max_count=args.max_enum)
     lines = [f"activation classes: {len(classes)}"]
     records = []
     for k, a in enumerate(classes, 1):
@@ -351,8 +347,7 @@ def cmd_activation(og, args) -> tuple[list[str], dict[str, Any]]:
 
 
 def cmd_verify(og, args) -> tuple[list[str], dict[str, Any], bool]:
-    guard = args.max_vertices or limits.MAX_MINOR_VERTICES
-    results = oracle_equivalence(og, max_vertices=guard)
+    results = oracle_equivalence(og, max_vertices=args.max_vertices)
     lines = []
     payload = {}
     for target, mode in COMBOS:
@@ -366,36 +361,45 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ohg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, needs_input: bool = True) -> argparse.ArgumentParser:
+    def add(
+        name: str,
+        needs_input: bool = True,
+        max_vertices: int | None = None,
+        max_enum: bool = False,
+    ) -> argparse.ArgumentParser:
+        # Guard flags exist only where they are read, defaulting to the
+        # limit that subcommand applies.
         p = sub.add_parser(name)
         if needs_input:
             p.add_argument("input", help="path to a hypergraph JSON file")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument("--max-vertices", type=int, default=None)
-        p.add_argument("--max-enum", type=int, default=limits.MAX_HOM_CANDIDATES)
+        if max_vertices is not None:
+            p.add_argument("--max-vertices", type=int, default=max_vertices)
+        if max_enum:
+            p.add_argument("--max-enum", type=int, default=limits.MAX_CONTRIBUTORS)
         return p
 
     add("matrices")
-    p = add("charpoly")
+    p = add("charpoly", max_vertices=limits.MAX_ORACLE_VERTICES)
     p.add_argument("--matrix", choices=("adjacency", "laplacian"), required=True)
     p.add_argument("--mode", choices=("det", "perm"), required=True)
     p.add_argument("--multivariate", action="store_true")
-    p = add("total-minor")
+    p = add("total-minor", max_vertices=limits.MAX_MINOR_VERTICES)
     p.add_argument("--target", choices=("adjacency", "laplacian"), required=True)
     p.add_argument("--mode", choices=("det", "perm"), required=True)
-    p = add("contributors")
+    p = add("contributors", max_vertices=limits.MAX_CONTRIBUTOR_VERTICES, max_enum=True)
     p.add_argument("--strong", action="store_true")
     p.add_argument("--class", dest="cls", default=None, metavar="U:W")
-    p = add("loading")
+    add("loading")
     p = add("classify")
     p.add_argument("--vertices", default="")
     p.add_argument("--edges", default="")
     p.add_argument("--incidences", default="")
     add("omega", needs_input=False)
-    p = add("arborescences")
+    p = add("arborescences", max_vertices=limits.MAX_ARBORESCENCE_VERTICES, max_enum=True)
     p.add_argument("--roots", required=True)
-    add("activation")
-    add("verify")
+    add("activation", max_vertices=limits.MAX_CONTRIBUTOR_VERTICES, max_enum=True)
+    add("verify", max_vertices=limits.MAX_MINOR_VERTICES)
     return parser
 
 

@@ -354,39 +354,51 @@ def contributor_sign(og: OrientedHypergraph, c: Steps) -> int:
     return sign
 
 
+def _map_cycles(f: Mapping[str, str]) -> list[tuple[str, ...]]:
+    """Cycles of the partial map ``f``, in key order.
+
+    Each cycle starts at the first of its vertices that a walk from the
+    keys, taken in order, reaches; a walk that leaves the domain of
+    ``f`` closes no cycle.
+    """
+    seen: set[str] = set()
+    cycles: list[tuple[str, ...]] = []
+    for start in f:
+        path = []
+        v = start
+        while v in f and v not in seen:
+            seen.add(v)
+            path.append(v)
+            v = f[v]
+        if v in path:
+            cycles.append(tuple(path[path.index(v) :]))
+    return cycles
+
+
 def component_profile(og: OrientedHypergraph, c: Steps) -> ComponentProfile:
     """Census of backsteps and circles, with per-circle parity and sign.
 
-    The steps must close up (every non-backstep head is some step's
-    tail), which holds for contributors and for anything produced by
-    :func:`reduce_contributor` or backstep deletion.
+    The steps must close up (every non-backstep lies on a cycle of the
+    non-backstep head map), which holds for contributors and for
+    anything produced by :func:`reduce_contributor` or backstep deletion.
     """
     by_tail = {s.tail: s for s in c}
     if len(by_tail) != len(c):
         raise DomainError("two steps share a tail vertex")
-    backsteps = loops = odd = even = pos = neg = zero = 0
-    seen: set[str] = set()
+    cycles = _map_cycles({s.tail: s.head for s in c if not s.is_backstep})
+    on_cycle = {v for cycle in cycles for v in cycle}
     for s in c:
-        if s.is_backstep:
-            backsteps += 1
-            continue
-        if s.tail in seen:
-            continue
-        length = 0
-        circle_sign = 1
-        v = s.tail
-        while v not in seen:
-            seen.add(v)
-            step = by_tail.get(v)
-            if step is None or step.is_backstep:
-                raise DomainError(f"steps do not close into circles at {v!r}")
-            length += 1
-            circle_sign *= -og.sigma(step.tail_incidence) * og.sigma(step.head_incidence)
-            v = step.head
-        if v != s.tail:
+        if not s.is_backstep and s.tail not in on_cycle:
             raise DomainError(f"steps do not close into circles at {s.tail!r}")
-        loops += length == 1
-        if length % 2:
+    backsteps = sum(s.is_backstep for s in c)
+    loops = odd = even = pos = neg = zero = 0
+    for cycle in cycles:
+        circle_sign = 1
+        for v in cycle:
+            step = by_tail[v]
+            circle_sign *= -og.sigma(step.tail_incidence) * og.sigma(step.head_incidence)
+        loops += len(cycle) == 1
+        if len(cycle) % 2:
             odd += 1
         else:
             even += 1
@@ -711,8 +723,8 @@ def oracle_equivalence(
     """Compare every (target, mode) polynomial against the Leibniz oracle."""
     catalog = minor_catalog(og.structure, max_vertices=max_vertices)
     polys = minor_polys_from_catalog(catalog, og.signs)
-    out: dict[tuple[str, str], bool] = {}
-    for target, mode in COMBOS:
-        m = adjacency_matrix(og) if target == "adjacency" else laplacian_matrix(og)
-        out[(target, mode)] = polys[(target, mode)] == symbolic_minor_poly(m, mode)
-    return out
+    matrices = {"adjacency": adjacency_matrix(og), "laplacian": laplacian_matrix(og)}
+    return {
+        (target, mode): polys[(target, mode)] == symbolic_minor_poly(matrices[target], mode)
+        for target, mode in COMBOS
+    }

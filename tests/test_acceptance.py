@@ -122,12 +122,9 @@ def test_criterion_3_oracle_equivalence_corpus():
         for signs in signings:
             og = OrientedHypergraph.build(g, signs)
             polys = minor_polys_from_catalog(catalog, og.signs)
+            matrices = {"adjacency": adjacency_matrix(og), "laplacian": laplacian_matrix(og)}
             for target, mode in COMBOS:
-                m = (
-                    adjacency_matrix(og)
-                    if target == "adjacency"
-                    else laplacian_matrix(og)
-                )
+                m = matrices[target]
                 assert polys[(target, mode)] == symbolic_minor_poly(m, mode), (
                     f"{target}/{mode} diverges on {g.incidences} with {signs}"
                 )

@@ -161,6 +161,73 @@ def test_arborescence_counts():
         k_arborescences(k3(), ("ghost",))
 
 
+# Reference search: every product of parent choices, keeping the ones
+# whose parent chains do not loop.
+
+
+def product_arborescences(bg, roots):
+    g = bg.og.structure
+    n = len(g.vertices)
+    root_list = tuple(roots)
+    others = [v for v in g.vertices if v not in root_list]
+    choices = []
+    for v in others:
+        opts = []
+        for e in g.edges:
+            if e in bg.completion_edges or not g.inc(v, e):
+                continue
+            ends = [g.vertex_of(i) for i in g.incidences_on_edge[e]]
+            other = ends[0] if ends[1] == v else ends[1]
+            if other == v:
+                continue
+            opts.append((e, other))
+        choices.append(opts)
+    out = []
+    for combo in itertools.product(*choices):
+        parent = dict(zip(others, combo))
+        ok = True
+        for v in others:
+            w = v
+            hops = 0
+            while w in parent:
+                w = parent[w][1]
+                hops += 1
+                if hops > n:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        assignment = []
+        for v in g.vertices:
+            w = v
+            while w in parent:
+                w = parent[w][1]
+            assignment.append((v, w))
+        edge_ids = sorted((e for e, _ in combo), key=g.edge_pos.__getitem__)
+        out.append(Arborescence(root_list, tuple(edge_ids), tuple(assignment)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        k3,
+        k4,
+        path3,
+        lambda: complete(path3()),
+        lambda: seeded(5, complete_pairs(5), 2019),
+        lambda: seeded(6, complete_pairs(6), 2019),
+    ],
+    ids=["k3", "k4", "path3", "completed-path3", "seeded-k5", "seeded-k6"],
+)
+@pytest.mark.parametrize("roots", [("v1",), ("v1", "v2")], ids=["v1", "v1v2"])
+def test_arborescences_match_product_reference(make, roots):
+    bg = make()
+    assert k_arborescences(bg, roots) == product_arborescences(bg, roots)
+
+
 def test_arborescence_cap_runs_on_the_exact_count():
     # Seeded K8 has 8^6 = 262,144 forests rooted at v1 (Cayley); the
     # matrix-tree count refuses them before the search.
@@ -385,3 +452,12 @@ def test_class_builder_matches_bfs_reference_property(bg, data):
     # The search checks itself against the matrix-tree count; completion
     # edges add no forest.
     assert k_arborescences(done, tuple(roots)) == k_arborescences(bg, tuple(roots))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_bidirected(), st.data())
+def test_arborescences_match_product_reference_property(bg, data):
+    roots = tuple(data.draw(st.lists(st.sampled_from(bg.og.vertices), unique=True, max_size=2)))
+    assert k_arborescences(bg, roots) == product_arborescences(bg, roots)
+    done = complete(bg)
+    assert k_arborescences(done, roots) == product_arborescences(done, roots)

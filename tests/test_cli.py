@@ -278,6 +278,21 @@ def test_exit_code_for_vertex_guard(capsys):
     assert code == 2
 
 
+def test_guard_flags_take_zero_as_a_value(capsys):
+    code, _, err = run(capsys, "contributors", K3, "--max-vertices", "0")
+    assert code == 2
+    assert "limited to 0 vertices, got 3" in err
+
+
+def test_guard_flags_only_where_they_are_read(capsys):
+    code, _, err = run(capsys, "omega", "--max-enum", "5")
+    assert code == 1
+    assert "unrecognized arguments" in err
+    code, _, err = run(capsys, "matrices", K3, "--max-vertices", "3")
+    assert code == 1
+    assert "unrecognized arguments" in err
+
+
 def test_json_output_is_deterministic_and_tagged(capsys):
     code, first, _ = run(capsys, "activation", K3, "--json")
     assert code == 0

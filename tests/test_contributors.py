@@ -11,6 +11,7 @@ from oriented_hypergraphs import contributors
 from oriented_hypergraphs.contributors import (
     COMBOS,
     MinorClass,
+    OneStep,
     class_contributors,
     class_extensions,
     class_permutation,
@@ -28,6 +29,7 @@ from oriented_hypergraphs.contributors import (
     _all_steps,
     _circles,
     _cover_sums,
+    _map_cycles,
     _permanent_count,
 )
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
@@ -117,6 +119,38 @@ def test_profiles_on_named_contributors():
     assert prof.positive_circles == 1
     assert prof.negative_circles == 0
     assert contributor_sign(og, cycle) == -1
+
+
+def test_map_cycles_on_partial_maps():
+    # A chain that leaves the domain closes nothing.
+    assert _map_cycles({"a": "b", "b": "c"}) == []
+    # Each cycle starts where the walk from the keys, in order, first
+    # reaches it; a tail leading into a cycle is not part of it.
+    f = {"x": "b", "b": "c", "c": "d", "d": "b", "e": "e", "g": "h", "h": "g"}
+    assert _map_cycles(f) == [("b", "c", "d"), ("e",), ("g", "h")]
+    assert _map_cycles({"c": "b", "b": "c"}) == [("c", "b")]
+
+
+# Triangle steps named by their incidences.
+_V1_TO_V2 = OneStep("v1", "i12a", "e12", "i12b", "v2")
+_V1_TO_V3 = OneStep("v1", "i13a", "e13", "i13b", "v3")
+_V2_BACK = OneStep("v2", "i12b", "e12", "i12b", "v2")
+_V2_TO_V3 = OneStep("v2", "i23a", "e23", "i23b", "v3")
+_V3_TO_V2 = OneStep("v3", "i23b", "e23", "i23a", "v2")
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ((_V1_TO_V2, _V1_TO_V3), "two steps share a tail vertex"),
+        ((_V1_TO_V2, _V2_BACK), "do not close into circles at 'v1'"),
+        ((_V1_TO_V2, _V2_TO_V3, _V3_TO_V2), "do not close into circles at 'v1'"),
+    ],
+    ids=["shared-tail", "open-chain", "rho"],
+)
+def test_component_profile_refuses_steps_that_do_not_close(steps, message):
+    with pytest.raises(DomainError, match=message):
+        component_profile(triangle(), steps)
 
 
 def test_zero_sign_makes_contributor_weight_zero():
