@@ -9,6 +9,7 @@ moves on bidirected graphs, and the topos-theoretic closure operations
 """
 
 from .core import (
+    HomSet,
     Homomorphism,
     Incidence,
     IncidenceHypergraph,
@@ -71,6 +72,7 @@ from .bidirected import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "HomSet",
     "Homomorphism",
     "Incidence",
     "IncidenceHypergraph",

@@ -13,10 +13,11 @@ repeated runs produce identical output.
 
 from __future__ import annotations
 
-import itertools
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import DomainError, ResourceLimitError
 from . import limits
@@ -27,6 +28,7 @@ __all__ = [
     "OrientedHypergraph",
     "ValidationReport",
     "Homomorphism",
+    "HomSet",
     "Subhypergraph",
     "ProductResult",
     "UnionResult",
@@ -477,17 +479,121 @@ def _hom_search_bound(g: IncidenceHypergraph, h: IncidenceHypergraph) -> int:
     )
 
 
+class HomSet(Sequence[Homomorphism]):
+    """The homomorphisms g -> h as an exact, read-only sequence.
+
+    Built by ``enumerate_homomorphisms``, which validates both ends and
+    guards the search first. A leaf is one assignment of g's incidences
+    (a tuple of h's incidences, in g's incidence order). It pins the
+    image of every vertex and edge that carries an incidence, so each
+    leaf stands for the same number of maps: one per choice of images for
+    g's isolated vertices and edges. Item k is leaf k // per_leaf; the
+    rest of k, read as mixed-radix digits (free vertices first, then free
+    edges, the last digit fastest), picks those images.
+    """
+
+    def __init__(self, source: IncidenceHypergraph, target: IncidenceHypergraph) -> None:
+        self.source = source
+        self.target = target
+        # Every vertex and edge that carries an incidence, with the index
+        # of its first incidence: that incidence's image pins its image.
+        self._pinned_vertices: dict[str, int] = {}
+        self._pinned_edges: dict[str, int] = {}
+        for k, i in enumerate(source.incidences):
+            self._pinned_vertices.setdefault(i.vertex, k)
+            self._pinned_edges.setdefault(i.edge, k)
+        self._free_vertices = [v for v in source.vertices if v not in self._pinned_vertices]
+        self._free_edges = [e for e in source.edges if e not in self._pinned_edges]
+        self._per_leaf = len(target.vertices) ** len(self._free_vertices) * len(
+            target.edges
+        ) ** len(self._free_edges)
+        self._leaves = self._search()
+
+    def _search(self) -> list[tuple[Incidence, ...]]:
+        """Every leaf, depth first, candidates in the target's order."""
+        g, h = self.source, self.target
+        if not g.incidences:
+            return [()]
+        # For each incidence, the incidences whose images pin its vertex
+        # and its edge (itself when nothing earlier does).
+        plan = [
+            (self._pinned_vertices[i.vertex], self._pinned_edges[i.edge]) for i in g.incidences
+        ]
+        by_id = h.incidence_by_id
+        chosen: list[Incidence] = []
+
+        def options(k: int) -> Iterator[Incidence]:
+            kv, ke = plan[k]
+            if kv < k and ke < k:
+                ids = h._inc_table.get((chosen[kv].vertex, chosen[ke].edge), ())
+            elif kv < k:
+                ids = h.incidences_at_vertex[chosen[kv].vertex]
+            elif ke < k:
+                ids = h.incidences_on_edge[chosen[ke].edge]
+            else:
+                return iter(h.incidences)
+            return (by_id[j] for j in ids)
+
+        leaves: list[tuple[Incidence, ...]] = []
+        pending = [options(0)]
+        while pending:
+            j = next(pending[-1], None)
+            if j is None:
+                pending.pop()
+                if chosen:
+                    chosen.pop()
+            elif len(chosen) + 1 == len(plan):
+                leaves.append((*chosen, j))
+            else:
+                chosen.append(j)
+                pending.append(options(len(chosen)))
+        return leaves
+
+    def __len__(self) -> int:
+        return len(self._leaves) * self._per_leaf
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = operator.index(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("homomorphism index out of range")
+        leaf_k, rest = divmod(k, self._per_leaf)
+        leaf = self._leaves[leaf_k]
+        h = self.target
+        # Digits from the last (fastest) one back.
+        edge_digits = []
+        for _ in self._free_edges:
+            rest, d = divmod(rest, len(h.edges))
+            edge_digits.append(h.edges[d])
+        vertex_digits = []
+        for _ in self._free_vertices:
+            rest, d = divmod(rest, len(h.vertices))
+            vertex_digits.append(h.vertices[d])
+        vertex_map = {v: leaf[at].vertex for v, at in self._pinned_vertices.items()}
+        vertex_map.update(zip(self._free_vertices, reversed(vertex_digits)))
+        edge_map = {e: leaf[at].edge for e, at in self._pinned_edges.items()}
+        edge_map.update(zip(self._free_edges, reversed(edge_digits)))
+        incidence_map = {i.id: j.id for i, j in zip(self.source.incidences, leaf)}
+        return Homomorphism(self.source, h, vertex_map, edge_map, incidence_map)
+
+
 def enumerate_homomorphisms(
     g: IncidenceHypergraph,
     h: IncidenceHypergraph,
     *,
     max_candidates: int = limits.MAX_HOM_CANDIDATES,
-) -> list[Homomorphism]:
+) -> HomSet:
     """All homomorphisms g -> h in deterministic lexicographic order.
 
-    The search assigns incidences first (each assignment pins the images
-    of its two attachments), then sweeps the remaining unconstrained
-    vertices and edges. A naive product bound guards the search space.
+    The search assigns g's incidences in order, each to an incidence of
+    h on the images already pinned for its vertex and edge. Its leaves
+    and the count are computed here; a map is built only when an item is
+    read, so ``len()`` builds none. Two reads of one index give equal
+    maps, but not the same object. A naive product bound guards the
+    search space.
     """
     require_valid(g)
     require_valid(h)
@@ -496,46 +602,4 @@ def enumerate_homomorphisms(
         raise ResourceLimitError(
             f"homomorphism search space {bound} exceeds cap {max_candidates}"
         )
-    results: list[Homomorphism] = []
-    v_assign: dict[str, str] = {}
-    e_assign: dict[str, str] = {}
-    i_assign: dict[str, str] = {}
-    incs = g.incidences
-
-    def emit() -> None:
-        free_vs = [v for v in g.vertices if v not in v_assign]
-        free_es = [e for e in g.edges if e not in e_assign]
-        for v_choice in itertools.product(h.vertices, repeat=len(free_vs)):
-            for e_choice in itertools.product(h.edges, repeat=len(free_es)):
-                vm = dict(v_assign)
-                vm.update(zip(free_vs, v_choice))
-                em = dict(e_assign)
-                em.update(zip(free_es, e_choice))
-                results.append(Homomorphism(g, h, vm, em, dict(i_assign)))
-
-    def backtrack(k: int) -> None:
-        if k == len(incs):
-            emit()
-            return
-        i = incs[k]
-        pinned_v = v_assign.get(i.vertex)
-        pinned_e = e_assign.get(i.edge)
-        for j in h.incidences:
-            if pinned_v is not None and j.vertex != pinned_v:
-                continue
-            if pinned_e is not None and j.edge != pinned_e:
-                continue
-            i_assign[i.id] = j.id
-            if pinned_v is None:
-                v_assign[i.vertex] = j.vertex
-            if pinned_e is None:
-                e_assign[i.edge] = j.edge
-            backtrack(k + 1)
-            del i_assign[i.id]
-            if pinned_v is None:
-                del v_assign[i.vertex]
-            if pinned_e is None:
-                del e_assign[i.edge]
-
-    backtrack(0)
-    return results
+    return HomSet(g, h)

@@ -384,8 +384,7 @@ def elem_map(
     the element belongs to the collection; otherwise it lands on the
     false element recording which attachments did belong.
     """
-    if pwr is None:
-        pwr = power(g)
+    pwr = _power_of(g, pwr)
     omega = subobject_classifier()
     prod = product(g, pwr.hypergraph)
     v_subsets = _invert(pwr.vertex_subset_ids)
@@ -409,20 +408,34 @@ def elem_map(
     return prod, Homomorphism(prod.hypergraph, omega.omega, vmap, emap, imap)
 
 
+def _power_of(g: IncidenceHypergraph, pwr: PowerResult | None) -> PowerResult:
+    """``pwr`` when it was built from ``g``, or a fresh ``power(g)``."""
+    if pwr is None:
+        return power(g)
+    if pwr.parent != g:
+        raise DomainError("the power hypergraph was built from another parent")
+    return pwr
+
+
 def _invert(subset_ids: dict[frozenset, str]) -> dict[str, frozenset]:
     return {sid: s for s, sid in subset_ids.items()}
 
 
-def power_transpose(prod: ProductResult, phi: Homomorphism) -> Homomorphism:
+def power_transpose(
+    prod: ProductResult,
+    phi: Homomorphism,
+    pwr: PowerResult | None = None,
+) -> Homomorphism:
     """The unique map into the power hypergraph matching a truth-valued
-    map off the product: each element collects its true partners."""
+    map off the product: each element collects its true partners.
+    ``pwr``, when given, is ``power(prod.left)`` built once by the caller."""
     omega = subobject_classifier()
     if phi.target != omega.omega:
         raise DomainError("transpose needs a map into the truth-value hypergraph")
     if phi.source != prod.hypergraph:
         raise DomainError("phi must be defined on the given product")
     g, k = prod.left, prod.right
-    pwr = power(g)
+    pwr = _power_of(g, pwr)
     vmap = {}
     v_true: dict[str, frozenset] = {}
     for v in k.vertices:
@@ -456,11 +469,17 @@ def power_transpose(prod: ProductResult, phi: Homomorphism) -> Homomorphism:
     return Homomorphism(k, pwr.hypergraph, vmap, emap, imap)
 
 
-def power_map(phi: Homomorphism) -> Homomorphism:
-    """Contravariant action on power hypergraphs by preimages."""
+def power_map(
+    phi: Homomorphism,
+    pwr_source: PowerResult | None = None,
+    pwr_target: PowerResult | None = None,
+) -> Homomorphism:
+    """Contravariant action on power hypergraphs by preimages.
+    ``pwr_source`` and ``pwr_target``, when given, are the powers of
+    ``phi.source`` and ``phi.target`` built once by the caller."""
     g, h = phi.source, phi.target
-    pwr_h = power(h)
-    pwr_g = power(g)
+    pwr_h = _power_of(h, pwr_target)
+    pwr_g = _power_of(g, pwr_source)
     vmap = {}
     for s, sid in pwr_h.vertex_subset_ids.items():
         pre = frozenset(v for v in g.vertices if phi.vertex_map[v] in s)

@@ -1,9 +1,15 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oriented_hypergraphs.core as core
 from conftest import MALFORMED_STRUCTURES, small_oriented, triangle
+from oriented_hypergraphs import limits
 from oriented_hypergraphs.core import (
     Homomorphism,
+    HomSet,
     IncidenceHypergraph,
     OrientedHypergraph,
     compose,
@@ -14,12 +20,83 @@ from oriented_hypergraphs.core import (
     is_monic,
     pair_id,
     product,
+    require_valid,
     subhypergraph,
     validate,
     validate_homomorphism,
 )
 from oriented_hypergraphs.errors import DomainError, ResourceLimitError
-from oriented_hypergraphs.topos import subobject_classifier, terminal
+from oriented_hypergraphs.topos import loading, subobject_classifier, terminal
+
+
+def reference_homomorphisms(
+    g: IncidenceHypergraph,
+    h: IncidenceHypergraph,
+    *,
+    max_candidates: int = limits.MAX_HOM_CANDIDATES,
+) -> list[Homomorphism]:
+    """All homomorphisms g -> h in deterministic lexicographic order.
+
+    The search assigns incidences first (each assignment pins the images
+    of its two attachments), then sweeps the remaining unconstrained
+    vertices and edges. A naive product bound guards the search space.
+    """
+    require_valid(g)
+    require_valid(h)
+    bound = core._hom_search_bound(g, h)
+    if bound > max_candidates:
+        raise ResourceLimitError(
+            f"homomorphism search space {bound} exceeds cap {max_candidates}"
+        )
+    results: list[Homomorphism] = []
+    v_assign: dict[str, str] = {}
+    e_assign: dict[str, str] = {}
+    i_assign: dict[str, str] = {}
+    incs = g.incidences
+
+    def emit() -> None:
+        free_vs = [v for v in g.vertices if v not in v_assign]
+        free_es = [e for e in g.edges if e not in e_assign]
+        for v_choice in itertools.product(h.vertices, repeat=len(free_vs)):
+            for e_choice in itertools.product(h.edges, repeat=len(free_es)):
+                vm = dict(v_assign)
+                vm.update(zip(free_vs, v_choice))
+                em = dict(e_assign)
+                em.update(zip(free_es, e_choice))
+                results.append(Homomorphism(g, h, vm, em, dict(i_assign)))
+
+    def backtrack(k: int) -> None:
+        if k == len(incs):
+            emit()
+            return
+        i = incs[k]
+        pinned_v = v_assign.get(i.vertex)
+        pinned_e = e_assign.get(i.edge)
+        for j in h.incidences:
+            if pinned_v is not None and j.vertex != pinned_v:
+                continue
+            if pinned_e is not None and j.edge != pinned_e:
+                continue
+            i_assign[i.id] = j.id
+            if pinned_v is None:
+                v_assign[i.vertex] = j.vertex
+            if pinned_e is None:
+                e_assign[i.edge] = j.edge
+            backtrack(k + 1)
+            del i_assign[i.id]
+            if pinned_v is None:
+                del v_assign[i.vertex]
+            if pinned_e is None:
+                del e_assign[i.edge]
+
+    backtrack(0)
+    return results
+
+
+def _texts(homs) -> list[str]:
+    # repr shows every map's items in insertion order, so equal texts
+    # mean equal maps with equal dict order.
+    return [repr(phi) for phi in homs]
 
 
 def test_build_and_lookup_tables():
@@ -129,6 +206,13 @@ def test_hom_enumeration_guard():
         enumerate_homomorphisms(g, g, max_candidates=10)
 
 
+def test_hom_enumeration_guard_message():
+    g = triangle().structure
+    with pytest.raises(ResourceLimitError) as caught:
+        enumerate_homomorphisms(g, g)
+    assert str(caught.value) == "homomorphism search space 34012224 exceeds cap 1000000"
+
+
 @pytest.mark.parametrize("structure", MALFORMED_STRUCTURES)
 def test_hom_search_rejects_malformed_structures(structure):
     with pytest.raises(DomainError):
@@ -167,3 +251,112 @@ def test_product_incidence_count_multiplies(a, b):
     prod = product(a.structure, b.structure)
     assert len(prod.hypergraph.incidences) == len(a.incidences) * len(b.incidences)
     assert validate(prod.hypergraph).ok
+
+
+@st.composite
+def hom_pairs(draw):
+    """A small source g and a target: another small structure, the
+    truth-value hypergraph, the point or g's loading."""
+    shape = dict(max_vertices=3, max_edges=2, max_incidences=4)
+    g = draw(small_oriented(**shape)).structure
+    kind = draw(st.sampled_from(["random", "omega", "point", "loading"]))
+    if kind == "random":
+        h = draw(small_oriented(**shape)).structure
+    elif kind == "omega":
+        h = subobject_classifier().omega
+    elif kind == "point":
+        h = terminal()
+    else:
+        h = loading(g).hypergraph
+    return g, h
+
+
+@settings(max_examples=120, deadline=None)
+@given(hom_pairs())
+def test_homs_match_reference(pair):
+    g, h = pair
+    try:
+        expected = reference_homomorphisms(g, h)
+    except ResourceLimitError as refused:
+        with pytest.raises(ResourceLimitError) as caught:
+            enumerate_homomorphisms(g, h)
+        assert str(caught.value) == str(refused)
+        return
+    homs = enumerate_homomorphisms(g, h)
+    assert isinstance(homs, HomSet)
+    assert len(homs) == len(expected)
+    assert _texts(homs) == _texts(expected)
+
+
+def test_homs_from_the_empty_hypergraph():
+    empty = IncidenceHypergraph.build([], [], [])
+    for h in (empty, triangle().structure):
+        homs = enumerate_homomorphisms(empty, h)
+        assert len(homs) == 1
+        assert _texts(homs) == _texts(reference_homomorphisms(empty, h))
+
+
+def test_no_homs_from_a_vertex_into_no_vertices():
+    g = IncidenceHypergraph.build(["a"], [], [])
+    h = IncidenceHypergraph.build([], ["f"], [])
+    homs = enumerate_homomorphisms(g, h)
+    assert len(homs) == 0
+    assert list(homs) == []
+    with pytest.raises(IndexError):
+        homs[0]
+
+
+def test_homs_from_isolated_vertices_and_edges():
+    g = IncidenceHypergraph.build(["a", "b"], ["e"], [])
+    h = triangle().structure
+    homs = enumerate_homomorphisms(g, h)
+    assert len(homs) == 3 * 3 * 3
+    assert _texts(homs) == _texts(reference_homomorphisms(g, h))
+
+
+def test_hom_set_indexing():
+    g = IncidenceHypergraph.build(["a", "b"], ["e", "f"], [("i", "a", "e")])
+    h = triangle().structure
+    homs = enumerate_homomorphisms(g, h)
+    expected = reference_homomorphisms(g, h)
+    assert len(homs) == len(expected) == 6 * 3 * 3
+    assert _texts([homs[-1]]) == _texts([expected[-1]])
+    assert _texts([homs[-len(homs)]]) == _texts([expected[0]])
+    assert _texts(homs[1:3]) == _texts(expected[1:3])
+    assert _texts(homs[::-7]) == _texts(expected[::-7])
+    assert homs[5] == homs[5] and homs[5] is not homs[5]
+    for bad in (len(homs), -len(homs) - 1):
+        with pytest.raises(IndexError):
+            homs[bad]
+
+
+def test_hom_search_has_no_depth_limit():
+    # One incidence per level of the search; far past the interpreter's
+    # recursion limit.
+    n = 3000
+    g = IncidenceHypergraph.build(["a"], ["e"], [(f"i{k}", "a", "e") for k in range(n)])
+    homs = enumerate_homomorphisms(g, terminal())
+    assert len(homs) == 1
+    assert validate_homomorphism(homs[0]).ok
+
+
+def test_hom_set_builds_maps_only_when_read(monkeypatch):
+    built = []
+
+    class CountingHomomorphism(Homomorphism):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    g = IncidenceHypergraph.build(
+        ["a", "b", "c"], ["e", "f"], [("i", "a", "e"), ("j", "b", "e"), ("k", "b", "f")]
+    )
+    omega = subobject_classifier().omega
+    count = len(reference_homomorphisms(g, omega))
+    monkeypatch.setattr(core, "Homomorphism", CountingHomomorphism)
+    homs = enumerate_homomorphisms(g, omega)
+    assert len(homs) == count == 68
+    assert built == []
+    phi = homs[len(homs) // 2]
+    assert len(built) == 1
+    assert type(phi) is CountingHomomorphism

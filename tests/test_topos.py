@@ -12,6 +12,7 @@ from oriented_hypergraphs.core import (
     validate,
     validate_homomorphism,
 )
+from oriented_hypergraphs.corpus import all_hypergraphs
 from oriented_hypergraphs.errors import DomainError
 from oriented_hypergraphs.topos import (
     classify,
@@ -190,6 +191,62 @@ def test_power_transpose_round_trip():
         prod_gk = product(g, k)
         transposed = power_transpose(prod_gk, phi)
         assert validate_homomorphism(transposed).ok
+
+
+def _signature(phi: Homomorphism) -> tuple:
+    return (
+        tuple(sorted(phi.vertex_map.items())),
+        tuple(sorted(phi.edge_map.items())),
+        tuple(sorted(phi.incidence_map.items())),
+    )
+
+
+BLOCK = all_hypergraphs(2, 2, 2)
+
+
+# (g, k) as indices into BLOCK: an empty g, one incidence each, parallel
+# incidences, a g of isolated vertices, two incidences each, and a
+# largest g with a k that has no incidence.
+@pytest.mark.parametrize("g_at, k_at", [(0, 25), (5, 5), (6, 17), (13, 26), (18, 17), (28, 14)])
+def test_power_transpose_is_a_bijection_on_maps(g_at, k_at):
+    g, k = BLOCK[g_at], BLOCK[k_at]
+    omega = subobject_classifier().omega
+    pwr = power(g)
+    prod = product(g, k)
+    images = []
+    for phi in enumerate_homomorphisms(prod.hypergraph, omega):
+        transposed = power_transpose(prod, phi, pwr)
+        assert transposed.source == k and transposed.target == pwr.hypergraph
+        assert validate_homomorphism(transposed).ok
+        images.append(_signature(transposed))
+    assert images
+    assert len(set(images)) == len(images)
+    assert set(images) == {_signature(psi) for psi in enumerate_homomorphisms(k, pwr.hypergraph)}
+
+
+def test_prebuilt_powers_give_the_same_maps():
+    g, k = BLOCK[18], BLOCK[17]
+    prod = product(g, k)
+    phi = enumerate_homomorphisms(prod.hypergraph, subobject_classifier().omega)[57]
+    assert power_transpose(prod, phi, power(g)) == power_transpose(prod, phi)
+    psi = enumerate_homomorphisms(g, k)[1]
+    assert power_map(psi, power(g), power(k)) == power_map(psi)
+    assert elem_map(g, power(g)) == elem_map(g)
+
+
+def test_powers_of_another_parent_are_refused():
+    g, other = BLOCK[18], BLOCK[17]
+    prod = product(g, terminal())
+    phi = enumerate_homomorphisms(prod.hypergraph, subobject_classifier().omega)[0]
+    with pytest.raises(DomainError, match="another parent"):
+        power_transpose(prod, phi, power(other))
+    with pytest.raises(DomainError, match="another parent"):
+        elem_map(g, power(other))
+    psi = identity_homomorphism(g)
+    with pytest.raises(DomainError, match="another parent"):
+        power_map(psi, power(other), power(g))
+    with pytest.raises(DomainError, match="another parent"):
+        power_map(psi, power(g), power(other))
 
 
 def test_power_map_acts_by_preimage():
