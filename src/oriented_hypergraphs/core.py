@@ -482,17 +482,34 @@ def _hom_search_bound(g: IncidenceHypergraph, h: IncidenceHypergraph) -> int:
 class HomSet(Sequence[Homomorphism]):
     """The homomorphisms g -> h as an exact, read-only sequence.
 
-    Built by ``enumerate_homomorphisms``, which validates both ends and
-    guards the search first. A leaf is one assignment of g's incidences
+    The constructor validates both ends, refuses a search whose naive
+    product bound exceeds ``max_candidates``, and then runs the incidence
+    search. A leaf is one assignment of g's incidences
     (a tuple of h's incidences, in g's incidence order). It pins the
     image of every vertex and edge that carries an incidence, so each
     leaf stands for the same number of maps: one per choice of images for
     g's isolated vertices and edges. Item k is leaf k // per_leaf; the
     rest of k, read as mixed-radix digits (free vertices first, then free
     edges, the last digit fastest), picks those images.
+
+    A hom set equals any sequence of the same maps in the same order,
+    a list included.
     """
 
-    def __init__(self, source: IncidenceHypergraph, target: IncidenceHypergraph) -> None:
+    def __init__(
+        self,
+        source: IncidenceHypergraph,
+        target: IncidenceHypergraph,
+        *,
+        max_candidates: int = limits.MAX_HOM_CANDIDATES,
+    ) -> None:
+        require_valid(source)
+        require_valid(target)
+        bound = _hom_search_bound(source, target)
+        if bound > max_candidates:
+            raise ResourceLimitError(
+                f"homomorphism search space {bound} exceeds cap {max_candidates}"
+            )
         self.source = source
         self.target = target
         # Every vertex and edge that carries an incidence, with the index
@@ -552,6 +569,19 @@ class HomSet(Sequence[Homomorphism]):
     def __len__(self) -> int:
         return len(self._leaves) * self._per_leaf
 
+    def __eq__(self, other: object) -> bool:
+        # Equal ends give the same leaves, so no map need be built.
+        if isinstance(other, HomSet) and (self.source, self.target) == (other.source, other.target):
+            return True
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"HomSet({list(self)!r})"
+
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[k] for k in range(*index.indices(len(self)))]
@@ -595,11 +625,4 @@ def enumerate_homomorphisms(
     maps, but not the same object. A naive product bound guards the
     search space.
     """
-    require_valid(g)
-    require_valid(h)
-    bound = _hom_search_bound(g, h)
-    if bound > max_candidates:
-        raise ResourceLimitError(
-            f"homomorphism search space {bound} exceeds cap {max_candidates}"
-        )
-    return HomSet(g, h)
+    return HomSet(g, h, max_candidates=max_candidates)

@@ -469,17 +469,11 @@ def power_transpose(
     return Homomorphism(k, pwr.hypergraph, vmap, emap, imap)
 
 
-def power_map(
-    phi: Homomorphism,
-    pwr_source: PowerResult | None = None,
-    pwr_target: PowerResult | None = None,
-) -> Homomorphism:
-    """Contravariant action on power hypergraphs by preimages.
-    ``pwr_source`` and ``pwr_target``, when given, are the powers of
-    ``phi.source`` and ``phi.target`` built once by the caller."""
+def power_map(phi: Homomorphism) -> Homomorphism:
+    """Contravariant action on power hypergraphs by preimages."""
     g, h = phi.source, phi.target
-    pwr_h = _power_of(h, pwr_target)
-    pwr_g = _power_of(g, pwr_source)
+    pwr_h = power(h)
+    pwr_g = power(g)
     vmap = {}
     for s, sid in pwr_h.vertex_subset_ids.items():
         pre = frozenset(v for v in g.vertices if phi.vertex_map[v] in s)

@@ -204,21 +204,21 @@ def test_hom_enumeration_guard():
     g = triangle().structure
     with pytest.raises(ResourceLimitError):
         enumerate_homomorphisms(g, g, max_candidates=10)
-
-
-def test_hom_enumeration_guard_message():
-    g = triangle().structure
-    with pytest.raises(ResourceLimitError) as caught:
+    message = "^homomorphism search space 34012224 exceeds cap 1000000$"
+    with pytest.raises(ResourceLimitError, match=message):
         enumerate_homomorphisms(g, g)
-    assert str(caught.value) == "homomorphism search space 34012224 exceeds cap 1000000"
+    with pytest.raises(ResourceLimitError, match=message):
+        HomSet(g, g)
 
 
 @pytest.mark.parametrize("structure", MALFORMED_STRUCTURES)
 def test_hom_search_rejects_malformed_structures(structure):
-    with pytest.raises(DomainError):
-        enumerate_homomorphisms(structure, subobject_classifier().omega)
-    with pytest.raises(DomainError):
-        enumerate_homomorphisms(terminal(), structure)
+    omega = subobject_classifier().omega
+    for g, h in ((structure, omega), (terminal(), structure)):
+        with pytest.raises(DomainError):
+            enumerate_homomorphisms(g, h)
+        with pytest.raises(DomainError):
+            HomSet(g, h)
 
 
 def test_hom_count_into_triangle_from_point():
@@ -301,7 +301,7 @@ def test_no_homs_from_a_vertex_into_no_vertices():
     h = IncidenceHypergraph.build([], ["f"], [])
     homs = enumerate_homomorphisms(g, h)
     assert len(homs) == 0
-    assert list(homs) == []
+    assert list(homs) == [] and homs == []
     with pytest.raises(IndexError):
         homs[0]
 
@@ -325,6 +325,9 @@ def test_hom_set_indexing():
     assert _texts(homs[1:3]) == _texts(expected[1:3])
     assert _texts(homs[::-7]) == _texts(expected[::-7])
     assert homs[5] == homs[5] and homs[5] is not homs[5]
+    assert homs == enumerate_homomorphisms(g, h) == expected
+    assert homs != expected[:-1] and homs != []
+    assert repr(homs) == f"HomSet({expected!r})"
     for bad in (len(homs), -len(homs) - 1):
         with pytest.raises(IndexError):
             homs[bad]

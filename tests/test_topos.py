@@ -229,8 +229,6 @@ def test_prebuilt_powers_give_the_same_maps():
     prod = product(g, k)
     phi = enumerate_homomorphisms(prod.hypergraph, subobject_classifier().omega)[57]
     assert power_transpose(prod, phi, power(g)) == power_transpose(prod, phi)
-    psi = enumerate_homomorphisms(g, k)[1]
-    assert power_map(psi, power(g), power(k)) == power_map(psi)
     assert elem_map(g, power(g)) == elem_map(g)
 
 
@@ -242,11 +240,6 @@ def test_powers_of_another_parent_are_refused():
         power_transpose(prod, phi, power(other))
     with pytest.raises(DomainError, match="another parent"):
         elem_map(g, power(other))
-    psi = identity_homomorphism(g)
-    with pytest.raises(DomainError, match="another parent"):
-        power_map(psi, power(other), power(g))
-    with pytest.raises(DomainError, match="another parent"):
-        power_map(psi, power(g), power(other))
 
 
 def test_power_map_acts_by_preimage():
