@@ -10,8 +10,9 @@ classes to rooted spanning forests.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from . import limits
 from .core import IncidenceHypergraph, OrientedHypergraph
@@ -109,17 +110,78 @@ def unpack(bg: BidirectedGraph, pre: Steps, vertex: str) -> Steps:
     return pre[:idx] + (_opened(bg.og.structure, s),) + pre[idx + 1 :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActivationClass:
     """A Boolean lattice of contributors under circle activation.
 
-    ``members`` starts at the all-backstep ``bottom``; the member opening
-    the generators at positions S sits at index sum(2^i for i in S).
+    ``bottom`` is the all-backstep member and ``opened`` the same row
+    with every backstep unpacked; each generator is a cycle of the
+    unpacked head map, a tuple of tail vertices.  ``members`` builds the
+    members on demand.
     """
 
-    members: tuple[Steps, ...]
     bottom: Steps
+    opened: Steps
     generators: tuple[tuple[str, ...], ...]
+
+    @property
+    def members(self) -> "ActivationMembers":
+        return ActivationMembers(self)
+
+
+class ActivationMembers(Sequence[Steps]):
+    """The members of one activation class as an exact, read-only sequence.
+
+    The member opening the generators at positions S sits at index
+    sum(2^i for i in S): item 0 is the bottom, and each generator doubles
+    the members before it.  The length is 2^(number of generators); a
+    member is built only when it is read.  Equal to any sequence of the
+    same members in the same order, a tuple included.
+    """
+
+    def __init__(self, cls: ActivationClass) -> None:
+        self._cls = cls
+
+    def __len__(self) -> int:
+        return 1 << len(self._cls.generators)
+
+    def _cycles(self) -> list[tuple[int, ...]]:
+        # Each generator as the row positions of its tails.
+        at = {s.tail: j for j, s in enumerate(self._cls.bottom)}
+        return [tuple(at[v] for v in cycle) for cycle in self._cls.generators]
+
+    def _member(self, k: int, cycles: list[tuple[int, ...]]) -> Steps:
+        member = list(self._cls.bottom)
+        opened = self._cls.opened
+        for i, cycle in enumerate(cycles):
+            if k >> i & 1:
+                for j in cycle:
+                    member[j] = opened[j]
+        return tuple(member)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = operator.index(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("activation member index out of range")
+        return self._member(k, self._cycles())
+
+    def __iter__(self) -> Iterator[Steps]:
+        cycles = self._cycles()
+        return (self._member(k, cycles) for k in range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ActivationMembers({list(self)!r})"
 
 
 def _classes(
@@ -130,36 +192,38 @@ def _classes(
     # of one class, and its members open any set of the cycles of the
     # would-be-head map.  The exact family count (Ryser) is held to
     # ``max_count`` before the build and then checks that the classes hold
-    # every family once.
+    # every family once.  A member's heads are a permutation of the tails
+    # because the bottom's are and each generator's opened steps head
+    # round the generator's own tails, which both are checked.
     count = _permanent_count(options)
     if count > max_count:
         raise ResourceLimitError(
             f"activation classes limited to {max_count} members, got {count}"
         )
     g = bg.og.structure
-    tails = set(options)
-    at = {v: k for k, v in enumerate(options)}
-    # Each backstep paired with its unpacked step; one pair per tail, in
-    # options order, gives a class bottom and its fully unpacked row.
-    pairs = [[(s, _opened(g, s)) for s in steps if s.is_backstep] for steps in options.values()]
+    tails = tuple(options)
+    # Each backstep with its unpacked step and that step's head; one
+    # triple per tail, in options order, gives a class bottom, its fully
+    # unpacked row and the would-be-head map.
+    triples = [
+        [(s, o, o.head) for s in steps if s.is_backstep for o in (_opened(g, s),)]
+        for steps in options.values()
+    ]
+    if any(b.head != b.tail for row in triples for b, _, _ in row):
+        raise InvariantError("a class bottom's heads are not its tails")
+    bottom_of, opened_of, head_of = (operator.itemgetter(k) for k in range(3))
     out = []
     built = 0
-    for choice in itertools.product(*pairs):
-        bottom = tuple(b for b, _ in choice)
-        opened = tuple(o for _, o in choice)
-        generators = tuple(_map_cycles({o.tail: o.head for o in opened}))
-        members = [bottom]
+    for choice in itertools.product(*triples):
+        f = dict(zip(tails, map(head_of, choice)))
+        generators = tuple(_map_cycles(f))
         for cycle in generators:
-            for m in members[:]:
-                member = list(m)
-                for v in cycle:
-                    member[at[v]] = opened[at[v]]
-                members.append(tuple(member))
-        for m in members:
-            if {s.head for s in m} != tails:
+            if tuple(map(f.__getitem__, cycle)) != cycle[1:] + cycle[:1]:
                 raise InvariantError("activation class member heads are not a permutation")
-        built += len(members)
-        out.append(ActivationClass(tuple(members), bottom, generators))
+        built += 1 << len(generators)
+        out.append(
+            ActivationClass(tuple(map(bottom_of, choice)), tuple(map(opened_of, choice)), generators)
+        )
     if built != count:
         raise InvariantError(f"activation classes hold {built} families, expected {count}")
     return out

@@ -34,6 +34,7 @@ from .matrices import (
     char_poly_univariate,
     degree_matrix,
     incidence_matrix,
+    integer_determinant,
     laplacian_matrix,
     symbolic_minor_poly,
 )
@@ -302,9 +303,10 @@ def cmd_arborescences(og, args) -> tuple[list[str], dict[str, Any]]:
     bg = as_bidirected(og)
     roots = _csv(args.roots, "--roots")
     forests = k_arborescences(bg, roots, max_vertices=args.max_vertices, max_count=args.max_enum)
-    poly = total_minor_poly(og, "laplacian", "det")
-    mono = [(u, u) for u in roots]
-    coeff = poly.coefficient(mono)
+    # The coefficient of prod x[u,u] over the roots in det(X - L) is
+    # (-1)^|others| times the principal minor of L on the other vertices.
+    others = [v for v in og.vertices if v not in roots]
+    coeff = (-1) ** len(others) * integer_determinant(laplacian_matrix(og).restrict(others))
     label = "*".join(f"x[{u},{u}]" for u in roots) or "1"
     lines = [f"arborescences: {len(forests)}"]
     for k, arb in enumerate(forests, 1):

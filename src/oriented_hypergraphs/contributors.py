@@ -364,6 +364,8 @@ def _map_cycles(f: Mapping[str, str]) -> list[tuple[str, ...]]:
     seen: set[str] = set()
     cycles: list[tuple[str, ...]] = []
     for start in f:
+        if start in seen:
+            continue
         path = []
         v = start
         while v in f and v not in seen:
@@ -525,14 +527,17 @@ class MinorBlock:
     open column, the sign of a completed head map h_f + c splits as
     eps_f * rel(c), eps_f = sign(h_f + c0) and rel(c) = sign(c0^-1 c).
 
-    ``families`` holds (traversed incidence ids, strong, eps_f) per
-    family; ``completions`` holds (monomial, rel(c)) per bijection c;
-    ``odd`` records whether |T| is odd, the sign of the Laplacian factor.
+    ``families`` holds (the positions of the traversed incidences in the
+    structure's incidence order, strong, eps_f) per family;
+    ``completions`` holds (monomial, rel(c)) per bijection c, the
+    monomial as a :class:`MultivariatePolynomial` bitmask over the
+    structure's vertex order; ``odd`` records whether |T| is odd, the
+    sign of the Laplacian factor.
     """
 
     odd: bool
-    families: tuple[tuple[tuple[str, ...], bool, int], ...]
-    completions: tuple[tuple[frozenset[tuple[str, str]], int], ...]
+    families: tuple[tuple[tuple[int, ...], bool, int], ...]
+    completions: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -576,6 +581,8 @@ def _minor_blocks(
 ) -> tuple[MinorBlock, ...]:
     order = structure.vertices
     pos = structure.vertex_pos
+    n = len(order)
+    at = structure.incidence_pos
     grouped: dict[tuple[frozenset[str], frozenset[str]], list[StepFamily]] = {}
     for fam in families:
         key = (frozenset(s.tail for s in fam.steps), frozenset(s.head for s in fam.steps))
@@ -591,10 +598,14 @@ def _minor_blocks(
         for fam in members:
             for s in fam.steps:
                 images[pos[s.tail]] = pos[s.head]
-            ids = tuple(i for s in fam.steps for i in (s.tail_incidence, s.head_incidence))
+            ids = tuple(
+                at[i] for s in fam.steps for i in (s.tail_incidence, s.head_incidence)
+            )
             entries.append((ids, fam.strong, permutation_sign(images)))
+        # bit[i][j]: the MultivariatePolynomial mask of x[rows[i], cols[j]].
+        bit = [[1 << (pos[r] * n + pos[c]) for c in cols] for r in rows]
         completions = tuple(
-            (frozenset(zip(rows, [cols[j] for j in p])), permutation_sign(p))
+            (sum(row[j] for row, j in zip(bit, p)), permutation_sign(p))
             for p in itertools.permutations(range(len(rows)))
         )
         blocks.append(MinorBlock(len(tails) % 2 == 1, tuple(entries), completions))
@@ -613,16 +624,16 @@ def minor_polys_from_catalog(
     rel(c) times the eps-sum for det; adjacency takes the strong sums.
     A monomial fixes its open rows and columns, so one block writes it.
     """
-    acc: dict[tuple[str, str], dict] = {combo: {} for combo in COMBOS}
+    acc: dict[tuple[str, str], dict[int, int]] = {combo: {} for combo in COMBOS}
     lap_det, lap_perm = acc[("laplacian", "det")], acc[("laplacian", "perm")]
     adj_det, adj_perm = acc[("adjacency", "det")], acc[("adjacency", "perm")]
-    weigh = signs.get
+    sign = [signs.get(i.id, 0) for i in catalog.structure.incidences]
     for block in catalog.blocks:
         total = signed = strong_total = strong_signed = 0
         for ids, strong, eps in block.families:
             weight = 1
             for i in ids:
-                weight *= weigh(i, 0)
+                weight *= sign[i]
                 if not weight:
                     break
             if weight:
@@ -640,7 +651,11 @@ def minor_polys_from_catalog(
             lap_det[mono] = rel * signed
             adj_perm[mono] = strong_total
             adj_det[mono] = rel * strong_signed
-    return {combo: MultivariatePolynomial(acc[combo]) for combo in COMBOS}
+    labels = catalog.structure.vertices
+    return {
+        combo: MultivariatePolynomial._of(labels, {m: c for m, c in terms.items() if c})
+        for combo, terms in acc.items()
+    }
 
 
 def total_minor_poly(

@@ -8,15 +8,21 @@ signs over ordered incidence pairs with i != j (loops included, repeats
 of a single incidence excluded); the degree matrix D puts
 sum(sigma(i)^2) on the diagonal, which keeps L = H*H^T = D - A true
 when 0 signs are present. Everything is plain integer arithmetic.
+H, D and A come from one pass over the edges, and the Laplacian is
+cross-checked against D - A on every build.
 
-The one Leibniz loop, ``_leibniz``, is the oracle behind both
-``symbolic_minor_poly`` and ``char_poly_univariate``; integer
-determinants use Bareiss fraction-free elimination instead.
+The one Leibniz expansion, ``_leibniz``, is the oracle behind both
+``symbolic_minor_poly`` and ``char_poly_univariate``.  It expands
+det/perm(X - M) row by row and shares the expansion of the rows below
+each set of used columns, so every permutation's term is summed once
+from matrix entries alone.  Integer determinants use Bareiss
+fraction-free elimination instead.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -113,53 +119,58 @@ class IntegerMatrix:
         )
 
 
-def incidence_matrix(og: OrientedHypergraph) -> IntegerMatrix:
+def _edge_pass(og: OrientedHypergraph) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    # One pass over the edges: the rows of H, the degrees (the diagonal
+    # of D) and the rows of A.
     g = og.structure
-    rows = []
-    for v in g.vertices:
-        row = []
-        for e in g.edges:
-            row.append(sum(og.sigma(i) for i in g._inc_table.get((v, e), ())))
-        rows.append(tuple(row))
-    return IntegerMatrix(g.vertices, g.edges, tuple(rows))
+    n = len(g.vertices)
+    pos = g.vertex_pos
+    sign = og.signs
+    h = [[0] * len(g.edges) for _ in range(n)]
+    degree = [0] * n
+    adjacency = [[0] * n for _ in range(n)]
+    for k, e in enumerate(g.edges):
+        on_edge = [(pos[g.vertex_of(i)], sign[i]) for i in g.incidences_on_edge[e]]
+        for a, (u, su) in enumerate(on_edge):
+            h[u][k] += su
+            degree[u] += su * su
+            for b, (w, sw) in enumerate(on_edge):
+                if a != b:
+                    adjacency[u][w] -= su * sw
+    return h, degree, adjacency
+
+
+def incidence_matrix(og: OrientedHypergraph) -> IntegerMatrix:
+    h, _, _ = _edge_pass(og)
+    return IntegerMatrix(og.vertices, og.edges, tuple(map(tuple, h)))
 
 
 def degree_matrix(og: OrientedHypergraph) -> IntegerMatrix:
-    g = og.structure
-    deg = {v: 0 for v in g.vertices}
-    for i in g.incidences:
-        deg[i.vertex] += og.sigma(i.id) ** 2
-    rows = tuple(
-        tuple(deg[v] if v == w else 0 for w in g.vertices) for v in g.vertices
-    )
-    return IntegerMatrix(g.vertices, g.vertices, rows)
+    _, degree, _ = _edge_pass(og)
+    n = len(degree)
+    rows = tuple(tuple(degree[u] if u == w else 0 for w in range(n)) for u in range(n))
+    return IntegerMatrix(og.vertices, og.vertices, rows)
 
 
 def adjacency_matrix(og: OrientedHypergraph) -> IntegerMatrix:
-    g = og.structure
-    n = len(g.vertices)
-    acc = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        on_edge = g.incidences_on_edge[e]
-        for i in on_edge:
-            u = g.vertex_pos[g.vertex_of(i)]
-            si = og.sigma(i)
-            for j in on_edge:
-                if i == j:
-                    continue
-                w = g.vertex_pos[g.vertex_of(j)]
-                acc[u][w] -= si * og.sigma(j)
-    return IntegerMatrix(g.vertices, g.vertices, tuple(tuple(r) for r in acc))
+    _, _, adjacency = _edge_pass(og)
+    return IntegerMatrix(og.vertices, og.vertices, tuple(map(tuple, adjacency)))
 
 
 def laplacian_matrix(og: OrientedHypergraph) -> IntegerMatrix:
-    """L = H*H^T, cross-checked against D - A on every call."""
-    h = incidence_matrix(og)
-    left = h.mul(h.transpose())
-    right = degree_matrix(og).sub(adjacency_matrix(og))
-    if left.rows != right.rows:
-        raise InvariantError("H*H^T differs from D - A")
-    return left
+    """L = H*H^T, cross-checked against D - A on every call.
+
+    H, D and A come from one pass over the edges; H*H^T is taken as dot
+    products of H's rows.
+    """
+    h, degree, adjacency = _edge_pass(og)
+    rows = tuple(tuple(sum(map(operator.mul, hu, hw)) for hw in h) for hu in h)
+    for u, (row, a) in enumerate(zip(rows, adjacency)):
+        # L - (D - A) = L + A - D must vanish.
+        a[u] -= degree[u]
+        if any(map(operator.add, row, a)):
+            raise InvariantError("H*H^T differs from D - A")
+    return IntegerMatrix(og.vertices, og.vertices, rows)
 
 
 def weak_walk_sign(og: OrientedHypergraph, walk: Sequence[str]) -> int:
@@ -215,11 +226,18 @@ def permutation_sign(images: Sequence[int]) -> int:
 def _leibniz(
     m: IntegerMatrix, mode: str, max_vertices: int, *, diagonal_only: bool
 ) -> MultivariatePolynomial:
-    """Leibniz expansion of det or perm of (X - M), collected into canonical form.
+    """Leibniz expansion of det or perm of (X - M), one row at a time.
 
     X has a variable x[u,w] at every position, or only on the diagonal
-    when ``diagonal_only`` is set. A factor without a variable scales its
-    permutation's term, and a zero one ends it.
+    when ``diagonal_only`` is set; a position without one contributes
+    its constant alone.  The rows k..n-1 placed on a set S of columns
+    expand to E_k(S), the sum over c in S of
+    s * (x[k,c] - M[k,c]) * E_(k+1)(S - c), where s = 1 for perm and,
+    for det, s = (-1)^(columns of S - c left of c), the inversions that
+    row k's choice makes with the rows below it.  Each permutation's
+    term is summed exactly once, along the one chain of column sets it
+    fills, and the rows below share one expansion per column set.  The
+    expansions of a level are dropped once the level above is built.
     """
     if mode not in ("det", "perm"):
         raise DomainError(f"mode must be 'det' or 'perm', got {mode!r}")
@@ -228,34 +246,37 @@ def _leibniz(
     n = len(m.row_labels)
     if n > max_vertices:
         raise ResourceLimitError(f"Leibniz expansion limited to {max_vertices} rows, got {n}")
-    x = [[frozenset({(u, w)}) for w in m.col_labels] for u in m.row_labels]  # monomials x[u,w]
-    total: dict[frozenset, int] = {}
-    for images in itertools.permutations(range(n)):
-        scale = permutation_sign(images) if mode == "det" else 1
-        # expand prod_v (x[v, pi(v)] - M[v, pi(v)]) incrementally
-        partial: dict[frozenset, int] = {frozenset(): 1}
-        for v, w in enumerate(images):
-            c = -m.rows[v][w]
-            if diagonal_only and v != w:
-                scale *= c
-                if not scale:
-                    break
-                continue
-            nxt: dict[frozenset, int] = {}
-            for mono, coeff in partial.items():
-                withvar = mono | x[v][w]
-                nxt[withvar] = nxt.get(withvar, 0) + coeff
-                if c:
-                    nxt[mono] = nxt.get(mono, 0) + coeff * c
-            partial = nxt
-        else:
-            for mono, coeff in partial.items():
-                new = total.get(mono, 0) + coeff * scale
-                if new:
-                    total[mono] = new
-                else:
-                    total.pop(mono, None)
-    return MultivariatePolynomial(total)
+    det = mode == "det"
+    # Columns used by the rows below -> their expansion, each monomial a
+    # MultivariatePolynomial mask (bit k*n + c is x[k, c]).
+    level: dict[int, dict[int, int]] = {0: {0: 1}}
+    for k in range(n - 1, -1, -1):
+        row = m.rows[k]
+        above: dict[int, dict[int, int]] = {}
+        for used, below in level.items():
+            for c in range(n):
+                col = 1 << c
+                if used & col:
+                    continue
+                s = -1 if det and (used & (col - 1)).bit_count() % 2 else 1
+                const = -s * row[c]
+                var = not diagonal_only or c == k
+                if not (var or const):
+                    continue
+                out = above.setdefault(used | col, {})
+                if var:
+                    # Row k's variable is new to every monomial below.
+                    x = 1 << (k * n + c)
+                    out.update({mono | x: s * coeff for mono, coeff in below.items()})
+                if const:
+                    for mono, coeff in below.items():
+                        new = out.get(mono, 0) + const * coeff
+                        if new:
+                            out[mono] = new
+                        else:
+                            del out[mono]
+        level = above
+    return MultivariatePolynomial._of(m.row_labels, level.get((1 << n) - 1, {}))
 
 
 def symbolic_minor_poly(
@@ -267,7 +288,8 @@ def symbolic_minor_poly(
     """det or perm of (X - M), X a matrix of variables, by Leibniz expansion.
 
     This is the oracle that every contributor-side computation is compared
-    against, so it deliberately stays a direct sum over permutations.
+    against.  It reads only matrix entries and sums every permutation's
+    term once; only the expansion of the rows below a row is shared.
     """
     return _leibniz(m, mode, max_vertices, diagonal_only=False)
 

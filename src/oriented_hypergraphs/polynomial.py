@@ -4,6 +4,13 @@ MultivariatePolynomial is specialised to the shape produced by expanding
 determinants and permanents of a matrix of fresh variables: a monomial
 is a set of position variables x[u,w] whose row ids u are pairwise
 distinct (so every exponent is 1), and coefficients are plain ints.
+
+A polynomial keeps a tuple of n labels, a matrix's vertex order, and
+keys each monomial by an int bitmask: bit r*n + c stands for
+x[labels[r], labels[c]].  Sums, products and comparisons work on the
+masks.  Labelled monomials, frozensets of (u, w) pairs, are built only
+where they are read: ``terms``, ``coefficient`` and the canonical term
+list and text.
 """
 
 from __future__ import annotations
@@ -23,18 +30,44 @@ __all__ = [
 Monomial = frozenset  # frozenset[tuple[str, str]]
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        b = mask.bit_length() - 1
+        out.append(b)
+        mask ^= 1 << b
+    out.reverse()
+    return out
+
+
 class MultivariatePolynomial:
     """Integer combination of square-free monomials in x[u,w] variables."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_labels", "_terms")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        clean: dict[Monomial, int] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    clean[frozenset(mono)] = coeff
+        items = [(tuple(mono), coeff) for mono, coeff in (terms or {}).items() if coeff]
+        labels = tuple(sorted({v for mono, _ in items for uw in mono for v in uw}))
+        pos = {v: k for k, v in enumerate(labels)}
+        n = len(labels)
+        clean: dict[int, int] = {}
+        for mono, coeff in items:
+            mask = 0
+            for u, w in mono:
+                mask |= 1 << (pos[u] * n + pos[w])
+            clean[mask] = coeff
+        self._labels = labels
         self._terms = clean
+
+    @classmethod
+    def _of(cls, labels: tuple[str, ...], terms: dict[int, int]) -> "MultivariatePolynomial":
+        """Wrap ``terms`` as given: keyed by masks over ``labels`` (bit
+        r*n + c for x[labels[r], labels[c]]), with no zero coefficient."""
+        out = cls.__new__(cls)
+        out._labels = labels
+        out._terms = terms
+        return out
 
     @staticmethod
     def zero() -> "MultivariatePolynomial":
@@ -48,15 +81,54 @@ class MultivariatePolynomial:
     def variable(row: str, col: str) -> "MultivariatePolynomial":
         return MultivariatePolynomial({frozenset({(row, col)}): 1})
 
+    def _pairs(self) -> list[tuple[str, str]]:
+        # The variable (u, w) of every bit position.
+        labels = self._labels
+        return [(u, w) for u in labels for w in labels]
+
     @property
     def terms(self) -> dict[Monomial, int]:
-        return dict(self._terms)
+        pairs = self._pairs()
+        return {frozenset(pairs[b] for b in _bits(m)): c for m, c in self._terms.items()}
 
     def coefficient(self, pairs: Iterable[tuple[str, str]]) -> int:
-        return self._terms.get(frozenset(pairs), 0)
+        pos = {v: k for k, v in enumerate(self._labels)}
+        n = len(pos)
+        mask = 0
+        for u, w in pairs:
+            if u not in pos or w not in pos:
+                return 0
+            mask |= 1 << (pos[u] * n + pos[w])
+        return self._terms.get(mask, 0)
 
     def degree(self) -> int:
-        return max((len(m) for m in self._terms), default=0)
+        return max((m.bit_count() for m in self._terms), default=0)
+
+    def _over(self, labels: tuple[str, ...]) -> dict[int, int]:
+        # The terms keyed over ``labels``, which must hold every own label.
+        if labels == self._labels:
+            return self._terms
+        pos = {v: k for k, v in enumerate(labels)}
+        at = [pos[v] for v in self._labels]
+        n, big = len(self._labels), len(labels)
+        out = {}
+        for mask, coeff in self._terms.items():
+            new = 0
+            for b in _bits(mask):
+                r, c = divmod(b, n)
+                new |= 1 << (at[r] * big + at[c])
+            out[new] = coeff
+        return out
+
+    def _aligned(
+        self, other: "MultivariatePolynomial"
+    ) -> tuple[tuple[str, ...], dict[int, int], dict[int, int]]:
+        # Both term dicts keyed over one label tuple.
+        labels = self._labels
+        if other._labels != labels:
+            known = set(labels)
+            labels += tuple(v for v in other._labels if v not in known)
+        return labels, self._over(labels), other._over(labels)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -64,42 +136,47 @@ class MultivariatePolynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultivariatePolynomial):
             return NotImplemented
-        return self._terms == other._terms
+        _, mine, theirs = self._aligned(other)
+        return mine == theirs
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
+        labels, mine, theirs = self._aligned(other)
+        terms = dict(mine)
+        for mono, coeff in theirs.items():
             new = terms.get(mono, 0) + coeff
             if new:
                 terms[mono] = new
             else:
                 terms.pop(mono, None)
-        out = MultivariatePolynomial()
-        out._terms = terms
-        return out
+        return MultivariatePolynomial._of(labels, terms)
 
     def __neg__(self) -> "MultivariatePolynomial":
-        out = MultivariatePolynomial()
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return MultivariatePolynomial._of(self._labels, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
         return self + (-other)
 
     def __mul__(self, other: "MultivariatePolynomial | int") -> "MultivariatePolynomial":
         if isinstance(other, int):
-            out = MultivariatePolynomial()
-            if other:
-                out._terms = {m: c * other for m, c in self._terms.items()}
+            terms = {m: c * other for m, c in self._terms.items()} if other else {}
+            return MultivariatePolynomial._of(self._labels, terms)
+        labels, mine, theirs = self._aligned(other)
+        n = len(labels)
+
+        def rows(mask: int) -> int:
+            out = 0
+            for b in _bits(mask):
+                out |= 1 << (b // n)
             return out
-        terms: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            rows1 = {u for u, _ in m1}
-            for m2, c2 in other._terms.items():
-                if any(u in rows1 for u, _ in m2):
+
+        terms: dict[int, int] = {}
+        for m1, c1 in mine.items():
+            rows1 = rows(m1)
+            for m2, c2 in theirs.items():
+                if rows(m2) & rows1:
                     raise InvariantError("monomial product would repeat a row variable")
                 mono = m1 | m2
                 new = terms.get(mono, 0) + c1 * c2
@@ -107,18 +184,18 @@ class MultivariatePolynomial:
                     terms[mono] = new
                 else:
                     terms.pop(mono, None)
-        out = MultivariatePolynomial()
-        out._terms = terms
-        return out
+        return MultivariatePolynomial._of(labels, terms)
 
     __rmul__ = __mul__
 
     def substitute_diagonal(self) -> "IntPolynomial":
         """Set x[v,v] -> x and every off-diagonal variable to 0."""
+        n = len(self._labels)
+        diagonal = sum(1 << (r * (n + 1)) for r in range(n))
         coeffs: dict[int, int] = {}
         for mono, coeff in self._terms.items():
-            if all(u == w for u, w in mono):
-                k = len(mono)
+            if not mono & ~diagonal:
+                k = mono.bit_count()
                 coeffs[k] = coeffs.get(k, 0) + coeff
         if not coeffs:
             return IntPolynomial(())
@@ -126,7 +203,7 @@ class MultivariatePolynomial:
         return IntPolynomial(tuple(coeffs.get(k, 0) for k in range(top + 1)))
 
     def __repr__(self) -> str:
-        return f"MultivariatePolynomial({self._terms!r})"
+        return f"MultivariatePolynomial({self.terms!r})"
 
 
 class IntPolynomial:
@@ -209,6 +286,40 @@ def render_univariate(p: IntPolynomial, var: str = "x") -> str:
     return " ".join(parts)
 
 
+def _ranked(
+    p: MultivariatePolynomial, order: Sequence[str]
+) -> tuple[list[tuple[str, str]], list[tuple[int, int]]]:
+    # The variables in canonical order, and the terms in canonical order
+    # as (mask, coefficient), bit k of a mask standing for variable k.
+    # A variable x[u,w] ranks by the positions of u and w in ``order``
+    # (labels missing from it last, by name).  When ``order`` is p's own
+    # label order, a variable's rank is its bit and the masks are p's.
+    pos = {v: k for k, v in enumerate(order)}
+    pairs = p._pairs()
+    width = len(pairs)
+    by_rank = sorted(
+        range(width),
+        key=lambda b: (pos.get(pairs[b][0], len(pos)), pos.get(pairs[b][1], len(pos)), *pairs[b]),
+    )
+    terms = p._terms
+    if by_rank != list(range(width)):
+        rank = [0] * width
+        for k, b in enumerate(by_rank):
+            rank[b] = k
+        terms = {sum(1 << rank[b] for b in _bits(m)): c for m, c in terms.items()}
+    full = (1 << width) - 1
+
+    def key(mono: int) -> int:
+        # Degree descending, then the ascending ranks lexicographically:
+        # of two sets of equal size, the one holding the lowest rank
+        # where they differ comes first, so its bit-reversed mask is
+        # the larger.
+        reversed_mask = int(bin(mono)[:1:-1].ljust(width, "0"), 2)
+        return (width - mono.bit_count()) << width | full ^ reversed_mask
+
+    return [pairs[b] for b in by_rank], [(m, terms[m]) for m in sorted(terms, key=key)]
+
+
 def canonical_terms(
     p: MultivariatePolynomial, order: Sequence[str]
 ) -> list[tuple[list[tuple[str, str]], int]]:
@@ -217,10 +328,8 @@ def canonical_terms(
     Each term's variables x[u,w] are sorted by the positions of (u, w) in
     ``order``; terms come degree-descending, then by those sorted positions.
     """
-    pos = {v: k for k, v in enumerate(order)}
-    keyed = [(sorted((pos[u], pos[w], u, w) for u, w in mono), c) for mono, c in p.terms.items()]
-    keyed.sort(key=lambda t: (-len(t[0]), t[0]))
-    return [([(u, w) for _, _, u, w in key], c) for key, c in keyed]
+    variables, ordered = _ranked(p, order)
+    return [([variables[k] for k in _bits(m)], c) for m, c in ordered]
 
 
 def render_multivariate(p: MultivariatePolynomial, order: Sequence[str]) -> str:
@@ -231,7 +340,9 @@ def render_multivariate(p: MultivariatePolynomial, order: Sequence[str]) -> str:
     """
     if not p:
         return "0"
+    variables, ordered = _ranked(p, order)
+    text = [f"*x[{u},{w}]" for u, w in variables]
     return " ".join(
-        f"{'+' if c > 0 else '-'}{abs(c)}" + "".join(f"*x[{u},{w}]" for u, w in pairs)
-        for pairs, c in canonical_terms(p, order)
+        f"{'+' if c > 0 else '-'}{abs(c)}" + "".join([text[k] for k in _bits(m)])
+        for m, c in ordered
     )

@@ -461,3 +461,39 @@ def test_arborescences_match_product_reference_property(bg, data):
     assert k_arborescences(bg, roots) == product_arborescences(bg, roots)
     done = complete(bg)
     assert k_arborescences(done, roots) == product_arborescences(done, roots)
+
+
+def doubled_members(a):
+    # The members as the builder used to store them: the bottom, then
+    # each generator opened in every member built so far.
+    at = {s.tail: k for k, s in enumerate(a.bottom)}
+    members = [a.bottom]
+    for cycle in a.generators:
+        for m in members[:]:
+            member = list(m)
+            for v in cycle:
+                member[at[v]] = a.opened[at[v]]
+            members.append(tuple(member))
+    return tuple(members)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_bidirected())
+def test_activation_members_are_the_doubling_order(bg):
+    for a in activation_classes(bg):
+        want = doubled_members(a)
+        members = a.members
+        assert len(members) == 2 ** len(a.generators) == len(want)
+        assert tuple(members) == want
+        assert members == want and members == list(want)
+        assert [members[k] for k in range(-len(want), 0)] == list(want)
+        assert members[1::2] == list(want[1::2])
+        with pytest.raises(IndexError):
+            members[len(want)]
+
+
+def test_activation_members_on_a_four_cycle():
+    bg = bidirected_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    classes = activation_classes(bg)
+    assert sum(len(a.members) for a in classes) == len(enumerate_contributors(bg.og))
+    assert {m for a in classes for m in a.members} == set(enumerate_contributors(bg.og))

@@ -4,6 +4,9 @@ import pytest
 
 from conftest import FIXTURE_DIR
 from oriented_hypergraphs.cli import main
+from oriented_hypergraphs.contributors import total_minor_poly
+from oriented_hypergraphs.corpus import bidirected_corpus
+from oriented_hypergraphs.jsonio import dumps_oriented
 
 K3 = str(FIXTURE_DIR / "g1_k3.json")
 STAR_PLUS = str(FIXTURE_DIR / "g2_sigma1.json")
@@ -159,6 +162,32 @@ def test_arborescences_subcommand(capsys):
     code, out, _ = run(capsys, "arborescences", K3, "--roots", "v1,v2")
     assert out.splitlines()[0] == "arborescences: 2"
     assert out.splitlines()[-1] == "coefficient of x[v1,v1]*x[v2,v2]: -2"
+
+
+def test_arborescence_coefficient_is_the_catalog_coefficient(tmp_path, capsys, monkeypatch):
+    # The printed coefficient is a principal minor of the Laplacian; it
+    # must equal the coefficient of the figure route's minor polynomial,
+    # and the command must not build the minor catalog to find it.
+    import oriented_hypergraphs.contributors as contributors
+
+    cases = []
+    for k, bg in enumerate(bidirected_corpus()):
+        og = bg.og
+        src = tmp_path / f"g{k}.json"
+        src.write_text(dumps_oriented(og))
+        poly = total_minor_poly(og, "laplacian", "det")
+        for roots in [og.vertices[:1], og.vertices[:2], og.vertices[1:]]:
+            want = poly.coefficient([(u, u) for u in roots])
+            cases.append((str(src), ",".join(roots), want))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the arborescences command built the minor catalog")
+
+    monkeypatch.setattr(contributors, "minor_catalog", refuse)
+    for src, roots, want in cases:
+        code, out, _ = run(capsys, "arborescences", src, "--roots", roots)
+        assert code == 0
+        assert out.splitlines()[-1].endswith(f": {want}")
 
 
 def test_arborescences_max_enum_is_checked_on_the_count(capsys):

@@ -40,3 +40,20 @@ def test_benchmark_tracer_layers_import(layer):
     # The benchmark tracer wraps every module it names; a module moved
     # out of the package would break the traced run.
     importlib.import_module(f"oriented_hypergraphs.{layer}")
+
+
+def test_benchmark_tracer_reads_resolve():
+    # perfbench/tracer.py wraps ``MultivariatePolynomial.terms.fget`` and
+    # reads the tail and head incidence of every step of every catalog
+    # family; without these its traced run breaks.
+    from oriented_hypergraphs.contributors import minor_catalog
+    from oriented_hypergraphs.core import IncidenceHypergraph
+    from oriented_hypergraphs.polynomial import MultivariatePolynomial
+
+    assert callable(MultivariatePolynomial.terms.fget)
+    g = IncidenceHypergraph.build(["a", "b"], ["e"], [("i", "a", "e"), ("j", "b", "e")])
+    families = minor_catalog(g).families
+    assert any(fam.steps for fam in families)
+    for fam in families:
+        for step in fam.steps:
+            assert {step.tail_incidence, step.head_incidence} <= {"i", "j"}

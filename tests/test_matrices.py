@@ -10,6 +10,7 @@ from oriented_hypergraphs.corpus import graph_structure
 from oriented_hypergraphs.errors import DomainError, ResourceLimitError
 from oriented_hypergraphs.matrices import (
     IntegerMatrix,
+    _leibniz,
     adjacency_matrix,
     char_poly_univariate,
     degree_matrix,
@@ -25,6 +26,7 @@ from oriented_hypergraphs.matrices import (
     symbolic_minor_poly,
     weak_walk_sign,
 )
+from oriented_hypergraphs.polynomial import MultivariatePolynomial, render_multivariate
 
 
 def square(entries):
@@ -96,6 +98,79 @@ def test_permutation_sign_matches_inversion_parity(images):
         1 for a, b in itertools.combinations(range(5), 2) if images[a] > images[b]
     )
     assert permutation_sign(images) == (-1) ** inversions
+
+
+def leibniz_reference(m, mode, *, diagonal_only):
+    """det or perm of (X - M) as a direct sum over permutations.
+
+    Each permutation's product of (x[v, pi(v)] - M[v, pi(v)]) factors is
+    expanded on its own and the terms are collected over labelled
+    monomials; the library's row-by-row expansion must agree with it.
+    """
+    n = len(m.row_labels)
+    x = [[frozenset({(u, w)}) for w in m.col_labels] for u in m.row_labels]
+    total = {}
+    for images in itertools.permutations(range(n)):
+        scale = permutation_sign(images) if mode == "det" else 1
+        partial = {frozenset(): 1}
+        for v, w in enumerate(images):
+            c = -m.rows[v][w]
+            if diagonal_only and v != w:
+                scale *= c
+                if not scale:
+                    break
+                continue
+            nxt = {}
+            for mono, coeff in partial.items():
+                withvar = mono | x[v][w]
+                nxt[withvar] = nxt.get(withvar, 0) + coeff
+                if c:
+                    nxt[mono] = nxt.get(mono, 0) + coeff * c
+            partial = nxt
+        else:
+            for mono, coeff in partial.items():
+                total[mono] = total.get(mono, 0) + coeff * scale
+    return MultivariatePolynomial(total)
+
+
+# Square matrices up to 5 x 5 with entries in -2..2.
+small_square_matrices = st.integers(0, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+).map(square)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_square_matrices, st.sampled_from(["det", "perm"]), st.booleans())
+@example(square([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]), "det", False)
+def test_leibniz_matches_per_permutation_reference(m, mode, diagonal_only):
+    got = _leibniz(m, mode, 9, diagonal_only=diagonal_only)
+    want = leibniz_reference(m, mode, diagonal_only=diagonal_only)
+    assert got == want
+    assert got.terms == want.terms
+    assert render_multivariate(got, m.row_labels) == render_multivariate(want, m.row_labels)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ).map(square),
+    st.sampled_from(["det", "perm"]),
+)
+def test_symbolic_minor_poly_matches_sympy(m, mode):
+    sympy = pytest.importorskip("sympy")
+    n = m.shape[0]
+    x = {(u, w): sympy.Symbol(f"x_{u}_{w}") for u in m.row_labels for w in m.col_labels}
+    xm = sympy.Matrix(n, n, lambda r, c: x[m.row_labels[r], m.col_labels[c]] - m.rows[r][c])
+    want = (xm.det(method="berkowitz") if mode == "det" else xm.per()) if n else 1
+    got = sum(
+        c * sympy.Mul(*(x[uw] for uw in mono)) for mono, c in symbolic_minor_poly(m, mode).terms.items()
+    )
+    assert sympy.expand(want - got) == 0
 
 
 def test_symbolic_minor_poly_2x2():

@@ -2,10 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_oriented
+from oriented_hypergraphs.contributors import COMBOS, minor_catalog, minor_polys_from_catalog
 from oriented_hypergraphs.errors import InvariantError
+from oriented_hypergraphs.matrices import adjacency_matrix, laplacian_matrix, symbolic_minor_poly
 from oriented_hypergraphs.polynomial import (
     IntPolynomial,
     MultivariatePolynomial,
+    canonical_terms,
     render_multivariate,
     render_univariate,
 )
@@ -81,3 +85,60 @@ def test_univariate_multiplication_commutes(a, b):
 def test_univariate_addition_has_inverse(a):
     p = IntPolynomial(a)
     assert (p - p).degree() == -1
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_oriented(max_vertices=4, max_edges=3, max_incidences=6))
+def test_terms_round_trip_on_both_routes(og):
+    # A polynomial keyed over the matrix's vertex order and the same terms
+    # read back through the labelled constructor are one polynomial, with
+    # the same coefficients, hash, canonical terms and text.
+    from_catalog = minor_polys_from_catalog(minor_catalog(og.structure), og.signs)
+    order = og.vertices
+    for target, mode in COMBOS:
+        m = laplacian_matrix(og) if target == "laplacian" else adjacency_matrix(og)
+        routes = [symbolic_minor_poly(m, mode), from_catalog[(target, mode)]]
+        for p in routes:
+            rebuilt = MultivariatePolynomial(p.terms)
+            assert rebuilt == p and p == rebuilt
+            assert hash(rebuilt) == hash(p)
+            for mono, coeff in p.terms.items():
+                assert p.coefficient(mono) == coeff == rebuilt.coefficient(mono)
+            assert canonical_terms(rebuilt, order) == canonical_terms(p, order)
+            assert render_multivariate(rebuilt, order) == render_multivariate(p, order)
+            assert render_multivariate(p, order[::-1]) == render_multivariate(rebuilt, order[::-1])
+        assert render_multivariate(routes[0], order) == render_multivariate(routes[1], order)
+
+
+labelled_terms = st.dictionaries(
+    st.frozensets(
+        st.tuples(st.sampled_from("abc"), st.sampled_from("abcd")), max_size=3
+    ),
+    st.integers(-3, 3),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_terms, labelled_terms)
+def test_sums_over_different_labels_add_the_labelled_terms(a, b):
+    p, q = MultivariatePolynomial(a), MultivariatePolynomial(b)
+    want = {}
+    for terms in (a, b):
+        for mono, coeff in terms.items():
+            want[mono] = want.get(mono, 0) + coeff
+    assert (p + q).terms == {mono: c for mono, c in want.items() if c}
+    assert p + q == q + p
+    assert (p - q) + q == p
+    assert p.terms == {mono: c for mono, c in a.items() if c}
+
+
+def test_product_over_different_labels():
+    x = MultivariatePolynomial.variable
+    p = x("b", "c") * x("a", "a")
+    assert p.terms == {frozenset({("b", "c"), ("a", "a")}): 1}
+    assert p.coefficient([("a", "a"), ("b", "c")]) == 1
+    assert p.substitute_diagonal() == IntPolynomial(())
+    assert (x("a", "a") * x("c", "c")).substitute_diagonal().coeffs == (0, 0, 1)
+    with pytest.raises(InvariantError):
+        p * x("b", "b")
