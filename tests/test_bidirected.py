@@ -490,10 +490,3 @@ def test_activation_members_are_the_doubling_order(bg):
         assert members[1::2] == list(want[1::2])
         with pytest.raises(IndexError):
             members[len(want)]
-
-
-def test_activation_members_on_a_four_cycle():
-    bg = bidirected_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    classes = activation_classes(bg)
-    assert sum(len(a.members) for a in classes) == len(enumerate_contributors(bg.og))
-    assert {m for a in classes for m in a.members} == set(enumerate_contributors(bg.og))
