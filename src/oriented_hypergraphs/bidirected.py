@@ -16,13 +16,13 @@ from typing import Iterable, Iterator, Sequence
 
 from . import limits
 from .core import IncidenceHypergraph, OrientedHypergraph
-from .errors import DomainError, InvariantError, ResourceLimitError
+from .errors import DomainError, InvariantError
 from .contributors import (
     MinorClass,
     OneStep,
     Steps,
+    _family_counts,
     _map_cycles,
-    _permanent_count,
     contributor_sign,
     vertex_steps,
 )
@@ -190,16 +190,13 @@ def _classes(
     # Every spanning family of ``options`` packs down to one backstep per
     # tail, so each choice of backsteps, in options order, is the bottom
     # of one class, and its members open any set of the cycles of the
-    # would-be-head map.  The exact family count (Ryser) is held to
+    # would-be-head map.  The exact family count is held to
     # ``max_count`` before the build and then checks that the classes hold
     # every family once.  A member's heads are a permutation of the tails
     # because the bottom's are and each generator's opened steps head
     # round the generator's own tails, which both are checked.
-    count = _permanent_count(options)
-    if count > max_count:
-        raise ResourceLimitError(
-            f"activation classes limited to {max_count} members, got {count}"
-        )
+    count = _family_counts(options)[-1]
+    limits.check(count, max_count, "activation classes", "members")
     g = bg.og.structure
     tails = tuple(options)
     # Each backstep with its unpacked step and that step's head; one
@@ -242,11 +239,7 @@ def activation_classes(
     class is built.
     """
     g = bg.og.structure
-    n = len(g.vertices)
-    if n > max_vertices:
-        raise ResourceLimitError(
-            f"contributor enumeration limited to {max_vertices} vertices, got {n}"
-        )
+    limits.check(len(g.vertices), max_vertices, "contributor enumeration", "vertices")
     return _classes(bg, {v: vertex_steps(g, v) for v in g.vertices}, max_count)
 
 
@@ -300,11 +293,7 @@ def single_element_classes(
     option for structural reasons; completion members score zero and can
     only pad classes, never create survivors.
     """
-    n = len(bg.og.vertices)
-    if n > max_vertices:
-        raise ResourceLimitError(
-            f"single-element class search limited to {max_vertices} vertices, got {n}"
-        )
+    limits.check(len(bg.og.vertices), max_vertices, "single-element class search", "vertices")
     mc = MinorClass.build(bg.og, cls.u, cls.w)
     if set(mc.u) != set(mc.w):
         raise DomainError("single-element classes need the same row and column vertices")
@@ -357,11 +346,7 @@ def k_arborescences(
     search must find exactly that many.
     """
     g = bg.og.structure
-    n = len(g.vertices)
-    if n > max_vertices:
-        raise ResourceLimitError(
-            f"arborescence enumeration limited to {max_vertices} vertices, got {n}"
-        )
+    limits.check(len(g.vertices), max_vertices, "arborescence enumeration", "vertices")
     root_list = tuple(roots)
     root_set = set(root_list)
     if len(root_set) != len(root_list):
@@ -371,10 +356,7 @@ def k_arborescences(
         raise DomainError(f"unknown roots: {sorted(unknown)}")
     others = [v for v in g.vertices if v not in root_set]
     count = _forest_count(bg, others)
-    if count > max_count:
-        raise ResourceLimitError(
-            f"arborescence enumeration limited to {max_count} forests, got {count}"
-        )
+    limits.check(count, max_count, "arborescence enumeration", "forests")
     choices = []
     for v in others:
         opts = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Any, Sequence
 
 from . import limits
@@ -86,14 +87,6 @@ def _matrix_lines(name: str, m) -> list[str]:
     return lines
 
 
-def _matrix_json(m) -> dict[str, Any]:
-    return {
-        "row_labels": list(m.row_labels),
-        "col_labels": list(m.col_labels),
-        "rows": [list(r) for r in m.rows],
-    }
-
-
 def _poly_json(p: MultivariatePolynomial, order: Sequence[str]) -> list[dict[str, Any]]:
     return [
         {"monomial": [list(uw) for uw in pairs], "coefficient": coeff}
@@ -103,16 +96,6 @@ def _poly_json(p: MultivariatePolynomial, order: Sequence[str]) -> list[dict[str
 
 def _step_text(s) -> str:
     return f"{s.tail} -[{s.tail_incidence} {s.edge} {s.head_incidence}]-> {s.head}"
-
-
-def _step_json(s) -> dict[str, str]:
-    return {
-        "tail": s.tail,
-        "tail_incidence": s.tail_incidence,
-        "edge": s.edge,
-        "head_incidence": s.head_incidence,
-        "head": s.head,
-    }
 
 
 def _profile_text(prof, sign: int) -> str:
@@ -134,7 +117,7 @@ def cmd_matrices(og, args) -> tuple[list[str], dict[str, Any]]:
     lines: list[str] = []
     for name, m in named:
         lines.extend(_matrix_lines(name, m))
-    return lines, {name: _matrix_json(m) for name, m in named}
+    return lines, {name: asdict(m) for name, m in named}
 
 
 def cmd_charpoly(og, args) -> tuple[list[str], dict[str, Any]]:
@@ -189,17 +172,9 @@ def cmd_contributors(og, args) -> tuple[list[str], dict[str, Any]]:
         lines.append(f"#{k} {_profile_text(prof, sign)}")
         lines.extend(f"  {_step_text(s)}" for s in c)
         record: dict[str, Any] = {
-            "steps": [_step_json(s) for s in c],
+            "steps": [asdict(s) for s in c],
             "sign": sign,
-            "profile": {
-                "backsteps": prof.backsteps,
-                "loops": prof.loops,
-                "odd_circles": prof.odd_circles,
-                "even_circles": prof.even_circles,
-                "positive_circles": prof.positive_circles,
-                "negative_circles": prof.negative_circles,
-                "zero_circles": prof.zero_circles,
-            },
+            "profile": asdict(prof),
         }
         if cls is not None:
             reduced = reduce_contributor(c, cls)
@@ -207,7 +182,7 @@ def cmd_contributors(og, args) -> tuple[list[str], dict[str, Any]]:
             shown = " ".join(f"{v}->{perm[v]}" for v in og.vertices if v in perm)
             lines.append(f"  reduced: {'; '.join(map(_step_text, reduced)) or '(empty)'}")
             lines.append(f"  permutation: {shown}")
-            record["reduced"] = [_step_json(s) for s in reduced]
+            record["reduced"] = [asdict(s) for s in reduced]
             record["class_permutation"] = {v: perm[v] for v in sorted(perm)}
         records.append(record)
     payload: dict[str, Any] = {"count": len(members), "contributors": records}
@@ -342,7 +317,7 @@ def cmd_activation(og, args) -> tuple[list[str], dict[str, Any]]:
             {
                 "size": len(a.members),
                 "generators": [list(c) for c in a.generators],
-                "bottom": [_step_json(s) for s in a.bottom],
+                "bottom": [asdict(s) for s in a.bottom],
             }
         )
     return lines, {"count": len(classes), "classes": records}

@@ -7,9 +7,10 @@ tail vertex to its allowed steps.  A contributor is a spanning family of
 the full map, so its heads sweep out the whole vertex set bijectively;
 a class member pins each class row to its steps onto the matching
 column; the bidirected reduced elements (:mod:`.bidirected`) span the
-non-row vertices with heads off the class columns.  Spanning families
-are counted exactly (a permanent) before any is built.  Everything here
-is cross-checked against the Leibniz oracle in :mod:`.matrices`.
+non-row vertices with heads off the class columns.  Families are
+counted exactly, by head mask, before any is built: the spanning ones (a
+permanent) for contributors, all of them for the catalog.  Everything
+here is cross-checked against the Leibniz oracle in :mod:`.matrices`.
 
 The minor polynomials come from a :class:`MinorCatalog`: every step
 family, grouped into blocks by (tail set, head set).  The families of a
@@ -39,7 +40,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import limits
 from .core import IncidenceHypergraph, OrientedHypergraph, require_valid
-from .errors import DomainError, InvariantError, ResourceLimitError
+from .errors import DomainError, InvariantError
 from .jsonio import dumps_oriented
 from .matrices import (
     adjacency_matrix,
@@ -48,7 +49,7 @@ from .matrices import (
     permutation_sign,
     symbolic_minor_poly,
 )
-from .polynomial import IntPolynomial, MultivariatePolynomial
+from .polynomial import IntPolynomial, MultivariatePolynomial, _bits
 
 COMBOS: tuple[tuple[str, str], ...] = (
     ("adjacency", "det"),
@@ -186,27 +187,25 @@ def _steps_between(options: Mapping[str, Sequence[OneStep]]) -> list[list[list[O
     return between
 
 
-def _permanent_count(options: Mapping[str, Sequence[OneStep]]) -> int:
-    # Spanning families are the bijections from the tails onto the same
-    # vertex set, each counted once per choice of steps realizing it: the
-    # permanent of the step-multiplicity matrix, by Ryser's formula in
-    # O(2^n n^2).
-    n = len(options)
-    mult = [[len(steps) for steps in row] for row in _steps_between(options)]
-    total = 0
-    for mask in range(1 << n):
-        cols = [j for j in range(n) if mask >> j & 1]
-        product = 1
-        for row in mult:
-            product *= sum(row[j] for j in cols)
-            if not product:
-                break
-        total += -product if len(cols) % 2 else product
-    return -total if n % 2 else total
+def _family_counts(options: Mapping[str, Sequence[OneStep]]) -> list[int]:
+    """The number of step families of ``options`` by head mask.
 
-
-def _bits(mask: int) -> list[int]:
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+    A DP over the tails in order: each tail is either skipped or steps
+    to a head not used yet, weighted by its number of steps there.  The
+    full-mask entry counts the spanning families (the permanent of the
+    step-multiplicity matrix); the sum counts every family.
+    """
+    counts = [0] * (1 << len(options))
+    counts[0] = 1
+    for row in _steps_between(options):
+        steps = [(1 << j, len(between)) for j, between in enumerate(row) if between]
+        # Descending, so each mask is read before a smaller one adds to it.
+        for mask in range(len(counts) - 1, -1, -1):
+            if counts[mask]:
+                for bit, k in steps:
+                    if not mask & bit:
+                        counts[mask | bit] += counts[mask] * k
+    return counts
 
 
 def _circles(
@@ -247,10 +246,7 @@ def _circles(
             table[mask] = row
         count += len(between[s][s])
         walks.append(table)
-    if count > limits.MAX_CIRCLES:
-        raise ResourceLimitError(
-            f"circle enumeration limited to {limits.MAX_CIRCLES} circles, got {count}"
-        )
+    limits.check(count, limits.MAX_CIRCLES, "circle enumeration", "circles")
 
     def weigh(step: OneStep) -> int:
         return signs[step.tail_incidence] * signs[step.head_incidence]
@@ -308,16 +304,9 @@ def _contributors_from(
 ) -> list[Steps]:
     # Guard on the vertex count, then on the exact count, before any
     # contributor is built; a zero count skips the dead-end search.
-    n = len(options)
-    if n > max_vertices:
-        raise ResourceLimitError(
-            f"contributor enumeration limited to {max_vertices} vertices, got {n}"
-        )
-    count = _permanent_count(options)
-    if count > max_count:
-        raise ResourceLimitError(
-            f"contributor enumeration limited to {max_count} contributors, got {count}"
-        )
+    limits.check(len(options), max_vertices, "contributor enumeration", "vertices")
+    count = _family_counts(options)[-1]
+    limits.check(count, max_count, "contributor enumeration", "contributors")
     if not count:
         return []
     return list(step_families(options, spanning=True))
@@ -563,16 +552,18 @@ class MinorCatalog:
 def minor_catalog(
     structure: IncidenceHypergraph, *, max_vertices: int = limits.MAX_MINOR_VERTICES
 ) -> MinorCatalog:
+    """Every step family of ``structure``, grouped into blocks.
+
+    The families are counted first (:func:`_family_counts`), so more than
+    ``limits.MAX_FAMILIES`` raise :class:`ResourceLimitError` before any
+    is built.
+    """
     require_valid(structure)
-    n = len(structure.vertices)
-    if n > max_vertices:
-        raise ResourceLimitError(
-            f"minor catalog limited to {max_vertices} vertices, got {n}"
-        )
-    families = [
-        StepFamily(steps, is_strong(steps))
-        for steps in step_families(_all_steps(structure))
-    ]
+    limits.check(len(structure.vertices), max_vertices, "minor catalog", "vertices")
+    options = _all_steps(structure)
+    count = sum(_family_counts(options))
+    limits.check(count, limits.MAX_FAMILIES, "minor catalog", "families")
+    families = [StepFamily(steps, is_strong(steps)) for steps in step_families(options)]
     return MinorCatalog(structure, tuple(families), _minor_blocks(structure, families))
 
 
@@ -702,10 +693,7 @@ def univariate_from_contributors(
     _require_combo(target, mode)
     g = og.structure
     n = len(g.vertices)
-    if n > max_vertices:
-        raise ResourceLimitError(
-            f"univariate contributor route limited to {max_vertices} vertices, got {n}"
-        )
+    limits.check(n, max_vertices, "univariate contributor route", "vertices")
     laplacian = target == "laplacian"
     det = mode == "det"
     pieces: defaultdict[int, int] = defaultdict(int)

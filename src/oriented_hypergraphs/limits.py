@@ -1,10 +1,15 @@
-"""Default enumeration budgets.
+"""Default enumeration budgets and the one guard that enforces them.
 
 Every exhaustive search in the library takes an explicit cap (or vertex
 bound) defaulting to one of these constants, so callers can tighten or
-relax the guards without touching the algorithms. Exceeding a cap raises
-ResourceLimitError before any large allocation happens.
+relax the guards without touching the algorithms.  Each search first
+counts what it would build (vertices, exact family or forest counts,
+subhypergraphs) and hands that count to :func:`check`, which raises
+ResourceLimitError before any large allocation happens.  The one other
+raise is the homomorphism search bound in ``core.HomSet``.
 """
+
+from .errors import ResourceLimitError
 
 # Naive upper bound |V(H)|^|V(G)| * |E(H)|^|E(G)| * |I(H)|^|I(G)| on the
 # homomorphism search space.
@@ -20,9 +25,19 @@ MAX_CONTRIBUTORS = 1_000_000
 # counted beforehand.  Strong K8 has 16,064.
 MAX_CIRCLES = 1_000_000
 
+# Step families the minor catalog may build; counted beforehand.  The
+# seeded complete graphs K7 and K8 have 3,823,392 and 88,929,169.
+MAX_FAMILIES = 5_000_000
+
 # Vertex bounds for the factorial-flavoured enumerations.
 MAX_CONTRIBUTOR_VERTICES = 9
 MAX_MINOR_VERTICES = 8
 MAX_ORACLE_VERTICES = 9
 MAX_SACHS_VERTICES = 8
 MAX_ARBORESCENCE_VERTICES = 8
+
+
+def check(value: int, cap: int, what: str, unit: str) -> None:
+    """Raise ResourceLimitError when the count ``value`` exceeds ``cap``."""
+    if value > cap:
+        raise ResourceLimitError(f"{what} limited to {cap} {unit}, got {value}")

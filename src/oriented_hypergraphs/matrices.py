@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import limits
 from .core import IncidenceHypergraph, OrientedHypergraph, require_valid
-from .errors import DomainError, InvariantError, ResourceLimitError
+from .errors import DomainError, InvariantError
 from .polynomial import IntPolynomial, MultivariatePolynomial
 
 __all__ = [
@@ -57,6 +57,8 @@ class IntegerMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def entry(self, row: str, col: str) -> int:
+        if row not in self.row_labels or col not in self.col_labels:
+            raise DomainError(f"no row {row!r} / column {col!r} in the matrix")
         return self.rows[self.row_labels.index(row)][self.col_labels.index(col)]
 
     @property
@@ -110,12 +112,16 @@ class IntegerMatrix:
         )
 
     def restrict(self, labels: Sequence[str]) -> "IntegerMatrix":
-        """Principal submatrix on the given row/column labels."""
-        idx = [self.row_labels.index(x) for x in labels]
+        """Principal submatrix on the given labels, each a row and a column."""
+        unknown = [x for x in labels if x not in self.row_labels or x not in self.col_labels]
+        if unknown:
+            raise DomainError(f"no rows/columns {unknown} to restrict to")
+        ri = [self.row_labels.index(x) for x in labels]
+        ci = [self.col_labels.index(x) for x in labels]
         return IntegerMatrix(
             tuple(labels),
             tuple(labels),
-            tuple(tuple(self.rows[i][j] for j in idx) for i in idx),
+            tuple(tuple(self.rows[i][j] for j in ci) for i in ri),
         )
 
 
@@ -244,8 +250,7 @@ def _leibniz(
     if m.row_labels != m.col_labels:
         raise DomainError("expected a square matrix with matching row/column labels")
     n = len(m.row_labels)
-    if n > max_vertices:
-        raise ResourceLimitError(f"Leibniz expansion limited to {max_vertices} rows, got {n}")
+    limits.check(n, max_vertices, "Leibniz expansion", "rows")
     det = mode == "det"
     # Columns used by the rows below -> their expansion, each monomial a
     # MultivariatePolynomial mask (bit k*n + c is x[k, c]).
@@ -418,8 +423,7 @@ def sachs_char_poly(
     """
     _require_graph(g)
     n = len(g.vertices)
-    if n > max_vertices:
-        raise ResourceLimitError(f"cover enumeration limited to {max_vertices} vertices, got {n}")
+    limits.check(n, max_vertices, "cover enumeration", "vertices")
     pos = g.vertex_pos
     for e in g.edges:
         a, b = edge_endpoints(g, e)

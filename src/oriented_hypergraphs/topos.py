@@ -32,7 +32,7 @@ from .core import (
     product,
     require_valid,
 )
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 
 __all__ = [
     "TildeResult",
@@ -126,18 +126,10 @@ def tilde_map(phi: Homomorphism) -> Homomorphism:
 
     True elements travel through phi; false vertices and edges stay
     false; a false incidence lands on the false incidence over the
-    images of its attachments.
+    images of its attachments.  That is the partial map (eta, phi)
+    represented by :func:`represent_partial`.
     """
-    src = tilde(phi.source)
-    dst = tilde(phi.target)
-    vmap = {true_id(v): true_id(phi.vertex_map[v]) for v in phi.source.vertices}
-    vmap[FALSE_ID] = FALSE_ID
-    emap = {true_id(e): true_id(phi.edge_map[e]) for e in phi.source.edges}
-    emap[FALSE_ID] = FALSE_ID
-    imap = {true_id(i.id): true_id(phi.incidence_map[i.id]) for i in phi.source.incidences}
-    for (v, e), iid in src.false_incidence.items():
-        imap[iid] = dst.false_incidence[(vmap[v], emap[e])]
-    return Homomorphism(src.hypergraph, dst.hypergraph, vmap, emap, imap)
+    return represent_partial(tilde(phi.source).eta, phi)
 
 
 def represent_partial(phi: Homomorphism, psi: Homomorphism) -> Homomorphism:
@@ -293,9 +285,7 @@ def enumerate_subhypergraphs(
 ) -> list[Subhypergraph]:
     """All subhypergraphs: incidence subsets first, then free choices of
     extra vertices and edges. Deterministic bitmask order throughout."""
-    total = count_subhypergraphs(g)
-    if total > max_count:
-        raise ResourceLimitError(f"{total} subhypergraphs exceed the cap of {max_count}")
+    limits.check(count_subhypergraphs(g), max_count, "subhypergraph enumeration", "subhypergraphs")
     out: list[Subhypergraph] = []
     for mask in range(1 << len(g.incidences)):
         chosen = [g.incidences[k] for k in range(len(g.incidences)) if mask >> k & 1]

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -5,8 +6,9 @@ import pytest
 from conftest import FIXTURE_DIR
 from oriented_hypergraphs.cli import main
 from oriented_hypergraphs.contributors import total_minor_poly
-from oriented_hypergraphs.corpus import bidirected_corpus
+from oriented_hypergraphs.corpus import bidirected_corpus, graph_structure
 from oriented_hypergraphs.jsonio import dumps_oriented
+from oriented_hypergraphs.matrices import graph_orientation
 
 K3 = str(FIXTURE_DIR / "g1_k3.json")
 STAR_PLUS = str(FIXTURE_DIR / "g2_sigma1.json")
@@ -311,6 +313,20 @@ def test_guard_flags_take_zero_as_a_value(capsys):
     code, _, err = run(capsys, "contributors", K3, "--max-vertices", "0")
     assert code == 2
     assert "limited to 0 vertices, got 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["total-minor", "--target", "laplacian", "--mode", "det"]]
+)
+def test_catalog_commands_refuse_k8_from_the_family_count(tmp_path, capsys, argv):
+    vertices = [f"v{k}" for k in range(1, 9)]
+    g = graph_structure(vertices, itertools.combinations(vertices, 2))
+    src = tmp_path / "k8.json"
+    src.write_text(dumps_oriented(graph_orientation(g)))
+    code, out, err = run(capsys, argv[0], str(src), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "resource limit: minor catalog limited to 5000000 families, got 88929169\n"
 
 
 def test_guard_flags_only_where_they_are_read(capsys):

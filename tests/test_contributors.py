@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MALFORMED_STRUCTURES, small_oriented, triangle
-from oriented_hypergraphs import contributors
+from oriented_hypergraphs import contributors, limits
 from oriented_hypergraphs.contributors import (
     COMBOS,
     MinorClass,
@@ -23,14 +23,16 @@ from oriented_hypergraphs.contributors import (
     minor_polys_from_catalog,
     oracle_equivalence,
     reduce_contributor,
+    step_families,
     total_minor_poly,
     univariate_from_contributors,
     vertex_steps,
     _all_steps,
     _circles,
     _cover_sums,
+    _family_counts,
     _map_cycles,
-    _permanent_count,
+    _steps_between,
 )
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
 from oriented_hypergraphs.errors import DomainError, InvariantError, ResourceLimitError
@@ -192,6 +194,78 @@ def test_class_count_guard_runs_before_enumeration():
 def test_class_row_outside_vertex_set():
     with pytest.raises(DomainError, match="no step tailed at 'ghost'"):
         class_contributors(triangle(), MinorClass(("ghost",), ("v2",)))
+
+
+def _permanent_count(options):
+    # Ryser's formula (Ryser 1963): the permanent of the step-multiplicity
+    # matrix, the number of spanning families, in O(2^n n^2).  The
+    # reference for the head-mask DP of ``_family_counts``.
+    n = len(options)
+    mult = [[len(steps) for steps in row] for row in _steps_between(options)]
+    total = 0
+    for mask in range(1 << n):
+        cols = [j for j in range(n) if mask >> j & 1]
+        product = 1
+        for row in mult:
+            product *= sum(row[j] for j in cols)
+            if not product:
+                break
+        total += -product if len(cols) % 2 else product
+    return -total if n % 2 else total
+
+
+@st.composite
+def option_maps(draw, max_tails=5, max_multiplicity=2):
+    # Tails v0..v(n-1), each with 0..max_multiplicity steps to every head.
+    n = draw(st.integers(0, max_tails))
+    options = {}
+    for r in range(n):
+        steps = []
+        for c in range(n):
+            for k in range(draw(st.integers(0, max_multiplicity))):
+                tag = f"{r}.{c}.{k}"
+                steps.append(OneStep(f"v{r}", f"t{tag}", f"e{tag}", f"h{tag}", f"v{c}"))
+        options[f"v{r}"] = tuple(steps)
+    return options
+
+
+@settings(max_examples=60, deadline=None)
+@given(option_maps())
+def test_family_counts_match_ryser_and_enumeration(options):
+    counts = _family_counts(options)
+    assert len(counts) == 1 << len(options)
+    assert counts[-1] == _permanent_count(options)
+    assert counts[-1] == len(list(step_families(options, spanning=True)))
+    assert sum(counts) == len(list(step_families(options)))
+
+
+@pytest.mark.parametrize(
+    "n, families, spanning",
+    [(6, 187375, 34960), (7, 3823392, 648240), (8, 88929169, 13781376)],
+)
+def test_family_counts_on_complete_graphs(n, families, spanning):
+    # K7 stays under ``limits.MAX_FAMILIES`` and K8 does not.
+    counts = _family_counts(_all_steps(complete_graph(n).structure))
+    assert (sum(counts), counts[-1]) == (families, spanning)
+    assert (families <= limits.MAX_FAMILIES) == (n < 8)
+
+
+def test_minor_catalog_refuses_k8_from_the_family_count(monkeypatch):
+    # Seeded K8 has 88,929,169 step families; the count refuses them
+    # before ``step_families`` builds one.
+    og = complete_graph(8, seed=2019)
+
+    def never(*args, **kwargs):
+        raise AssertionError("step families enumerated past the guard")
+
+    monkeypatch.setattr(contributors, "step_families", never)
+    message = "minor catalog limited to 5000000 families, got 88929169"
+    with pytest.raises(ResourceLimitError, match=message):
+        minor_catalog(og.structure)
+    with pytest.raises(ResourceLimitError, match=message):
+        total_minor_poly(og, "laplacian", "det")
+    with pytest.raises(ResourceLimitError, match=message):
+        oracle_equivalence(og)
 
 
 def _product_reference(g, strong_only, pinned):

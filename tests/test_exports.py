@@ -8,6 +8,7 @@ import pytest
 import oriented_hypergraphs
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PACKAGE_DIR = Path(oriented_hypergraphs.__file__).resolve().parent
 
 MODULES = ["oriented_hypergraphs"] + [
     f"oriented_hypergraphs.{m.name}" for m in pkgutil.iter_modules(oriented_hypergraphs.__path__)
@@ -57,3 +58,21 @@ def test_benchmark_tracer_reads_resolve():
     for fam in families:
         for step in fam.steps:
             assert {step.tail_incidence, step.head_incidence} <= {"i", "j"}
+
+
+def _raises_resource_limit(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "ResourceLimitError"
+
+
+def test_resource_limits_raise_only_from_the_one_guard():
+    # Every cap is enforced by ``limits.check``; the homomorphism search
+    # bound in ``HomSet`` is the one other raise.
+    raising = {
+        (path.name, top.name)
+        for path in PACKAGE_DIR.glob("*.py")
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Raise) and node.exc is not None and _raises_resource_limit(node)
+    }
+    assert raising == {("core.py", "HomSet"), ("limits.py", "check")}

@@ -299,6 +299,27 @@ def test_graph_orientation_makes_adjacency_count_edges():
     assert adjacency_matrix(og).entry("a", "b") == 2
 
 
+@pytest.mark.parametrize("row, col", [("ghost", "v1"), ("v1", "ghost")])
+def test_entry_rejects_unknown_labels(row, col):
+    with pytest.raises(DomainError, match="ghost"):
+        laplacian_matrix(triangle()).entry(row, col)
+
+
+def test_restrict_rejects_unknown_labels():
+    lap = laplacian_matrix(triangle())
+    assert lap.restrict(["v1", "v3"]).rows == ((2, -1), (-1, 2))
+    with pytest.raises(DomainError, match="ghost"):
+        lap.restrict(["ghost"])
+    with pytest.raises(DomainError, match="ghost"):
+        lap.restrict(["v1", "ghost"])
+    # A cofactor's minor has rows v2, v3 and columns v1, v3: v2 is no
+    # column, and v3 is read at its own row and column.
+    minor = lap.delete("v1", "v2")
+    assert minor.restrict(["v3"]).rows == ((2,),)
+    with pytest.raises(DomainError, match="v2"):
+        minor.restrict(["v2"])
+
+
 def test_spanning_tree_count_and_cofactor():
     og = triangle()
     g = og.structure
