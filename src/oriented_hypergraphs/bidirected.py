@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import limits
 from .core import IncidenceHypergraph, OrientedHypergraph
@@ -23,7 +23,6 @@ from .contributors import (
     Steps,
     _family_counts,
     _map_cycles,
-    contributor_sign,
     vertex_steps,
 )
 from .matrices import edge_endpoints, graph_orientation, integer_determinant, laplacian_matrix
@@ -89,12 +88,17 @@ def complete(bg: BidirectedGraph) -> BidirectedGraph:
     return BidirectedGraph(og, bg.completion_edges | frozenset(added_edges))
 
 
-def _opened(g: IncidenceHypergraph, s: OneStep) -> OneStep:
-    # The backstep ``s`` unpacked toward its edge's other incidence.
+def _across(g: IncidenceHypergraph, s: OneStep) -> str:
+    # The incidence facing the backstep ``s`` across its edge.
     on_edge = g.incidences_on_edge[s.edge]
     if len(on_edge) != 2:
         raise DomainError(f"edge {s.edge!r} has {len(on_edge)} incidences, cannot unpack")
-    j = on_edge[0] if on_edge[1] == s.tail_incidence else on_edge[1]
+    return on_edge[0] if on_edge[1] == s.tail_incidence else on_edge[1]
+
+
+def _opened(g: IncidenceHypergraph, s: OneStep) -> OneStep:
+    # The backstep ``s`` unpacked toward its edge's other incidence.
+    j = _across(g, s)
     return OneStep(s.tail, s.tail_incidence, s.edge, j, g.vertex_of(j))
 
 
@@ -114,15 +118,26 @@ def unpack(bg: BidirectedGraph, pre: Steps, vertex: str) -> Steps:
 class ActivationClass:
     """A Boolean lattice of contributors under circle activation.
 
+    ``steps`` holds per row its backsteps and, in the same order, their
+    unpacked steps (one pair of tuples per row, shared by the classes of
+    one build); ``choice`` picks the class's backstep in each row.
     ``bottom`` is the all-backstep member and ``opened`` the same row
-    with every backstep unpacked; each generator is a cycle of the
-    unpacked head map, a tuple of tail vertices.  ``members`` builds the
-    members on demand.
+    with every backstep unpacked, both built when read.  Each generator
+    is a cycle of the unpacked head map, a tuple of tail vertices.
+    ``members`` builds the members on demand.
     """
 
-    bottom: Steps
-    opened: Steps
+    steps: tuple[tuple[Steps, Steps], ...]
+    choice: tuple[int, ...]
     generators: tuple[tuple[str, ...], ...]
+
+    @property
+    def bottom(self) -> Steps:
+        return tuple([backsteps[k] for (backsteps, _), k in zip(self.steps, self.choice)])
+
+    @property
+    def opened(self) -> Steps:
+        return tuple([unpacked[k] for (_, unpacked), k in zip(self.steps, self.choice)])
 
     @property
     def members(self) -> "ActivationMembers":
@@ -145,14 +160,16 @@ class ActivationMembers(Sequence[Steps]):
     def __len__(self) -> int:
         return 1 << len(self._cls.generators)
 
-    def _cycles(self) -> list[tuple[int, ...]]:
-        # Each generator as the row positions of its tails.
-        at = {s.tail: j for j, s in enumerate(self._cls.bottom)}
-        return [tuple(at[v] for v in cycle) for cycle in self._cls.generators]
+    def _parts(self) -> tuple[Steps, Steps, list[tuple[int, ...]]]:
+        # The bottom, its unpacked row, and each generator as the row
+        # positions of its tails.
+        bottom = self._cls.bottom
+        at = {s.tail: j for j, s in enumerate(bottom)}
+        return bottom, self._cls.opened, [tuple(at[v] for v in c) for c in self._cls.generators]
 
-    def _member(self, k: int, cycles: list[tuple[int, ...]]) -> Steps:
-        member = list(self._cls.bottom)
-        opened = self._cls.opened
+    def _member(self, k: int, parts: tuple[Steps, Steps, list[tuple[int, ...]]]) -> Steps:
+        bottom, opened, cycles = parts
+        member = list(bottom)
         for i, cycle in enumerate(cycles):
             if k >> i & 1:
                 for j in cycle:
@@ -167,11 +184,11 @@ class ActivationMembers(Sequence[Steps]):
             k += len(self)
         if not 0 <= k < len(self):
             raise IndexError("activation member index out of range")
-        return self._member(k, self._cycles())
+        return self._member(k, self._parts())
 
     def __iter__(self) -> Iterator[Steps]:
-        cycles = self._cycles()
-        return (self._member(k, cycles) for k in range(len(self)))
+        parts = self._parts()
+        return (self._member(k, parts) for k in range(len(self)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
@@ -184,46 +201,57 @@ class ActivationMembers(Sequence[Steps]):
         return f"ActivationMembers({list(self)!r})"
 
 
-def _classes(
-    bg: BidirectedGraph, options: dict[str, Steps], max_count: int
-) -> list[ActivationClass]:
+def _bottoms(bg: BidirectedGraph, options: Mapping[str, Steps], max_count: int) -> tuple:
     # Every spanning family of ``options`` packs down to one backstep per
     # tail, so each choice of backsteps, in options order, is the bottom
     # of one class, and its members open any set of the cycles of the
-    # would-be-head map.  The exact family count is held to
-    # ``max_count`` before the build and then checks that the classes hold
-    # every family once.  A member's heads are a permutation of the tails
-    # because the bottom's are and each generator's opened steps head
-    # round the generator's own tails, which both are checked.
+    # would-be-head map.  Returns the rows of backstep options and an
+    # iterator over the classes, each as its choice of one option per
+    # row and its cycles as row positions.  The exact family count is
+    # held to ``max_count`` before the build and then checks that the
+    # classes hold every family once.  A member's heads are a permutation
+    # of the tails because the bottom's are and each generator's opened
+    # steps head round the generator's own tails, which both are checked.
     count = _family_counts(options)[-1]
     limits.check(count, max_count, "activation classes", "members")
-    g = bg.og.structure
+    g, sigma = bg.og.structure, bg.og.sigma
+    row_of = {v: k for k, v in enumerate(options)}
+
+    def option(s: OneStep) -> tuple[int, OneStep, OneStep, bool, bool]:
+        # The unpacked step's head as a row position (-1 off the rows),
+        # the backstep, the unpacked step, and whether each weighs nonzero.
+        if s.head != s.tail:
+            raise InvariantError("a class bottom's heads are not its tails")
+        o = _opened(g, s)
+        weight = sigma(o.tail_incidence) * sigma(o.head_incidence)
+        return row_of.get(o.head, -1), s, o, sigma(s.tail_incidence) != 0, weight != 0
+
+    rows = [[option(s) for s in steps if s.is_backstep] for steps in options.values()]
+
+    def classes() -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+        built = 0
+        heads = itertools.product(*[[o[0] for o in row] for row in rows])
+        for f, choice in zip(heads, itertools.product(*[range(len(row)) for row in rows])):
+            cycles = _map_cycles(f)
+            for cycle in cycles:
+                if [f[k] for k in cycle] != [*cycle[1:], cycle[0]]:
+                    raise InvariantError("activation class member heads are not a permutation")
+            built += 1 << len(cycles)
+            yield choice, cycles
+        if built != count:
+            raise InvariantError(f"activation classes hold {built} families, expected {count}")
+
+    return rows, classes()
+
+
+def _classes(bg: BidirectedGraph, options: Mapping[str, Steps], max_count: int) -> list:
+    rows, classes = _bottoms(bg, options, max_count)
+    steps = tuple((tuple([o[1] for o in row]), tuple([o[2] for o in row])) for row in rows)
     tails = tuple(options)
-    # Each backstep with its unpacked step and that step's head; one
-    # triple per tail, in options order, gives a class bottom, its fully
-    # unpacked row and the would-be-head map.
-    triples = [
-        [(s, o, o.head) for s in steps if s.is_backstep for o in (_opened(g, s),)]
-        for steps in options.values()
+    return [
+        ActivationClass(steps, choice, tuple(tuple([tails[k] for k in c]) for c in cycles))
+        for choice, cycles in classes
     ]
-    if any(b.head != b.tail for row in triples for b, _, _ in row):
-        raise InvariantError("a class bottom's heads are not its tails")
-    bottom_of, opened_of, head_of = (operator.itemgetter(k) for k in range(3))
-    out = []
-    built = 0
-    for choice in itertools.product(*triples):
-        f = dict(zip(tails, map(head_of, choice)))
-        generators = tuple(_map_cycles(f))
-        for cycle in generators:
-            if tuple(map(f.__getitem__, cycle)) != cycle[1:] + cycle[:1]:
-                raise InvariantError("activation class member heads are not a permutation")
-        built += 1 << len(generators)
-        out.append(
-            ActivationClass(tuple(map(bottom_of, choice)), tuple(map(opened_of, choice)), generators)
-        )
-    if built != count:
-        raise InvariantError(f"activation classes hold {built} families, expected {count}")
-    return out
 
 
 def activation_classes(
@@ -263,18 +291,22 @@ def total_unpack(bg: BidirectedGraph, roots: tuple[str, ...], reduced: Steps) ->
     for s in reduced:
         if not s.is_backstep:
             raise InvariantError(f"total unpacking hit a non-backstep at {s.tail!r}")
-    f = {s.tail: _opened(g, s).head for s in reduced}
+    pos = g.vertex_pos
+    f = [-1] * len(g.vertices)
+    for s in reduced:
+        f[pos[s.tail]] = pos[g.vertex_of(_across(g, s))]
     if _map_cycles(f):
         raise InvariantError("total unpacking encountered a circle")
     assignment = []
-    for v in g.vertices:
-        w = v
-        while w in f:
+    for k, v in enumerate(g.vertices):
+        w = k
+        while f[w] >= 0:
             w = f[w]
-        if w not in roots and v in f:
-            raise InvariantError(f"chain from {v!r} drains to non-root {w!r}")
-        if v in roots or v in f:
-            assignment.append((v, w if v in f else v))
+        root = g.vertices[w]
+        if root not in roots and f[k] >= 0:
+            raise InvariantError(f"chain from {v!r} drains to non-root {root!r}")
+        if v in roots or f[k] >= 0:
+            assignment.append((v, root))
     edge_ids = sorted((s.edge for s in reduced), key=g.edge_pos.__getitem__)
     return Arborescence(roots, tuple(edge_ids), tuple(assignment))
 
@@ -298,21 +330,35 @@ def single_element_classes(
     if set(mc.u) != set(mc.w):
         raise DomainError("single-element classes need the same row and column vertices")
     completed = complete(bg)
-    og = completed.og
     # The reduced elements are the spanning step families on the non-row
     # vertices whose heads avoid the class columns: the direct form of
     # reducing every class member and de-duplicating.
-    g = og.structure
+    g = completed.og.structure
     options = {
         v: tuple(s for s in vertex_steps(g, v) if s.head not in mc.w)
         for v in g.vertices
         if v not in mc.u
     }
+    rows, classes = _bottoms(completed, options, limits.MAX_CONTRIBUTORS)
     out = []
-    for a in _classes(completed, options, limits.MAX_CONTRIBUTORS):
-        nonzero = [m for m in a.members if contributor_sign(og, m)]
-        if len(nonzero) == 1:
-            out.append((nonzero[0], total_unpack(completed, mc.u, nonzero[0])))
+    for choice, cycles in classes:
+        # A member is nonzero when its steps are: off the cycles it keeps
+        # the bottom's, and on each cycle all backsteps or all opened.
+        picked = [row[k] for row, k in zip(rows, choice)]
+        member = [o[1] for o in picked]
+        alive = [o[3] for o in picked]
+        for cycle in cycles:
+            closed = all(alive[k] for k in cycle)
+            if closed == all(picked[k][4] for k in cycle):
+                break
+            if not closed:
+                for k in cycle:
+                    member[k] = picked[k][2]
+                    alive[k] = True
+        else:
+            if all(alive):
+                survivor = tuple(member)
+                out.append((survivor, total_unpack(completed, mc.u, survivor)))
     return out
 
 

@@ -36,7 +36,8 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import limits
 from .core import IncidenceHypergraph, OrientedHypergraph, require_valid
@@ -142,37 +143,45 @@ def _all_steps(
     return {v: vertex_steps(g, v, strong_only=strong_only) for v in g.vertices}
 
 
+def _search(rows: Sequence[Sequence[tuple[int, object]]], spanning: bool, leaf: Callable) -> None:
+    """The one step-family enumerator, over integer rows.
+
+    ``rows[k]`` lists tail k's steps as (head bit, item).  Each tail in
+    turn is skipped (unless ``spanning``) or, skipping first, takes a step
+    to an unused head; ``leaf(path, tails, heads)`` gets each family as
+    its items in tail order (one list, reused) with its tail and head masks.
+    """
+    path: list = []
+
+    def extend(k: int, tails: int, heads: int) -> None:
+        if k == len(rows):
+            return leaf(path, tails, heads)
+        if not spanning:
+            extend(k + 1, tails, heads)
+        for bit, item in rows[k]:
+            if not heads & bit:
+                path.append(item)
+                extend(k + 1, tails | 1 << k, heads | bit)
+                path.pop()
+
+    extend(0, 0, 0)
+
+
 def step_families(
     options: Mapping[str, Sequence[OneStep]], *, spanning: bool = False
 ) -> Iterator[Steps]:
-    """Stream every step family drawn from ``options`` as a tuple of steps.
+    """Every step family drawn from ``options``, as tuples of steps.
 
     ``options`` maps each tail vertex, in order, to the steps it may take.
     Each tail is either skipped or given one of its steps to a head not
     used yet, skipping first.  ``spanning`` forbids skipping, so every
     tail gets a step.
     """
-    rows = list(options.values())
-    n = len(rows)
-    chosen: list[OneStep] = []
-    used: set[str] = set()
-
-    def extend(k: int) -> Iterator[Steps]:
-        if k == n:
-            yield tuple(chosen)
-            return
-        if not spanning:
-            yield from extend(k + 1)
-        for s in rows[k]:
-            if s.head in used:
-                continue
-            used.add(s.head)
-            chosen.append(s)
-            yield from extend(k + 1)
-            chosen.pop()
-            used.discard(s.head)
-
-    return extend(0)
+    bits = {v: 1 << k for k, v in enumerate(options)}
+    rows = [[(bits.setdefault(s.head, 1 << len(bits)), s) for s in steps] for steps in options.values()]
+    out: list[Steps] = []
+    _search(rows, spanning, lambda path, tails, heads: out.append(tuple(path)))
+    return iter(out)
 
 
 def _steps_between(options: Mapping[str, Sequence[OneStep]]) -> list[list[list[OneStep]]]:
@@ -343,22 +352,20 @@ def contributor_sign(og: OrientedHypergraph, c: Steps) -> int:
     return sign
 
 
-def _map_cycles(f: Mapping[str, str]) -> list[tuple[str, ...]]:
-    """Cycles of the partial map ``f``, in key order.
+def _map_cycles(f: Sequence[int]) -> list[tuple[int, ...]]:
+    """Cycles of the partial map ``f`` on positions, in position order.
 
-    Each cycle starts at the first of its vertices that a walk from the
-    keys, taken in order, reaches; a walk that leaves the domain of
-    ``f`` closes no cycle.
+    ``f[k]`` is the image of k, or -1 off the domain.  Each cycle starts
+    at the first of its positions that a walk from the positions, taken
+    in order, reaches; a walk that leaves the domain closes no cycle.
     """
-    seen: set[str] = set()
-    cycles: list[tuple[str, ...]] = []
-    for start in f:
-        if start in seen:
-            continue
+    walked = [False] * len(f) + [True]  # the slot at -1 ends every walk
+    cycles: list[tuple[int, ...]] = []
+    for start in range(len(f)):
         path = []
         v = start
-        while v in f and v not in seen:
-            seen.add(v)
+        while not walked[v]:
+            walked[v] = True
             path.append(v)
             v = f[v]
         if v in path:
@@ -373,20 +380,20 @@ def component_profile(og: OrientedHypergraph, c: Steps) -> ComponentProfile:
     non-backstep head map), which holds for contributors and for
     anything produced by :func:`reduce_contributor` or backstep deletion.
     """
-    by_tail = {s.tail: s for s in c}
-    if len(by_tail) != len(c):
+    at = {s.tail: k for k, s in enumerate(c)}
+    if len(at) != len(c):
         raise DomainError("two steps share a tail vertex")
-    cycles = _map_cycles({s.tail: s.head for s in c if not s.is_backstep})
-    on_cycle = {v for cycle in cycles for v in cycle}
-    for s in c:
-        if not s.is_backstep and s.tail not in on_cycle:
+    cycles = _map_cycles([-1 if s.is_backstep else at.get(s.head, -1) for s in c])
+    on_cycle = {k for cycle in cycles for k in cycle}
+    for k, s in enumerate(c):
+        if not s.is_backstep and k not in on_cycle:
             raise DomainError(f"steps do not close into circles at {s.tail!r}")
     backsteps = sum(s.is_backstep for s in c)
     loops = odd = even = pos = neg = zero = 0
     for cycle in cycles:
         circle_sign = 1
-        for v in cycle:
-            step = by_tail[v]
+        for k in cycle:
+            step = c[k]
             circle_sign *= -og.sigma(step.tail_incidence) * og.sigma(step.head_incidence)
         loops += len(cycle) == 1
         if len(cycle) % 2:
@@ -533,10 +540,11 @@ class MinorBlock:
 class MinorCatalog:
     """Signing-independent family enumeration, shared by all four polynomials.
 
-    ``families`` lists every step family in enumeration order; ``blocks``
-    groups the same families by (tail set, head set) and stores each
-    block's completions once, so evaluation stamps every monomial once
-    per block rather than once per family.
+    ``blocks`` groups every step family by (tail set, head set) and
+    stores each block's completions once, so evaluation stamps every
+    monomial once per block rather than once per family.  ``families``
+    lists the same families as figures, in enumeration order; it is
+    enumerated again when first read.
 
     Families through incidences missing from the evaluation signs score
     zero and drop out, which is exactly the zero-loading convention, so
@@ -545,8 +553,14 @@ class MinorCatalog:
     """
 
     structure: IncidenceHypergraph
-    families: tuple[StepFamily, ...]
     blocks: tuple[MinorBlock, ...]
+
+    @cached_property
+    def families(self) -> tuple[StepFamily, ...]:
+        return tuple(
+            StepFamily(steps, is_strong(steps))
+            for steps in step_families(_all_steps(self.structure))
+        )
 
 
 def minor_catalog(
@@ -563,43 +577,50 @@ def minor_catalog(
     options = _all_steps(structure)
     count = sum(_family_counts(options))
     limits.check(count, limits.MAX_FAMILIES, "minor catalog", "families")
-    families = [StepFamily(steps, is_strong(steps)) for steps in step_families(options)]
-    return MinorCatalog(structure, tuple(families), _minor_blocks(structure, families))
+    return MinorCatalog(structure, _minor_blocks(structure, options))
 
 
 def _minor_blocks(
-    structure: IncidenceHypergraph, families: Sequence[StepFamily]
+    structure: IncidenceHypergraph, options: Mapping[str, Sequence[OneStep]]
 ) -> tuple[MinorBlock, ...]:
-    order = structure.vertices
+    # Blocks by (tail mask, head mask), in order of first family.  By the
+    # Laplace expansion, eps_f is (-1)^(sum of the open rows and columns)
+    # times the parity of the inversions of f's heads in tail order.
     pos = structure.vertex_pos
-    n = len(order)
     at = structure.incidence_pos
-    grouped: dict[tuple[frozenset[str], frozenset[str]], list[StepFamily]] = {}
-    for fam in families:
-        key = (frozenset(s.tail for s in fam.steps), frozenset(s.head for s in fam.steps))
-        grouped.setdefault(key, []).append(fam)
+    n = len(pos)
+
+    def item(s: OneStep) -> tuple[int, tuple[int, int], bool]:
+        return pos[s.head], (at[s.tail_incidence], at[s.head_incidence]), s.is_backstep
+
+    rows = [[(1 << pos[s.head], item(s)) for s in steps] for steps in options.values()]
+    grouped: dict[tuple[int, int], tuple[list[tuple[int, int]], list, int]] = {}
+
+    def leaf(path: list, tails: int, heads: int) -> None:
+        if (tails, heads) not in grouped:
+            open_rows = [r for r in range(n) if not tails >> r & 1]
+            open_cols = [c for c in range(n) if not heads >> c & 1]
+            grouped[tails, heads] = (list(zip(open_rows, open_cols)), [], sum(open_rows + open_cols))
+        _, entries, inversions = grouped[tails, heads]
+        seen = backsteps = 0
+        ids: list[int] = []
+        for h, pair, back in path:
+            inversions += (seen >> h).bit_count()
+            seen |= 1 << h
+            ids += pair
+            backsteps += back
+        entries.append((tuple(ids), not backsteps, -1 if inversions & 1 else 1))
+
+    _search(rows, False, leaf)
     blocks = []
-    for (tails, heads), members in grouped.items():
-        rows = [v for v in order if v not in tails]
-        cols = [v for v in order if v not in heads]
-        images = [0] * len(order)
-        for r, c in zip(rows, cols):
-            images[pos[r]] = pos[c]
-        entries = []
-        for fam in members:
-            for s in fam.steps:
-                images[pos[s.tail]] = pos[s.head]
-            ids = tuple(
-                at[i] for s in fam.steps for i in (s.tail_incidence, s.head_incidence)
-            )
-            entries.append((ids, fam.strong, permutation_sign(images)))
+    for (tails, _), (c0, entries, _) in grouped.items():
         # bit[i][j]: the MultivariatePolynomial mask of x[rows[i], cols[j]].
-        bit = [[1 << (pos[r] * n + pos[c]) for c in cols] for r in rows]
+        bit = [[1 << (r * n + c) for _, c in c0] for r, _ in c0]
         completions = tuple(
             (sum(row[j] for row, j in zip(bit, p)), permutation_sign(p))
-            for p in itertools.permutations(range(len(rows)))
+            for p in itertools.permutations(range(len(c0)))
         )
-        blocks.append(MinorBlock(len(tails) % 2 == 1, tuple(entries), completions))
+        blocks.append(MinorBlock(tails.bit_count() % 2 == 1, tuple(entries), completions))
     return tuple(blocks)
 
 
@@ -658,13 +679,21 @@ def total_minor_poly(
 ) -> MultivariatePolynomial:
     """Minor polynomial of the chosen matrix and mode, from step families.
 
-    Must match :func:`matrices.symbolic_minor_poly` of the same matrix
-    term for term; that equality is this module's central contract and
-    is what :func:`oracle_equivalence` checks.
+    It must match :func:`matrices.symbolic_minor_poly` of the same matrix
+    term for term, this module's central contract; a mismatch raises an
+    :class:`InvariantError` that carries the structure as JSON and the
+    (target, mode) pair, as in :func:`univariate_from_contributors`.
     """
     _require_combo(target, mode)
     catalog = minor_catalog(og.structure, max_vertices=max_vertices)
-    return minor_polys_from_catalog(catalog, og.signs)[(target, mode)]
+    poly = minor_polys_from_catalog(catalog, og.signs)[(target, mode)]
+    m = laplacian_matrix(og) if target == "laplacian" else adjacency_matrix(og)
+    if poly != symbolic_minor_poly(m, mode):
+        raise InvariantError(
+            f"figure route disagrees with the Leibniz expansion for {target}/{mode}",
+            reproducer={"input": dumps_oriented(og), "target": target, "mode": mode},
+        )
+    return poly
 
 
 def univariate_from_contributors(

@@ -85,8 +85,8 @@ class IntegerMatrix:
         return IntegerMatrix(self.row_labels, other.col_labels, rows)
 
     def sub(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.shape != other.shape:
-            raise DomainError("matrix difference: shapes differ")
+        if (self.row_labels, self.col_labels) != (other.row_labels, other.col_labels):
+            raise DomainError("matrix difference: labels do not match")
         return IntegerMatrix(
             self.row_labels,
             self.col_labels,

@@ -1,13 +1,83 @@
+import itertools
 import re
+import runpy
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+from oriented_hypergraphs.contributors import MinorBlock, _all_steps, is_strong
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
-from oriented_hypergraphs.matrices import graph_orientation
+from oriented_hypergraphs.jsonio import loads_oriented
+from oriented_hypergraphs.matrices import graph_orientation, permutation_sign
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+# The benchmark's input generators, run from source (no bytecode is written).
+BENCH_INPUTS = runpy.run_path(str(FIXTURE_DIR.parent / "perfbench" / "inputs.py"))
+
+
+def rung(family: str, n: int, seed: int = 2019) -> OrientedHypergraph:
+    """A size-ladder rung of the benchmark, seeded as it is there by default."""
+    return loads_oriented(BENCH_INPUTS["rung_text"](family, n, seed))
+
+
+# The step-family engine as it was before integer rows, kept as the
+# reference for ``contributors._search`` and ``contributors._minor_blocks``.
+
+
+def step_families_reference(options, *, spanning=False):
+    # Nested generators over the tails in order, heads tracked by name.
+    rows = list(options.values())
+    chosen, used = [], set()
+
+    def extend(k):
+        if k == len(rows):
+            yield tuple(chosen)
+            return
+        if not spanning:
+            yield from extend(k + 1)
+        for s in rows[k]:
+            if s.head in used:
+                continue
+            used.add(s.head)
+            chosen.append(s)
+            yield from extend(k + 1)
+            chosen.pop()
+            used.discard(s.head)
+
+    return extend(0)
+
+
+def minor_blocks_reference(structure):
+    # Every family grouped by its frozen tail and head sets, each eps the
+    # sign of the image list of the family completed by the block's c0.
+    order = structure.vertices
+    pos = structure.vertex_pos
+    at = structure.incidence_pos
+    grouped = {}
+    for steps in step_families_reference(_all_steps(structure)):
+        key = (frozenset(s.tail for s in steps), frozenset(s.head for s in steps))
+        grouped.setdefault(key, []).append(steps)
+    blocks = []
+    for (tails, heads), members in grouped.items():
+        rows = [v for v in order if v not in tails]
+        cols = [v for v in order if v not in heads]
+        images = [0] * len(order)
+        for r, c in zip(rows, cols):
+            images[pos[r]] = pos[c]
+        entries = []
+        for steps in members:
+            for s in steps:
+                images[pos[s.tail]] = pos[s.head]
+            ids = tuple(at[i] for s in steps for i in (s.tail_incidence, s.head_incidence))
+            entries.append((ids, is_strong(steps), permutation_sign(images)))
+        bit = [[1 << (pos[r] * len(order) + pos[c]) for c in cols] for r in rows]
+        completions = tuple(
+            (sum(row[j] for row, j in zip(bit, p)), permutation_sign(p))
+            for p in itertools.permutations(range(len(rows)))
+        )
+        blocks.append(MinorBlock(len(tails) % 2 == 1, tuple(entries), completions))
+    return tuple(blocks)
 
 
 def triangle() -> OrientedHypergraph:

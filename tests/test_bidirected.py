@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import triangle
+from conftest import minor_blocks_reference, rung, triangle
 from oriented_hypergraphs import limits
 from oriented_hypergraphs.bidirected import (
     Arborescence,
@@ -21,7 +21,9 @@ from oriented_hypergraphs.bidirected import (
 from oriented_hypergraphs.contributors import (
     MinorClass,
     OneStep,
+    contributor_sign,
     enumerate_contributors,
+    minor_catalog,
     step_families,
     total_minor_poly,
     vertex_steps,
@@ -461,6 +463,60 @@ def test_arborescences_match_product_reference_property(bg, data):
     assert k_arborescences(bg, roots) == product_arborescences(bg, roots)
     done = complete(bg)
     assert k_arborescences(done, roots) == product_arborescences(done, roots)
+
+
+# The class builder and the survivor filter as they were before integer
+# rows: a dict head map per backstep choice, and every member of every
+# reduced class weighed by ``contributor_sign``.
+
+
+def classes_reference(bg, options):
+    g = bg.og.structure
+    tails = tuple(options)
+    triples = [
+        [(s, o, o.head) for s in steps if s.is_backstep for o in (_flip(g, s),)]
+        for steps in options.values()
+    ]
+    out = []
+    for choice in itertools.product(*triples):
+        f = dict(zip(tails, (head for _, _, head in choice)))
+        bottom = tuple(b for b, _, _ in choice)
+        out.append((bottom, tuple(o for _, o, _ in choice), tuple(_cycles(f))))
+    return out
+
+
+def single_element_reference(bg, roots):
+    done = complete(bg)
+    out = []
+    for a in _classes(done, reduced_options(done, roots), limits.MAX_CONTRIBUTORS):
+        nonzero = [m for m in a.members if contributor_sign(done.og, m)]
+        if len(nonzero) == 1:
+            out.append((nonzero[0], total_unpack(done, roots, nonzero[0])))
+    return out
+
+
+def assert_rows_match_references(bg, roots):
+    g = bg.og.structure
+    assert minor_catalog(g).blocks == minor_blocks_reference(g)
+    options = full_options(bg)
+    built = _classes(bg, options, limits.MAX_CONTRIBUTORS)
+    assert [(a.bottom, a.opened, a.generators) for a in built] == classes_reference(bg, options)
+    cls = MinorClass.build(bg.og, roots, roots)
+    assert single_element_classes(bg, cls) == single_element_reference(bg, roots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_bidirected(), st.data())
+def test_integer_rows_match_references_property(bg, data):
+    roots = tuple(data.draw(st.lists(st.sampled_from(bg.og.vertices), unique=True, max_size=2)))
+    assert_rows_match_references(bg, roots)
+    assert_rows_match_references(complete(bg), roots)
+
+
+@pytest.mark.parametrize("family, n", [("K", 5), ("C", 6)])
+@pytest.mark.parametrize("roots", [("v1",), ("v1", "v2")])
+def test_integer_rows_match_references_on_rungs(family, n, roots):
+    assert_rows_match_references(as_bidirected(rung(family, n)), roots)
 
 
 def doubled_members(a):

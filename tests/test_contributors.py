@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MALFORMED_STRUCTURES, small_oriented, triangle
+from conftest import (
+    MALFORMED_STRUCTURES,
+    minor_blocks_reference,
+    rung,
+    small_oriented,
+    step_families_reference,
+    triangle,
+)
 from oriented_hypergraphs import contributors, limits
 from oriented_hypergraphs.contributors import (
     COMBOS,
@@ -36,6 +43,7 @@ from oriented_hypergraphs.contributors import (
 )
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
 from oriented_hypergraphs.errors import DomainError, InvariantError, ResourceLimitError
+from oriented_hypergraphs.cli import main
 from oriented_hypergraphs.jsonio import loads_oriented
 from oriented_hypergraphs.matrices import (
     adjacency_matrix,
@@ -123,14 +131,21 @@ def test_profiles_on_named_contributors():
     assert contributor_sign(og, cycle) == -1
 
 
+def _named_cycles(f):
+    # ``_map_cycles`` over the positions of the keys of ``f``, read back as keys.
+    keys = list(f)
+    at = {v: k for k, v in enumerate(keys)}
+    return [tuple(keys[k] for k in c) for c in _map_cycles([at.get(f[v], -1) for v in keys])]
+
+
 def test_map_cycles_on_partial_maps():
     # A chain that leaves the domain closes nothing.
-    assert _map_cycles({"a": "b", "b": "c"}) == []
+    assert _named_cycles({"a": "b", "b": "c"}) == []
     # Each cycle starts where the walk from the keys, in order, first
     # reaches it; a tail leading into a cycle is not part of it.
     f = {"x": "b", "b": "c", "c": "d", "d": "b", "e": "e", "g": "h", "h": "g"}
-    assert _map_cycles(f) == [("b", "c", "d"), ("e",), ("g", "h")]
-    assert _map_cycles({"c": "b", "b": "c"}) == [("c", "b")]
+    assert _named_cycles(f) == [("b", "c", "d"), ("e",), ("g", "h")]
+    assert _named_cycles({"c": "b", "b": "c"}) == [("c", "b")]
 
 
 # Triangle steps named by their incidences.
@@ -252,13 +267,13 @@ def test_family_counts_on_complete_graphs(n, families, spanning):
 
 def test_minor_catalog_refuses_k8_from_the_family_count(monkeypatch):
     # Seeded K8 has 88,929,169 step families; the count refuses them
-    # before ``step_families`` builds one.
+    # before the enumerator builds one.
     og = complete_graph(8, seed=2019)
 
     def never(*args, **kwargs):
         raise AssertionError("step families enumerated past the guard")
 
-    monkeypatch.setattr(contributors, "step_families", never)
+    monkeypatch.setattr(contributors, "_search", never)
     message = "minor catalog limited to 5000000 families, got 88929169"
     with pytest.raises(ResourceLimitError, match=message):
         minor_catalog(og.structure)
@@ -266,6 +281,61 @@ def test_minor_catalog_refuses_k8_from_the_family_count(monkeypatch):
         total_minor_poly(og, "laplacian", "det")
     with pytest.raises(ResourceLimitError, match=message):
         oracle_equivalence(og)
+
+
+@settings(max_examples=60, deadline=None)
+@given(option_maps(), st.data())
+def test_step_families_match_generator_reference(options, data):
+    # Dropping tails leaves heads that are no tail's; they still block.
+    kept = data.draw(st.sets(st.sampled_from(sorted(options)))) if options else set()
+    options = {v: steps for v, steps in options.items() if v in kept}
+    for spanning in (False, True):
+        got = list(step_families(options, spanning=spanning))
+        assert got == list(step_families_reference(options, spanning=spanning))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_oriented())
+def test_minor_blocks_match_frozenset_reference(og):
+    catalog = minor_catalog(og.structure)
+    assert catalog.blocks == minor_blocks_reference(og.structure)
+    families = list(step_families_reference(_all_steps(og.structure)))
+    assert [f.steps for f in catalog.families] == families
+    assert [f.strong for f in catalog.families] == [is_strong(steps) for steps in families]
+
+
+@pytest.mark.parametrize("family, n", [("K", 5), ("C", 6), ("B", 5)])
+def test_minor_blocks_match_frozenset_reference_on_rungs(family, n):
+    g = rung(family, n).structure
+    assert minor_catalog(g).blocks == minor_blocks_reference(g)
+
+
+@pytest.mark.parametrize("n, count", [(3, 16), (4, 168), (5, 2208), (6, 34960)])
+def test_contributors_match_generator_reference_on_rungs(n, count):
+    og = rung("K", n)
+    got = enumerate_contributors(og)
+    assert len(got) == count
+    assert got == list(step_families_reference(_all_steps(og.structure), spanning=True))
+
+
+def test_total_minor_disagreement_replays_through_verify(monkeypatch, tmp_path, capsys):
+    og = one_edge(-1)
+    evaluate = contributors.minor_polys_from_catalog
+
+    def skewed(catalog, signs):
+        polys = evaluate(catalog, signs)
+        polys[("laplacian", "det")] = polys[("adjacency", "det")]
+        return polys
+
+    monkeypatch.setattr(contributors, "minor_polys_from_catalog", skewed)
+    with pytest.raises(InvariantError, match="laplacian/det") as info:
+        total_minor_poly(og, "laplacian", "det")
+    reproducer = info.value.reproducer
+    assert (reproducer["target"], reproducer["mode"]) == ("laplacian", "det")
+    src = tmp_path / "reproducer.json"
+    src.write_text(reproducer["input"])
+    assert main(["verify", str(src)]) == 3
+    assert "laplacian det: FAIL" in capsys.readouterr().out.splitlines()
 
 
 def _product_reference(g, strong_only, pinned):

@@ -212,6 +212,16 @@ def test_integer_determinant():
         integer_determinant(IntegerMatrix(("a",), ("a", "b"), ((1, 2),)))
 
 
+def test_difference_requires_matching_labels():
+    eye = ((1, 0), (0, 1))
+    twice = ((2, 0), (0, 2))
+    xy = IntegerMatrix(("x", "y"), ("x", "y"), eye)
+    assert xy.sub(IntegerMatrix(("x", "y"), ("x", "y"), twice)).rows == ((-1, 0), (0, -1))
+    for rows, cols in [(("p", "q"), ("p", "q")), (("x", "y"), ("y", "x")), (("y", "x"), ("x", "y"))]:
+        with pytest.raises(DomainError, match="labels do not match"):
+            xy.sub(IntegerMatrix(rows, cols, twice))
+
+
 @settings(max_examples=80, deadline=None)
 @given(square_matrices)
 def test_integer_determinant_matches_leibniz_constant_term(m):
