@@ -88,17 +88,12 @@ def complete(bg: BidirectedGraph) -> BidirectedGraph:
     return BidirectedGraph(og, bg.completion_edges | frozenset(added_edges))
 
 
-def _across(g: IncidenceHypergraph, s: OneStep) -> str:
-    # The incidence facing the backstep ``s`` across its edge.
+def _opened(g: IncidenceHypergraph, s: OneStep) -> OneStep:
+    # The backstep ``s`` unpacked toward its edge's other incidence.
     on_edge = g.incidences_on_edge[s.edge]
     if len(on_edge) != 2:
         raise DomainError(f"edge {s.edge!r} has {len(on_edge)} incidences, cannot unpack")
-    return on_edge[0] if on_edge[1] == s.tail_incidence else on_edge[1]
-
-
-def _opened(g: IncidenceHypergraph, s: OneStep) -> OneStep:
-    # The backstep ``s`` unpacked toward its edge's other incidence.
-    j = _across(g, s)
+    j = on_edge[0] if on_edge[1] == s.tail_incidence else on_edge[1]
     return OneStep(s.tail, s.tail_incidence, s.edge, j, g.vertex_of(j))
 
 
@@ -294,7 +289,8 @@ def total_unpack(bg: BidirectedGraph, roots: tuple[str, ...], reduced: Steps) ->
     pos = g.vertex_pos
     f = [-1] * len(g.vertices)
     for s in reduced:
-        f[pos[s.tail]] = pos[g.vertex_of(_across(g, s))]
+        a, b = edge_endpoints(g, s.edge)
+        f[pos[s.tail]] = pos[b if a == s.tail else a]
     if _map_cycles(f):
         raise InvariantError("total unpacking encountered a circle")
     assignment = []

@@ -1,9 +1,10 @@
 """Permutation-shaped step families and the minor polynomials they carry.
 
 A step family gives at most one length-1 step to each vertex, with
-pairwise-distinct heads.  :func:`step_families` is the one generator
-of step families: it streams the families drawn from a map of each
-tail vertex to its allowed steps.  A contributor is a spanning family of
+pairwise-distinct heads.  :func:`_search` is the one enumerator of step
+families: a depth-first search over a map of each tail vertex to its
+allowed steps, each step resolved once into an integer row entry keyed
+by its head bit.  A contributor is a spanning family of
 the full map, so its heads sweep out the whole vertex set bijectively;
 a class member pins each class row to its steps onto the matching
 column; the bidirected reduced elements (:mod:`.bidirected`) span the
@@ -178,7 +179,9 @@ def step_families(
     tail gets a step.
     """
     bits = {v: 1 << k for k, v in enumerate(options)}
-    rows = [[(bits.setdefault(s.head, 1 << len(bits)), s) for s in steps] for steps in options.values()]
+    rows = [
+        [(bits.setdefault(s.head, 1 << len(bits)), s) for s in steps] for steps in options.values()
+    ]
     out: list[Steps] = []
     _search(rows, spanning, lambda path, tails, heads: out.append(tuple(path)))
     return iter(out)
@@ -600,7 +603,8 @@ def _minor_blocks(
         if (tails, heads) not in grouped:
             open_rows = [r for r in range(n) if not tails >> r & 1]
             open_cols = [c for c in range(n) if not heads >> c & 1]
-            grouped[tails, heads] = (list(zip(open_rows, open_cols)), [], sum(open_rows + open_cols))
+            parity = sum(open_rows + open_cols)
+            grouped[tails, heads] = (list(zip(open_rows, open_cols)), [], parity)
         _, entries, inversions = grouped[tails, heads]
         seen = backsteps = 0
         ids: list[int] = []

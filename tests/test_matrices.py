@@ -217,9 +217,9 @@ def test_difference_requires_matching_labels():
     twice = ((2, 0), (0, 2))
     xy = IntegerMatrix(("x", "y"), ("x", "y"), eye)
     assert xy.sub(IntegerMatrix(("x", "y"), ("x", "y"), twice)).rows == ((-1, 0), (0, -1))
-    for rows, cols in [(("p", "q"), ("p", "q")), (("x", "y"), ("y", "x")), (("y", "x"), ("x", "y"))]:
+    for labels in [(("p", "q"), ("p", "q")), (("x", "y"), ("y", "x")), (("y", "x"), ("x", "y"))]:
         with pytest.raises(DomainError, match="labels do not match"):
-            xy.sub(IntegerMatrix(rows, cols, twice))
+            xy.sub(IntegerMatrix(*labels, twice))
 
 
 @settings(max_examples=80, deadline=None)
