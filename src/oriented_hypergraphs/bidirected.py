@@ -239,7 +239,9 @@ def _bottoms(bg: BidirectedGraph, options: Mapping[str, Steps], max_count: int) 
     return rows, classes()
 
 
-def _classes(bg: BidirectedGraph, options: Mapping[str, Steps], max_count: int) -> list:
+def _classes(
+    bg: BidirectedGraph, options: Mapping[str, Steps], max_count: int
+) -> list[ActivationClass]:
     rows, classes = _bottoms(bg, options, max_count)
     steps = tuple((tuple([o[1] for o in row]), tuple([o[2] for o in row])) for row in rows)
     tails = tuple(options)
