@@ -14,7 +14,6 @@ from .core import (
     Incidence,
     IncidenceHypergraph,
     OrientedHypergraph,
-    disjoint_union,
     enumerate_homomorphisms,
     product,
     subhypergraph,
@@ -77,7 +76,6 @@ __all__ = [
     "Incidence",
     "IncidenceHypergraph",
     "OrientedHypergraph",
-    "disjoint_union",
     "enumerate_homomorphisms",
     "product",
     "subhypergraph",

@@ -97,18 +97,6 @@ def _opened(g: IncidenceHypergraph, s: OneStep) -> OneStep:
     return OneStep(s.tail, s.tail_incidence, s.edge, j, g.vertex_of(j))
 
 
-def unpack(bg: BidirectedGraph, pre: Steps, vertex: str) -> Steps:
-    """Open the backstep at ``vertex`` toward the edge's other incidence."""
-    for idx, s in enumerate(pre):
-        if s.tail == vertex:
-            break
-    else:
-        raise DomainError(f"no step tailed at {vertex!r}")
-    if not s.is_backstep:
-        raise DomainError(f"step at {vertex!r} is not a backstep")
-    return pre[:idx] + (_opened(bg.og.structure, s),) + pre[idx + 1 :]
-
-
 @dataclass(frozen=True, slots=True)
 class ActivationClass:
     """A Boolean lattice of contributors under circle activation.

@@ -26,13 +26,13 @@ from .contributors import (
     oracle_equivalence,
     reduce_contributor,
     total_minor_poly,
+    univariate_from_contributors,
 )
-from .core import OrientedHypergraph, subhypergraph
+from .core import subhypergraph
 from .errors import DomainError, InvariantError, ResourceLimitError
 from .jsonio import load_oriented_file
 from .matrices import (
     adjacency_matrix,
-    char_poly_univariate,
     degree_matrix,
     incidence_matrix,
     integer_determinant,
@@ -121,8 +121,8 @@ def cmd_matrices(og, args) -> tuple[list[str], dict[str, Any]]:
 
 
 def cmd_charpoly(og, args) -> tuple[list[str], dict[str, Any]]:
-    m = adjacency_matrix(og) if args.matrix == "adjacency" else laplacian_matrix(og)
     if args.multivariate:
+        m = adjacency_matrix(og) if args.matrix == "adjacency" else laplacian_matrix(og)
         p = symbolic_minor_poly(m, args.mode, max_vertices=args.max_vertices)
         text = render_multivariate(p, og.vertices)
         return [text], {
@@ -131,7 +131,7 @@ def cmd_charpoly(og, args) -> tuple[list[str], dict[str, Any]]:
             "multivariate": True,
             "terms": _poly_json(p, og.vertices),
         }
-    p = char_poly_univariate(m, args.mode, max_vertices=args.max_vertices)
+    p = univariate_from_contributors(og, args.matrix, args.mode, max_vertices=args.max_vertices)
     return [render_univariate(p)], {
         "matrix": args.matrix,
         "mode": args.mode,

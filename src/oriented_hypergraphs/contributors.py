@@ -479,35 +479,6 @@ def class_permutation(reduced: Steps, cls: MinorClass) -> dict[str, str]:
     return perm
 
 
-def class_extensions(
-    og: OrientedHypergraph, reduced: Steps, cls: MinorClass, *, strong_only: bool = False
-) -> list[Steps]:
-    """All contributors of ``og`` in class ``cls`` that reduce to ``reduced``."""
-    g = og.structure
-    kept = {s.tail: s for s in reduced}
-    overlap = set(kept) & set(cls.u)
-    if overlap:
-        raise DomainError(f"reduced steps already cover class rows {sorted(overlap)}")
-    if set(kept) | set(cls.u) != set(g.vertices):
-        raise DomainError("reduced steps plus class rows do not cover the vertex set")
-    rows = []
-    for u, w in cls.pairs():
-        cands = [s for s in vertex_steps(g, u, strong_only=strong_only) if s.head == w]
-        if not cands:
-            return []
-        rows.append(cands)
-    out = []
-    for combo in itertools.product(*rows):
-        by_tail = dict(kept)
-        for s in combo:
-            by_tail[s.tail] = s
-        c = tuple(by_tail[v] for v in g.vertices)
-        if {s.head for s in c} != set(g.vertices):
-            raise DomainError("extension heads do not cover the vertex set")
-        out.append(c)
-    return out
-
-
 @dataclass(frozen=True)
 class StepFamily:
     """Steps on a subset of tail vertices with pairwise-distinct heads."""
@@ -743,7 +714,7 @@ def univariate_from_contributors(
         coeffs[n - cover.bit_count()] += total
     via_circles = IntPolynomial(coeffs)
     m = laplacian_matrix(og) if laplacian else adjacency_matrix(og)
-    reference = char_poly_univariate(m, mode)
+    reference = char_poly_univariate(m, mode, max_vertices=max_vertices)
     if via_circles != reference:
         raise InvariantError(
             f"contributor route disagrees for {target}/{mode}: "

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -31,16 +31,13 @@ __all__ = [
     "HomSet",
     "Subhypergraph",
     "ProductResult",
-    "UnionResult",
     "validate",
     "validate_homomorphism",
     "identity_homomorphism",
-    "compose",
     "is_monic",
     "subhypergraph",
     "generated_subhypergraph",
     "product",
-    "disjoint_union",
     "enumerate_homomorphisms",
     "pair_id",
 ]
@@ -274,19 +271,6 @@ def identity_homomorphism(g: IncidenceHypergraph) -> Homomorphism:
     )
 
 
-def compose(second: Homomorphism, first: Homomorphism) -> Homomorphism:
-    """second after first."""
-    if first.target != second.source:
-        raise DomainError("composition mismatch: first.target differs from second.source")
-    return Homomorphism(
-        first.source,
-        second.target,
-        {v: second.vertex_map[w] for v, w in first.vertex_map.items()},
-        {e: second.edge_map[f] for e, f in first.edge_map.items()},
-        {i: second.incidence_map[j] for i, j in first.incidence_map.items()},
-    )
-
-
 def is_monic(h: Homomorphism) -> bool:
     """True when all three component maps are injective."""
     for m in (h.vertex_map, h.edge_map, h.incidence_map):
@@ -439,36 +423,6 @@ def product(g: IncidenceHypergraph, h: IncidenceHypergraph) -> ProductResult:
         {pid: b for (_a, b), pid in incidence_pairs.items()},
     )
     return ProductResult(prod, g, h, proj_l, proj_r, vertex_pairs, edge_pairs, incidence_pairs)
-
-
-@dataclass(frozen=True)
-class UnionResult:
-    hypergraph: IncidenceHypergraph
-    injections: tuple[Homomorphism, ...]
-
-
-def disjoint_union(parts: Sequence[IncidenceHypergraph]) -> UnionResult:
-    """Tagged disjoint union; the k-th summand's ids get prefix 'k:'."""
-    vertices: list[str] = []
-    edges: list[str] = []
-    incidences: list[Incidence] = []
-    injections: list[Homomorphism] = []
-    merged = None  # filled after the loop
-    maps = []
-    for k, part in enumerate(parts):
-        vmap = {v: f"{k}:{v}" for v in part.vertices}
-        emap = {e: f"{k}:{e}" for e in part.edges}
-        imap = {i.id: f"{k}:{i.id}" for i in part.incidences}
-        vertices.extend(vmap[v] for v in part.vertices)
-        edges.extend(emap[e] for e in part.edges)
-        incidences.extend(
-            Incidence(imap[i.id], vmap[i.vertex], emap[i.edge]) for i in part.incidences
-        )
-        maps.append((part, vmap, emap, imap))
-    merged = IncidenceHypergraph(tuple(vertices), tuple(edges), tuple(incidences))
-    for part, vmap, emap, imap in maps:
-        injections.append(Homomorphism(part, merged, vmap, emap, imap))
-    return UnionResult(merged, tuple(injections))
 
 
 def _hom_search_bound(g: IncidenceHypergraph, h: IncidenceHypergraph) -> int:

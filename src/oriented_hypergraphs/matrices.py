@@ -37,7 +37,6 @@ __all__ = [
     "degree_matrix",
     "adjacency_matrix",
     "laplacian_matrix",
-    "weak_walk_sign",
     "permutation_sign",
     "symbolic_minor_poly",
     "char_poly_univariate",
@@ -177,35 +176,6 @@ def laplacian_matrix(og: OrientedHypergraph) -> IntegerMatrix:
         if any(map(operator.add, row, a)):
             raise InvariantError("H*H^T differs from D - A")
     return IntegerMatrix(og.vertices, og.vertices, rows)
-
-
-def weak_walk_sign(og: OrientedHypergraph, walk: Sequence[str]) -> int:
-    """Sign of an alternating element/incidence walk.
-
-    ``walk`` alternates objects (vertices or edges) with incidences,
-    starting and ending on an object; each incidence must attach the two
-    objects around it. The sign is (-1)^floor(n/2) times the product of
-    the incidence signs, n being the number of incidences traversed.
-    """
-    g = og.structure
-    if len(walk) % 2 == 0:
-        raise DomainError("a walk alternates objects and incidences, so its length is odd")
-    known = set(g.vertices) | set(g.edges)
-    for k in range(0, len(walk), 2):
-        if walk[k] not in known:
-            raise DomainError(f"walk position {k}: unknown vertex or edge {walk[k]!r}")
-    sign = 1
-    n = 0
-    for k in range(1, len(walk), 2):
-        iid = walk[k]
-        if iid not in g.incidence_pos:
-            raise DomainError(f"walk position {k}: unknown incidence {iid!r}")
-        ends = {g.vertex_of(iid), g.edge_of(iid)}
-        if {walk[k - 1], walk[k + 1]} != ends:
-            raise DomainError(f"walk position {k}: incidence {iid!r} does not join its neighbours")
-        sign *= og.sigma(iid)
-        n += 1
-    return sign * (-1) ** (n // 2)
 
 
 def permutation_sign(images: Sequence[int]) -> int:

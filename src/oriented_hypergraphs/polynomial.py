@@ -7,17 +7,16 @@ distinct (so every exponent is 1), and coefficients are plain ints.
 
 A polynomial keeps a tuple of n labels, a matrix's vertex order, and
 keys each monomial by an int bitmask: bit r*n + c stands for
-x[labels[r], labels[c]].  Sums, products and comparisons work on the
-masks.  Labelled monomials, frozensets of (u, w) pairs, are built only
-where they are read: ``terms``, ``coefficient`` and the canonical term
-list and text.
+x[labels[r], labels[c]].  The two routes build their polynomials over
+one vertex order, so equality compares the masks; nothing adds or
+multiplies polynomials.  Labelled monomials, frozensets of (u, w)
+pairs, are built only where they are read: ``terms``, ``coefficient``
+and the canonical term list and text.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
-
-from .errors import InvariantError
 
 __all__ = [
     "MultivariatePolynomial",
@@ -69,18 +68,6 @@ class MultivariatePolynomial:
         out._terms = terms
         return out
 
-    @staticmethod
-    def zero() -> "MultivariatePolynomial":
-        return MultivariatePolynomial()
-
-    @staticmethod
-    def constant(c: int) -> "MultivariatePolynomial":
-        return MultivariatePolynomial({frozenset(): c} if c else {})
-
-    @staticmethod
-    def variable(row: str, col: str) -> "MultivariatePolynomial":
-        return MultivariatePolynomial({frozenset({(row, col)}): 1})
-
     def _pairs(self) -> list[tuple[str, str]]:
         # The variable (u, w) of every bit position.
         labels = self._labels
@@ -104,89 +91,18 @@ class MultivariatePolynomial:
     def degree(self) -> int:
         return max((m.bit_count() for m in self._terms), default=0)
 
-    def _over(self, labels: tuple[str, ...]) -> dict[int, int]:
-        # The terms keyed over ``labels``, which must hold every own label.
-        if labels == self._labels:
-            return self._terms
-        pos = {v: k for k, v in enumerate(labels)}
-        at = [pos[v] for v in self._labels]
-        n, big = len(self._labels), len(labels)
-        out = {}
-        for mask, coeff in self._terms.items():
-            new = 0
-            for b in _bits(mask):
-                r, c = divmod(b, n)
-                new |= 1 << (at[r] * big + at[c])
-            out[new] = coeff
-        return out
-
-    def _aligned(
-        self, other: "MultivariatePolynomial"
-    ) -> tuple[tuple[str, ...], dict[int, int], dict[int, int]]:
-        # Both term dicts keyed over one label tuple.
-        labels = self._labels
-        if other._labels != labels:
-            known = set(labels)
-            labels += tuple(v for v in other._labels if v not in known)
-        return labels, self._over(labels), other._over(labels)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultivariatePolynomial):
             return NotImplemented
-        _, mine, theirs = self._aligned(other)
-        return mine == theirs
+        if self._labels == other._labels:
+            return self._terms == other._terms
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
-        labels, mine, theirs = self._aligned(other)
-        terms = dict(mine)
-        for mono, coeff in theirs.items():
-            new = terms.get(mono, 0) + coeff
-            if new:
-                terms[mono] = new
-            else:
-                terms.pop(mono, None)
-        return MultivariatePolynomial._of(labels, terms)
-
-    def __neg__(self) -> "MultivariatePolynomial":
-        return MultivariatePolynomial._of(self._labels, {m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "MultivariatePolynomial | int") -> "MultivariatePolynomial":
-        if isinstance(other, int):
-            terms = {m: c * other for m, c in self._terms.items()} if other else {}
-            return MultivariatePolynomial._of(self._labels, terms)
-        labels, mine, theirs = self._aligned(other)
-        n = len(labels)
-
-        def rows(mask: int) -> int:
-            out = 0
-            for b in _bits(mask):
-                out |= 1 << (b // n)
-            return out
-
-        terms: dict[int, int] = {}
-        for m1, c1 in mine.items():
-            rows1 = rows(m1)
-            for m2, c2 in theirs.items():
-                if rows(m2) & rows1:
-                    raise InvariantError("monomial product would repeat a row variable")
-                mono = m1 | m2
-                new = terms.get(mono, 0) + c1 * c2
-                if new:
-                    terms[mono] = new
-                else:
-                    terms.pop(mono, None)
-        return MultivariatePolynomial._of(labels, terms)
-
-    __rmul__ = __mul__
 
     def substitute_diagonal(self) -> "IntPolynomial":
         """Set x[v,v] -> x and every off-diagonal variable to 0."""
@@ -233,31 +149,6 @@ class IntPolynomial:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(
-            tuple(self.coefficient(k) + other.coefficient(k) for k in range(n))
-        )
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for a, ca in enumerate(self.coeffs):
-            if not ca:
-                continue
-            for b, cb in enumerate(other.coeffs):
-                out[a + b] += ca * cb
-        return IntPolynomial(tuple(out))
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"IntPolynomial({self.coeffs!r})"

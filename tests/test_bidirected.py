@@ -16,7 +16,6 @@ from oriented_hypergraphs.bidirected import (
     k_arborescences,
     single_element_classes,
     total_unpack,
-    unpack,
 )
 from oriented_hypergraphs.contributors import (
     MinorClass,
@@ -84,19 +83,6 @@ def test_as_bidirected_rejects_bad_shapes():
     )
     with pytest.raises(DomainError):
         as_bidirected(OrientedHypergraph.build(g2, {"i": 1, "j": 0}))
-
-
-def test_unpack_opens_a_backstep_toward_its_partner():
-    bg = k3()
-    bottom = enumerate_contributors(bg.og)[0]
-    assert all(s.is_backstep for s in bottom)
-    opened = unpack(bg, bottom, "v1")
-    assert opened[1:] == bottom[1:]
-    assert opened[0] == OneStep("v1", "i12a", "e12", "i12b", "v2")
-    with pytest.raises(DomainError):
-        unpack(bg, opened, "v1")
-    with pytest.raises(DomainError):
-        unpack(bg, bottom, "ghost")
 
 
 def test_activation_classes_on_single_edge():

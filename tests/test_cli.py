@@ -4,6 +4,7 @@ import json
 import pytest
 
 from conftest import FIXTURE_DIR
+from oriented_hypergraphs import limits
 from oriented_hypergraphs.cli import main
 from oriented_hypergraphs.contributors import total_minor_poly
 from oriented_hypergraphs.corpus import bidirected_corpus, graph_structure
@@ -43,6 +44,25 @@ def test_charpoly_multivariate(capsys):
     )
     assert code == 0
     assert out.startswith("+1*x[v1,v1]*x[v2,v2]*x[v3,v3]")
+
+
+def test_charpoly_is_cross_checked_on_the_figure_route(capsys, monkeypatch):
+    # Without --multivariate the circle-cover polynomial is checked against
+    # the matrix: a disagreement exits 3, and the circle guard exits 2.
+    import oriented_hypergraphs.contributors as contributors
+
+    argv = ["charpoly", K3, "--matrix", "adjacency", "--mode", "det"]
+    with monkeypatch.context() as patch:
+        patch.setattr(contributors, "_circles", lambda options, signs: {})
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "contributor route disagrees for adjacency/det" in err
+        code, _, _ = run(capsys, *argv, "--multivariate")
+        assert code == 0
+    monkeypatch.setattr(limits, "MAX_CIRCLES", 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "circle enumeration limited to 1 circles" in err
 
 
 def test_matrices_on_empty_input(tmp_path, capsys):

@@ -20,7 +20,6 @@ from oriented_hypergraphs.contributors import (
     MinorClass,
     OneStep,
     class_contributors,
-    class_extensions,
     class_permutation,
     component_profile,
     contributor_sign,
@@ -431,7 +430,7 @@ def test_circle_count_guard_runs_before_enumeration():
 def test_route_disagreement_carries_a_reproducer(monkeypatch):
     og = one_edge(-1)
     monkeypatch.setattr(
-        contributors, "char_poly_univariate", lambda m, mode: IntPolynomial((1,))
+        contributors, "char_poly_univariate", lambda m, mode, **_: IntPolynomial((1,))
     )
     with pytest.raises(InvariantError, match="laplacian/perm") as info:
         univariate_from_contributors(og, "laplacian", "perm")
@@ -470,9 +469,6 @@ def test_reduce_and_extend_are_inverse():
     for c in members:
         reduced = reduce_contributor(c, cls)
         assert all(s.tail != "v1" for s in reduced)
-        back = class_extensions(og, reduced, cls)
-        assert c in back
-        assert all(reduce_contributor(b, cls) == reduced for b in back)
         perm = class_permutation(reduced, cls)
         assert perm["v1"] == "v1"
         assert set(perm) == set(og.vertices)

@@ -12,8 +12,6 @@ from oriented_hypergraphs.core import (
     HomSet,
     IncidenceHypergraph,
     OrientedHypergraph,
-    compose,
-    disjoint_union,
     enumerate_homomorphisms,
     generated_subhypergraph,
     identity_homomorphism,
@@ -148,7 +146,6 @@ def test_identity_and_compose():
     g = triangle().structure
     ident = identity_homomorphism(g)
     assert validate_homomorphism(ident).ok
-    assert compose(ident, ident).vertex_map == ident.vertex_map
     assert is_monic(ident)
 
 
@@ -186,13 +183,6 @@ def test_product_is_coordinatewise():
     assert validate(prod.hypergraph).ok
     assert validate_homomorphism(prod.projection_left).ok
     assert validate_homomorphism(prod.projection_right).ok
-
-
-def test_disjoint_union_tags_parts():
-    g = IncidenceHypergraph.build(["a"], ["e"], [("i", "a", "e")])
-    u = disjoint_union([g, g])
-    assert u.hypergraph.vertices == ("0:a", "1:a")
-    assert all(validate_homomorphism(j).ok for j in u.injections)
 
 
 def test_pair_id_is_injective_on_samples():

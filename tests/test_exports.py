@@ -7,7 +7,8 @@ import pytest
 
 import oriented_hypergraphs
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 PACKAGE_DIR = Path(oriented_hypergraphs.__file__).resolve().parent
 
 MODULES = ["oriented_hypergraphs"] + [
@@ -52,12 +53,66 @@ def test_benchmark_tracer_reads_resolve():
     from oriented_hypergraphs.polynomial import MultivariatePolynomial
 
     assert callable(MultivariatePolynomial.terms.fget)
+    assert callable(MultivariatePolynomial.coefficient)
     g = IncidenceHypergraph.build(["a", "b"], ["e"], [("i", "a", "e"), ("j", "b", "e")])
     families = minor_catalog(g).families
     assert any(fam.steps for fam in families)
     for fam in families:
         for step in fam.steps:
             assert {step.tail_incidence, step.head_incidence} <= {"i", "j"}
+
+
+def _perfbench_reads():
+    # (file, module, name) for every name perfbench/ imports from the
+    # package and every ``alias.name`` read through a module alias; the
+    # sources are parsed, so nothing under perfbench/ runs.
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in MODULES:
+                for a in node.names:
+                    if f"{node.module}.{a.name}" in MODULES:
+                        aliases[a.asname or a.name] = f"{node.module}.{a.name}"
+                    else:
+                        reads.add((path.name, node.module, a.name))
+        reads.update(
+            (path.name, aliases[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        )
+    return reads
+
+
+def test_benchmark_reads_resolve():
+    # Deleting a function that perfbench/ calls would break the benchmark.
+    reads = _perfbench_reads()
+    missing = [r for r in reads if not hasattr(importlib.import_module(r[1]), r[2])]
+    assert {path for path, _, _ in reads} >= {"gate.py", "inputs.py", "workloads.py"}
+    assert missing == []
+
+
+def test_no_unused_imports():
+    # Every name a module imports is read in it; ``__init__.py`` only
+    # re-exports, and ``from __future__`` binds nothing.
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [(path.name, node.lineno, name) for name in names if name not in read]
+    assert unused == []
 
 
 def _raises_resource_limit(node):

@@ -24,7 +24,6 @@ from oriented_hypergraphs.matrices import (
     sachs_char_poly,
     spanning_tree_count,
     symbolic_minor_poly,
-    weak_walk_sign,
 )
 from oriented_hypergraphs.polynomial import MultivariatePolynomial, render_multivariate
 
@@ -251,17 +250,6 @@ def test_spanning_tree_count_matches_networkx(pairs):
     n = max(max(p) for p in pairs) + 1
     g = graph_structure([f"v{k}" for k in range(n)], [(f"v{a}", f"v{b}") for a, b in pairs])
     assert spanning_tree_count(g) == round(nx.number_of_spanning_trees(nx.Graph(pairs)))
-
-
-def test_weak_walk_sign():
-    og = triangle()
-    assert weak_walk_sign(og, ["v1"]) == 1
-    assert weak_walk_sign(og, ["v1", "i12a", "e12"]) == 1
-    assert weak_walk_sign(og, ["v1", "i12a", "e12", "i12b", "v2"]) == 1
-    with pytest.raises(DomainError):
-        weak_walk_sign(og, ["v1", "i12a"])
-    with pytest.raises(DomainError):
-        weak_walk_sign(og, ["v1", "i23a", "e23"])
 
 
 def test_graph_orientation_requires_two_incidences():
