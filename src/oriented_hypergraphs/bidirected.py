@@ -10,12 +10,11 @@ classes to rooted spanning forests.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from . import limits
-from .core import IncidenceHypergraph, OrientedHypergraph
+from .core import IncidenceHypergraph, LazySequence, OrientedHypergraph
 from .errors import DomainError, InvariantError
 from .contributors import (
     MinorClass,
@@ -105,14 +104,15 @@ class ActivationClass:
     unpacked steps (one pair of tuples per row, shared by the classes of
     one build); ``choice`` picks the class's backstep in each row.
     ``bottom`` is the all-backstep member and ``opened`` the same row
-    with every backstep unpacked, both built when read.  Each generator
-    is a cycle of the unpacked head map, a tuple of tail vertices.
-    ``members`` builds the members on demand.
+    with every backstep unpacked, both built when read.  Each cycle of
+    the unpacked head map is kept as its row positions; ``generators``
+    gives the same cycles as tuples of tail vertices.  ``members`` builds
+    the members on demand.
     """
 
     steps: tuple[tuple[Steps, Steps], ...]
     choice: tuple[int, ...]
-    generators: tuple[tuple[str, ...], ...]
+    cycles: tuple[tuple[int, ...], ...]
 
     @property
     def bottom(self) -> Steps:
@@ -123,65 +123,38 @@ class ActivationClass:
         return tuple([unpacked[k] for (_, unpacked), k in zip(self.steps, self.choice)])
 
     @property
+    def generators(self) -> tuple[tuple[str, ...], ...]:
+        steps = self.steps  # every backstep of row k leaves the row's tail
+        return tuple(tuple([steps[k][0][0].tail for k in c]) for c in self.cycles)
+
+    @property
     def members(self) -> "ActivationMembers":
         return ActivationMembers(self)
 
 
-class ActivationMembers(Sequence[Steps]):
+class ActivationMembers(LazySequence):
     """The members of one activation class as an exact, read-only sequence.
 
     The member opening the generators at positions S sits at index
     sum(2^i for i in S): item 0 is the bottom, and each generator doubles
     the members before it.  The length is 2^(number of generators); a
-    member is built only when it is read.  Equal to any sequence of the
-    same members in the same order, a tuple included.
+    member is built only when it is read.
     """
 
     def __init__(self, cls: ActivationClass) -> None:
         self._cls = cls
 
     def __len__(self) -> int:
-        return 1 << len(self._cls.generators)
+        return 1 << len(self._cls.cycles)
 
-    def _parts(self) -> tuple[Steps, Steps, list[tuple[int, ...]]]:
-        # The bottom, its unpacked row, and each generator as the row
-        # positions of its tails.
-        bottom = self._cls.bottom
-        at = {s.tail: j for j, s in enumerate(bottom)}
-        return bottom, self._cls.opened, [tuple(at[v] for v in c) for c in self._cls.generators]
-
-    def _member(self, k: int, parts: tuple[Steps, Steps, list[tuple[int, ...]]]) -> Steps:
-        bottom, opened, cycles = parts
-        member = list(bottom)
-        for i, cycle in enumerate(cycles):
+    def _item(self, k: int) -> Steps:
+        cls = self._cls
+        member = list(cls.bottom)
+        for i, cycle in enumerate(cls.cycles):
             if k >> i & 1:
                 for j in cycle:
-                    member[j] = opened[j]
+                    member[j] = cls.steps[j][1][cls.choice[j]]
         return tuple(member)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(len(self)))]
-        k = operator.index(index)
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError("activation member index out of range")
-        return self._member(k, self._parts())
-
-    def __iter__(self) -> Iterator[Steps]:
-        parts = self._parts()
-        return (self._member(k, parts) for k in range(len(self)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"ActivationMembers({list(self)!r})"
 
 
 def _bottoms(bg: BidirectedGraph, options: Mapping[str, Steps], max_count: int) -> tuple:
@@ -232,11 +205,7 @@ def _classes(
 ) -> list[ActivationClass]:
     rows, classes = _bottoms(bg, options, max_count)
     steps = tuple((tuple([o[1] for o in row]), tuple([o[2] for o in row])) for row in rows)
-    tails = tuple(options)
-    return [
-        ActivationClass(steps, choice, tuple(tuple([tails[k] for k in c]) for c in cycles))
-        for choice, cycles in classes
-    ]
+    return [ActivationClass(steps, choice, tuple(cycles)) for choice, cycles in classes]
 
 
 def activation_classes(

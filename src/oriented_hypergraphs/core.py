@@ -28,12 +28,14 @@ __all__ = [
     "OrientedHypergraph",
     "ValidationReport",
     "Homomorphism",
+    "LazySequence",
     "HomSet",
     "Subhypergraph",
     "ProductResult",
     "validate",
     "validate_homomorphism",
     "identity_homomorphism",
+    "inclusion",
     "is_monic",
     "subhypergraph",
     "generated_subhypergraph",
@@ -261,14 +263,19 @@ def validate_homomorphism(h: Homomorphism) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-def identity_homomorphism(g: IncidenceHypergraph) -> Homomorphism:
+def inclusion(sub: IncidenceHypergraph, parent: IncidenceHypergraph) -> Homomorphism:
+    """The map sending every element of ``sub`` to the same id in ``parent``."""
     return Homomorphism(
-        g,
-        g,
-        {v: v for v in g.vertices},
-        {e: e for e in g.edges},
-        {i.id: i.id for i in g.incidences},
+        sub,
+        parent,
+        {v: v for v in sub.vertices},
+        {e: e for e in sub.edges},
+        {i.id: i.id for i in sub.incidences},
     )
+
+
+def identity_homomorphism(g: IncidenceHypergraph) -> Homomorphism:
+    return inclusion(g, g)
 
 
 def is_monic(h: Homomorphism) -> bool:
@@ -307,14 +314,7 @@ class Subhypergraph:
         return self._materialized
 
     def inclusion(self) -> Homomorphism:
-        sub = self.materialize()
-        return Homomorphism(
-            sub,
-            self.parent,
-            {v: v for v in sub.vertices},
-            {e: e for e in sub.edges},
-            {i.id: i.id for i in sub.incidences},
-        )
+        return inclusion(self.materialize(), self.parent)
 
 
 def subhypergraph(
@@ -352,20 +352,13 @@ def generated_subhypergraph(
     The vertex and edge subsets grow by the attachments of the seeded
     incidences; the incidence subset is taken as given.
     """
-    vs, es, is_ = set(vertex_ids), set(edge_ids), set(incidence_ids)
-    for v in vs:
-        if v not in parent.vertex_pos:
-            raise DomainError(f"unknown vertex {v!r}")
-    for e in es:
-        if e not in parent.edge_pos:
-            raise DomainError(f"unknown edge {e!r}")
+    vs, es, is_ = set(vertex_ids), set(edge_ids), frozenset(incidence_ids)
     for i in is_:
-        if i not in parent.incidence_pos:
-            raise DomainError(f"unknown incidence {i!r}")
-        inc = parent.incidence_by_id[i]
-        vs.add(inc.vertex)
-        es.add(inc.edge)
-    return Subhypergraph(parent, frozenset(vs), frozenset(es), frozenset(is_))
+        inc = parent.incidence_by_id.get(i)
+        if inc is not None:  # subhypergraph refuses an unknown id
+            vs.add(inc.vertex)
+            es.add(inc.edge)
+    return subhypergraph(parent, vs, es, is_)
 
 
 def pair_id(a: str, b: str) -> str:
@@ -433,7 +426,42 @@ def _hom_search_bound(g: IncidenceHypergraph, h: IncidenceHypergraph) -> int:
     )
 
 
-class HomSet(Sequence[Homomorphism]):
+class LazySequence(Sequence):
+    """An exact, read-only sequence whose items are built when read.
+
+    A subclass gives ``__len__`` and ``_item(k)`` for 0 <= k < len; two
+    reads of one index give equal items, but not the same object. Equal
+    to any sequence of the same items in the same order, a list included.
+    """
+
+    def _item(self, k: int):
+        raise NotImplementedError
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._item(k) for k in range(*index.indices(len(self)))]
+        k = operator.index(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._item(k)
+
+    def __iter__(self) -> Iterator:
+        return map(self._item, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class HomSet(LazySequence):
     """The homomorphisms g -> h as an exact, read-only sequence.
 
     The constructor validates both ends, refuses a search whose naive
@@ -446,8 +474,7 @@ class HomSet(Sequence[Homomorphism]):
     rest of k, read as mixed-radix digits (free vertices first, then free
     edges, the last digit fastest), picks those images.
 
-    A hom set equals any sequence of the same maps in the same order,
-    a list included.
+    Two hom sets with equal ends are equal without building a map.
     """
 
     def __init__(
@@ -527,23 +554,9 @@ class HomSet(Sequence[Homomorphism]):
         # Equal ends give the same leaves, so no map need be built.
         if isinstance(other, HomSet) and (self.source, self.target) == (other.source, other.target):
             return True
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return super().__eq__(other)
 
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"HomSet({list(self)!r})"
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(len(self)))]
-        k = operator.index(index)
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError("homomorphism index out of range")
+    def _item(self, k: int) -> Homomorphism:
         leaf_k, rest = divmod(k, self._per_leaf)
         leaf = self._leaves[leaf_k]
         h = self.target

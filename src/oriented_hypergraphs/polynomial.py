@@ -88,9 +88,6 @@ class MultivariatePolynomial:
             mask |= 1 << (pos[u] * n + pos[w])
         return self._terms.get(mask, 0)
 
-    def degree(self) -> int:
-        return max((m.bit_count() for m in self._terms), default=0)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -132,9 +129,6 @@ class IntPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
 
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0

@@ -27,7 +27,7 @@ from .core import (
     ProductResult,
     Subhypergraph,
     generated_subhypergraph,
-    identity_homomorphism,
+    inclusion,
     is_monic,
     product,
     require_valid,
@@ -357,9 +357,7 @@ def power(
             (mid, vertex_subset_ids[k.vertex_ids], edge_subset_ids[k.edge_ids])
         )
     ext = IncidenceHypergraph.build(
-        [subset_id(g.vertices, s) for s in _mask_subsets(g.vertices)],
-        [subset_id(g.edges, s) for s in _mask_subsets(g.edges)],
-        incidences,
+        vertex_subset_ids.values(), edge_subset_ids.values(), incidences
     )
     return PowerResult(ext, g, vertex_subset_ids, edge_subset_ids, members)
 
@@ -368,34 +366,22 @@ def elem_map(
     g: IncidenceHypergraph,
     pwr: PowerResult | None = None,
 ) -> tuple[ProductResult, Homomorphism]:
-    """Membership map from the product of g with its power hypergraph.
-
-    A pair (element, collection) maps to a true element exactly when
-    the element belongs to the collection; otherwise it lands on the
-    false element recording which attachments did belong.
+    """Membership map from the product of g with its power hypergraph:
+    the characteristic map of the membership subhypergraph, whose
+    elements are the pairs (element, collection) with the element in the
+    collection.
     """
     pwr = _power_of(g, pwr)
-    omega = subobject_classifier()
     prod = product(g, pwr.hypergraph)
-    v_subsets = _invert(pwr.vertex_subset_ids)
-    e_subsets = _invert(pwr.edge_subset_ids)
-    vmap = {}
-    for (v, sid), pid in prod.vertex_pairs.items():
-        vmap[pid] = omega.true_vertex if v in v_subsets[sid] else FALSE_ID
-    emap = {}
-    for (e, tid), pid in prod.edge_pairs.items():
-        emap[pid] = omega.true_edge if e in e_subsets[tid] else FALSE_ID
-    imap = {}
-    for (iid, mid), pid in prod.incidence_pairs.items():
-        k = pwr.members[mid]
-        if iid in k.incidence_ids:
-            imap[pid] = omega.true_incidence
-        else:
-            inc = g.incidence_by_id[iid]
-            vpart = omega.true_vertex if inc.vertex in k.vertex_ids else FALSE_ID
-            epart = omega.true_edge if inc.edge in k.edge_ids else FALSE_ID
-            imap[pid] = omega.false_incidence[(vpart, epart)]
-    return prod, Homomorphism(prod.hypergraph, omega.omega, vmap, emap, imap)
+    membership = Subhypergraph(
+        prod.hypergraph,
+        frozenset(prod.vertex_pairs[v, sid] for s, sid in pwr.vertex_subset_ids.items() for v in s),
+        frozenset(prod.edge_pairs[e, tid] for t, tid in pwr.edge_subset_ids.items() for e in t),
+        frozenset(
+            prod.incidence_pairs[i, mid] for mid, k in pwr.members.items() for i in k.incidence_ids
+        ),
+    )
+    return prod, classify(membership)
 
 
 def _power_of(g: IncidenceHypergraph, pwr: PowerResult | None) -> PowerResult:
@@ -405,10 +391,6 @@ def _power_of(g: IncidenceHypergraph, pwr: PowerResult | None) -> PowerResult:
     if pwr.parent != g:
         raise DomainError("the power hypergraph was built from another parent")
     return pwr
-
-
-def _invert(subset_ids: dict[frozenset, str]) -> dict[str, frozenset]:
-    return {sid: s for s, sid in subset_ids.items()}
 
 
 def power_transpose(
@@ -543,7 +525,7 @@ def loading(g: IncidenceHypergraph) -> LoadingResult:
 
     A vertex or edge named "0" is added only when the respective set is
     empty. Original ids are kept, so an already fully-incident input
-    comes back unchanged with the identity map.
+    comes back equal, with the identity map.
     """
     require_valid(g)
     vertices = g.vertices if g.vertices else (FALSE_ID,)
@@ -561,17 +543,8 @@ def loading(g: IncidenceHypergraph) -> LoadingResult:
             taken.add(iid)
             incidences.append((iid, v, e))
             added.append(iid)
-    if not added and vertices == g.vertices and edges == g.edges:
-        return LoadingResult(g, identity_homomorphism(g), frozenset())
     ext = IncidenceHypergraph.build(vertices, edges, incidences)
-    j = Homomorphism(
-        g,
-        ext,
-        {v: v for v in g.vertices},
-        {e: e for e in g.edges},
-        {i.id: i.id for i in g.incidences},
-    )
-    return LoadingResult(ext, j, frozenset(added))
+    return LoadingResult(ext, inclusion(g, ext), frozenset(added))
 
 
 def zero_loading(og: OrientedHypergraph) -> OrientedHypergraph:

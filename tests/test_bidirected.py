@@ -530,5 +530,6 @@ def test_activation_members_are_the_doubling_order(bg):
         assert members == want and members == list(want)
         assert [members[k] for k in range(-len(want), 0)] == list(want)
         assert members[1::2] == list(want[1::2])
+        assert repr(members) == f"ActivationMembers({list(want)!r})"
         with pytest.raises(IndexError):
             members[len(want)]

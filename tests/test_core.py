@@ -168,6 +168,16 @@ def test_subhypergraph_requires_closure():
     assert validate_homomorphism(sub.inclusion()).ok
 
 
+@pytest.mark.parametrize("build", [subhypergraph, generated_subhypergraph])
+@pytest.mark.parametrize("kind", ["vertex", "edge", "incidence"])
+def test_unknown_ids_are_domain_errors(build, kind):
+    g = triangle().structure
+    seeds = {"vertex": ["v1"], "edge": ["e12"], "incidence": ["i12a"]}
+    seeds[kind] = [*seeds[kind], "ghost"]
+    with pytest.raises(DomainError, match=f"^unknown {kind} 'ghost'$"):
+        build(g, seeds["vertex"], seeds["edge"], seeds["incidence"])
+
+
 def test_generated_subhypergraph_adds_attachments():
     g = triangle().structure
     sub = generated_subhypergraph(g, [], [], ["i13b"])

@@ -131,3 +131,25 @@ def test_resource_limits_raise_only_from_the_one_guard():
         if isinstance(node, ast.Raise) and node.exc is not None and _raises_resource_limit(node)
     }
     assert raising == {("core.py", "HomSet"), ("limits.py", "check")}
+
+
+def _base_names(cls):
+    # ``Sequence[T]`` and ``abc.Sequence`` both read as ``Sequence``.
+    for base in cls.bases:
+        base = base.value if isinstance(base, ast.Subscript) else base
+        yield base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+
+
+def test_sequences_go_through_the_one_lazy_sequence():
+    # ``core.LazySequence`` is the one read-only sequence protocol: every
+    # other sequence in the package subclasses it, and only it indexes.
+    sequences, indexing = set(), set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if "Sequence" in set(_base_names(node)):
+                sequences.add((path.name, node.name))
+            if any(isinstance(f, ast.FunctionDef) and f.name == "__getitem__" for f in node.body):
+                indexing.add((path.name, node.name))
+    assert sequences == indexing == {("core.py", "LazySequence")}

@@ -15,6 +15,7 @@ from oriented_hypergraphs.core import (
 from oriented_hypergraphs.corpus import all_hypergraphs
 from oriented_hypergraphs.errors import DomainError
 from oriented_hypergraphs.topos import (
+    FALSE_ID,
     classify,
     count_subhypergraphs,
     elem_map,
@@ -222,6 +223,43 @@ def test_power_transpose_is_a_bijection_on_maps(g_at, k_at):
     assert images
     assert len(set(images)) == len(images)
     assert set(images) == {_signature(psi) for psi in enumerate_homomorphisms(k, pwr.hypergraph)}
+
+
+def elem_map_reference(g, pwr):
+    """The membership map by element chase: a pair (element, collection)
+    maps to a true element exactly when the element belongs to the
+    collection, and otherwise to the false element recording which
+    attachments did belong."""
+    omega = subobject_classifier()
+    prod = product(g, pwr.hypergraph)
+    v_subsets = {sid: s for s, sid in pwr.vertex_subset_ids.items()}
+    e_subsets = {tid: t for t, tid in pwr.edge_subset_ids.items()}
+    vmap = {}
+    for (v, sid), pid in prod.vertex_pairs.items():
+        vmap[pid] = omega.true_vertex if v in v_subsets[sid] else FALSE_ID
+    emap = {}
+    for (e, tid), pid in prod.edge_pairs.items():
+        emap[pid] = omega.true_edge if e in e_subsets[tid] else FALSE_ID
+    imap = {}
+    for (iid, mid), pid in prod.incidence_pairs.items():
+        k = pwr.members[mid]
+        if iid in k.incidence_ids:
+            imap[pid] = omega.true_incidence
+        else:
+            inc = g.incidence_by_id[iid]
+            vpart = omega.true_vertex if inc.vertex in k.vertex_ids else FALSE_ID
+            epart = omega.true_edge if inc.edge in k.edge_ids else FALSE_ID
+            imap[pid] = omega.false_incidence[(vpart, epart)]
+    return prod, Homomorphism(prod.hypergraph, omega.omega, vmap, emap, imap)
+
+
+@pytest.mark.parametrize("g_at", range(len(BLOCK)))
+def test_elem_map_classifies_membership(g_at):
+    g = BLOCK[g_at]
+    pwr = power(g)
+    want = elem_map_reference(g, pwr)
+    assert elem_map(g) == want
+    assert elem_map(g, pwr) == want
 
 
 def test_prebuilt_powers_give_the_same_maps():
