@@ -63,7 +63,6 @@ from .bidirected import (
     BidirectedGraph,
     activation_classes,
     as_bidirected,
-    complete,
     k_arborescences,
     single_element_classes,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "BidirectedGraph",
     "activation_classes",
     "as_bidirected",
-    "complete",
     "k_arborescences",
     "single_element_classes",
 ]

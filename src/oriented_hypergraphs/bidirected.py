@@ -29,10 +29,9 @@ from .matrices import edge_endpoints, graph_orientation, integer_determinant, la
 
 @dataclass(frozen=True)
 class BidirectedGraph:
-    """Two incidences per edge; completion edges carry 0 signs."""
+    """An orientation with two incidences per edge and every sign +1 or -1."""
 
     og: OrientedHypergraph
-    completion_edges: frozenset[str] = frozenset()
 
 
 def as_bidirected(og: OrientedHypergraph) -> BidirectedGraph:
@@ -44,47 +43,8 @@ def as_bidirected(og: OrientedHypergraph) -> BidirectedGraph:
             raise DomainError(f"edge {e!r} has {k} incidences, a bidirected edge needs 2")
     for i in g.incidences:
         if og.sigma(i.id) == 0:
-            raise DomainError(f"incidence {i.id!r} has sign 0; only completion edges may")
+            raise DomainError(f"incidence {i.id!r} has sign 0")
     return BidirectedGraph(og)
-
-
-def _fresh(name: str, taken: set[str]) -> str:
-    while name in taken:
-        name = name + "_"
-    taken.add(name)
-    return name
-
-
-def complete(bg: BidirectedGraph) -> BidirectedGraph:
-    """Join every non-adjacent vertex pair by a fresh 0-signed edge."""
-    g = bg.og.structure
-    adjacent: set[frozenset[str]] = set()
-    for e in g.edges:
-        adjacent.add(frozenset(edge_endpoints(g, e)))
-    taken_edges = set(g.edge_pos)
-    taken_incs = set(g.incidence_pos)
-    edges = list(g.edges)
-    incidences = [(i.id, i.vertex, i.edge) for i in g.incidences]
-    signs = dict(bg.og.signs)
-    added_edges = []
-    for a, b in itertools.combinations(range(len(g.vertices)), 2):
-        va, vb = g.vertices[a], g.vertices[b]
-        if frozenset((va, vb)) in adjacent:
-            continue
-        eid = _fresh(f"0:{a},{b}", taken_edges)
-        ia = _fresh(f"0:{a},{b}:{a}", taken_incs)
-        ib = _fresh(f"0:{a},{b}:{b}", taken_incs)
-        edges.append(eid)
-        incidences.append((ia, va, eid))
-        incidences.append((ib, vb, eid))
-        signs[ia] = 0
-        signs[ib] = 0
-        added_edges.append(eid)
-    if not added_edges:
-        return bg
-    padded = IncidenceHypergraph.build(g.vertices, edges, incidences)
-    og = OrientedHypergraph.build(padded, signs, loaded=bg.og.loaded)
-    return BidirectedGraph(og, bg.completion_edges | frozenset(added_edges))
 
 
 def _opened(g: IncidenceHypergraph, s: OneStep) -> OneStep:
@@ -170,17 +130,16 @@ def _bottoms(bg: BidirectedGraph, options: Mapping[str, Steps], max_count: int) 
     # steps head round the generator's own tails, which both are checked.
     count = _family_counts(options)[-1]
     limits.check(count, max_count, "activation classes", "members")
-    g, sigma = bg.og.structure, bg.og.sigma
+    g = bg.og.structure
     row_of = {v: k for k, v in enumerate(options)}
 
-    def option(s: OneStep) -> tuple[int, OneStep, OneStep, bool, bool]:
+    def option(s: OneStep) -> tuple[int, OneStep, OneStep]:
         # The unpacked step's head as a row position (-1 off the rows),
-        # the backstep, the unpacked step, and whether each weighs nonzero.
+        # the backstep and the unpacked step.
         if s.head != s.tail:
             raise InvariantError("a class bottom's heads are not its tails")
         o = _opened(g, s)
-        weight = sigma(o.tail_incidence) * sigma(o.head_incidence)
-        return row_of.get(o.head, -1), s, o, sigma(s.tail_incidence) != 0, weight != 0
+        return row_of.get(o.head, -1), s, o
 
     rows = [[option(s) for s in steps if s.is_backstep] for steps in options.values()]
 
@@ -272,62 +231,42 @@ def single_element_classes(
     *,
     max_vertices: int = limits.MAX_MINOR_VERTICES,
 ) -> list[tuple[Steps, Arborescence]]:
-    """Restricted activation classes with one nonzero member, unfolded.
+    """Restricted activation classes with one member, unfolded.
 
     Only diagonal classes (the same row and column vertices) are covered;
     their survivors biject with the k-arborescences rooted at the rows.
-    The graph is completed first, so reduced families never miss a step
-    option for structural reasons; completion members score zero and can
-    only pad classes, never create survivors.
+    Every sign is +1 or -1, so every member weighs nonzero and a class
+    has one member exactly when it has no generator; its bottom is the
+    survivor.
     """
     limits.check(len(bg.og.vertices), max_vertices, "single-element class search", "vertices")
     mc = MinorClass.build(bg.og, cls.u, cls.w)
     if set(mc.u) != set(mc.w):
         raise DomainError("single-element classes need the same row and column vertices")
-    completed = complete(bg)
     # The reduced elements are the spanning step families on the non-row
     # vertices whose heads avoid the class columns: the direct form of
     # reducing every class member and de-duplicating.
-    g = completed.og.structure
+    g = bg.og.structure
     options = {
         v: tuple(s for s in vertex_steps(g, v) if s.head not in mc.w)
         for v in g.vertices
         if v not in mc.u
     }
-    rows, classes = _bottoms(completed, options, limits.MAX_CONTRIBUTORS)
+    rows, classes = _bottoms(bg, options, limits.MAX_CONTRIBUTORS)
     out = []
     for choice, cycles in classes:
-        # A member is nonzero when its steps are: off the cycles it keeps
-        # the bottom's, and on each cycle all backsteps or all opened.
-        picked = [row[k] for row, k in zip(rows, choice)]
-        member = [o[1] for o in picked]
-        alive = [o[3] for o in picked]
-        for cycle in cycles:
-            closed = all(alive[k] for k in cycle)
-            if closed == all(picked[k][4] for k in cycle):
-                break
-            if not closed:
-                for k in cycle:
-                    member[k] = picked[k][2]
-                    alive[k] = True
-        else:
-            if all(alive):
-                survivor = tuple(member)
-                out.append((survivor, total_unpack(completed, mc.u, survivor)))
+        if not cycles:
+            survivor = tuple([row[k][1] for row, k in zip(rows, choice)])
+            out.append((survivor, total_unpack(bg, mc.u, survivor)))
     return out
 
 
 def _forest_count(bg: BidirectedGraph, others: list[str]) -> int:
     # All-minors matrix-tree theorem: the spanning forests with one root
-    # per component number the principal minor of the graph Laplacian of
-    # the real edges off the roots.  Loops cancel in that Laplacian.
-    g = bg.og.structure
-    real = IncidenceHypergraph.build(
-        g.vertices,
-        [e for e in g.edges if e not in bg.completion_edges],
-        [(i.id, i.vertex, i.edge) for i in g.incidences if i.edge not in bg.completion_edges],
-    )
-    return integer_determinant(laplacian_matrix(graph_orientation(real)).restrict(others))
+    # per component number the principal minor of the graph Laplacian
+    # off the roots.  Loops cancel in that Laplacian.
+    lap = laplacian_matrix(graph_orientation(bg.og.structure))
+    return integer_determinant(lap.restrict(others))
 
 
 def k_arborescences(
@@ -339,12 +278,11 @@ def k_arborescences(
 ) -> list[Arborescence]:
     """Spanning forests, one designated root per component, grown depth-first.
 
-    Runs on the real (non-completion) edges.  Every non-root vertex, in
-    vertex order, picks a parent edge in edge order, skipping any choice
-    whose parent chain would loop back to it.  The exact forest count
-    (matrix-tree theorem) is computed first, so more than ``max_count``
-    forests raise :class:`ResourceLimitError` before the search, and the
-    search must find exactly that many.
+    Every non-root vertex, in vertex order, picks a parent edge in edge
+    order, skipping any choice whose parent chain would loop back to it.
+    The exact forest count (matrix-tree theorem) is computed first, so
+    more than ``max_count`` forests raise :class:`ResourceLimitError`
+    before the search, and the search must find exactly that many.
     """
     g = bg.og.structure
     limits.check(len(g.vertices), max_vertices, "arborescence enumeration", "vertices")
@@ -362,7 +300,7 @@ def k_arborescences(
     for v in others:
         opts = []
         for e in g.edges:
-            if e in bg.completion_edges or not g.inc(v, e):
+            if not g.inc(v, e):
                 continue
             a, b = edge_endpoints(g, e)
             other = a if b == v else b

@@ -44,7 +44,6 @@ __all__ = [
     "matrix_tree_cofactor",
     "spanning_tree_count",
     "sachs_char_poly",
-    "is_graph",
     "graph_orientation",
 ]
 
@@ -301,12 +300,6 @@ def integer_determinant(m: IntegerMatrix) -> int:
                 a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
         prev = pivot
     return sign * a[-1][-1] if n else 1
-
-
-def is_graph(g: IncidenceHypergraph) -> bool:
-    """Every edge carries exactly two incidences; an invalid structure raises DomainError."""
-    require_valid(g)
-    return all(len(g.incidences_on_edge[e]) == 2 for e in g.edges)
 
 
 def _require_graph(g: IncidenceHypergraph) -> None:

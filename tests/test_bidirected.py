@@ -9,10 +9,10 @@ from conftest import minor_blocks_reference, rung, triangle
 from oriented_hypergraphs import limits
 from oriented_hypergraphs.bidirected import (
     Arborescence,
+    BidirectedGraph,
     _classes,
     activation_classes,
     as_bidirected,
-    complete,
     k_arborescences,
     single_element_classes,
     total_unpack,
@@ -28,7 +28,7 @@ from oriented_hypergraphs.contributors import (
     vertex_steps,
 )
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
-from oriented_hypergraphs.corpus import graph_structure
+from oriented_hypergraphs.corpus import bidirected_corpus, graph_structure
 from oriented_hypergraphs.errors import DomainError, InvariantError, ResourceLimitError
 from oriented_hypergraphs.matrices import graph_orientation
 
@@ -121,22 +121,6 @@ def test_no_contributors_means_no_classes():
     assert activation_classes(isolated(1)) == []
 
 
-def test_complete_adds_only_missing_pairs():
-    bg = path3()
-    done = complete(bg)
-    assert done.completion_edges == frozenset({"0:0,2"})
-    added = [e for e in done.og.edges if e not in bg.og.structure.edge_pos]
-    assert added == ["0:0,2"]
-    assert all(
-        done.og.sigma(i.id) == 0
-        for i in done.og.incidences
-        if i.edge == "0:0,2"
-    )
-    assert complete(done) is done
-    full = k3()
-    assert complete(full) is full
-
-
 def test_arborescence_counts():
     assert len(k_arborescences(k3(), ("v1",))) == 3
     assert len(k_arborescences(k3(), ("v1", "v2"))) == 2
@@ -162,7 +146,7 @@ def product_arborescences(bg, roots):
     for v in others:
         opts = []
         for e in g.edges:
-            if e in bg.completion_edges or not g.inc(v, e):
+            if not g.inc(v, e):
                 continue
             ends = [g.vertex_of(i) for i in g.incidences_on_edge[e]]
             other = ends[0] if ends[1] == v else ends[1]
@@ -204,11 +188,10 @@ def product_arborescences(bg, roots):
         k3,
         k4,
         path3,
-        lambda: complete(path3()),
         lambda: seeded(5, complete_pairs(5), 2019),
         lambda: seeded(6, complete_pairs(6), 2019),
     ],
-    ids=["k3", "k4", "path3", "completed-path3", "seeded-k5", "seeded-k6"],
+    ids=["k3", "k4", "path3", "seeded-k5", "seeded-k6"],
 )
 @pytest.mark.parametrize("roots", [("v1",), ("v1", "v2")], ids=["v1", "v1v2"])
 def test_arborescences_match_product_reference(make, roots):
@@ -222,11 +205,6 @@ def test_arborescence_cap_runs_on_the_exact_count():
     bg = seeded(8, complete_pairs(8), 2019)
     with pytest.raises(ResourceLimitError, match="got 262144"):
         k_arborescences(bg, ("v1",), max_count=10)
-
-
-def test_arborescences_skip_completion_edges():
-    done = complete(path3())
-    assert len(k_arborescences(done, ("v1",))) == 1
 
 
 def test_single_element_classes_match_arborescences():
@@ -389,9 +367,9 @@ def reduced_options(bg, roots):
         lambda: bidirected_graph(2, [(0, 1), (0, 1)]),
         lambda: seeded(2, [(0, 0), (0, 1), (1, 1)], 1),
         lambda: bidirected_graph(4, [(0, 1), (2, 3)]),
-        lambda: complete(bidirected_graph(5, [(k, (k + 1) % 5) for k in range(5)])),
+        lambda: seeded(5, complete_pairs(5), 5),
     ],
-    ids=["k2", "k3", "parallel", "loops", "disjoint", "completed-c5"],
+    ids=["k2", "k3", "parallel", "loops", "disjoint", "seeded-k5"],
 )
 def test_class_builder_matches_bfs_reference(make):
     bg = make()
@@ -413,7 +391,7 @@ def test_class_builder_matches_bfs_reference(make):
     ids=["k3-v1", "k4-v2", "k4-v1v3", "path3-v2", "c5-v1"],
 )
 def test_class_builder_matches_bfs_reference_on_reduced_options(make, roots):
-    bg = complete(make())
+    bg = make()
     options = reduced_options(bg, roots)
     assert built_classes(bg, options) == bfs_classes(bg, options)
 
@@ -434,12 +412,8 @@ def test_class_builder_matches_bfs_reference_property(bg, data):
     options = full_options(bg)
     assert built_classes(bg, options) == bfs_classes(bg, options)
     roots = data.draw(st.sets(st.sampled_from(bg.og.vertices), max_size=2))
-    done = complete(bg)
-    reduced = reduced_options(done, roots)
-    assert built_classes(done, reduced) == bfs_classes(done, reduced)
-    # The search checks itself against the matrix-tree count; completion
-    # edges add no forest.
-    assert k_arborescences(done, tuple(roots)) == k_arborescences(bg, tuple(roots))
+    reduced = reduced_options(bg, roots)
+    assert built_classes(bg, reduced) == bfs_classes(bg, reduced)
 
 
 @settings(max_examples=40, deadline=None)
@@ -447,13 +421,12 @@ def test_class_builder_matches_bfs_reference_property(bg, data):
 def test_arborescences_match_product_reference_property(bg, data):
     roots = tuple(data.draw(st.lists(st.sampled_from(bg.og.vertices), unique=True, max_size=2)))
     assert k_arborescences(bg, roots) == product_arborescences(bg, roots)
-    done = complete(bg)
-    assert k_arborescences(done, roots) == product_arborescences(done, roots)
 
 
 # The class builder and the survivor filter as they were before integer
-# rows: a dict head map per backstep choice, and every member of every
-# reduced class weighed by ``contributor_sign``.
+# rows: a dict head map per backstep choice, and the graph padded with
+# 0-signed edges, every member of every reduced class weighed by
+# ``contributor_sign``.
 
 
 def classes_reference(bg, options):
@@ -471,8 +444,25 @@ def classes_reference(bg, options):
     return out
 
 
+def zero_completion(bg):
+    """``bg`` with every non-adjacent vertex pair joined by a 0-signed edge."""
+    g = bg.og.structure
+    adjacent = {frozenset(g.vertex_of(i) for i in g.incidences_on_edge[e]) for e in g.edges}
+    edges = list(g.edges)
+    incidences = [(i.id, i.vertex, i.edge) for i in g.incidences]
+    signs = dict(bg.og.signs)
+    for a, b in itertools.combinations(g.vertices, 2):
+        if frozenset((a, b)) not in adjacent:
+            e = f"0:{a},{b}"
+            edges.append(e)
+            incidences += [(f"{e}:{a}", a, e), (f"{e}:{b}", b, e)]
+            signs |= {f"{e}:{a}": 0, f"{e}:{b}": 0}
+    padded = IncidenceHypergraph.build(g.vertices, edges, incidences)
+    return BidirectedGraph(OrientedHypergraph.build(padded, signs, loaded=bg.og.loaded))
+
+
 def single_element_reference(bg, roots):
-    done = complete(bg)
+    done = zero_completion(bg)
     out = []
     for a in _classes(done, reduced_options(done, roots), limits.MAX_CONTRIBUTORS):
         nonzero = [m for m in a.members if contributor_sign(done.og, m)]
@@ -496,7 +486,15 @@ def assert_rows_match_references(bg, roots):
 def test_integer_rows_match_references_property(bg, data):
     roots = tuple(data.draw(st.lists(st.sampled_from(bg.og.vertices), unique=True, max_size=2)))
     assert_rows_match_references(bg, roots)
-    assert_rows_match_references(complete(bg), roots)
+
+
+def test_single_element_classes_match_reference_on_corpus():
+    for bg in bidirected_corpus():
+        vertices = bg.og.vertices
+        for k in range(min(3, len(vertices)) + 1):
+            for roots in itertools.combinations(vertices, k):
+                cls = MinorClass.build(bg.og, roots, roots)
+                assert single_element_classes(bg, cls) == single_element_reference(bg, roots)
 
 
 @pytest.mark.parametrize("family, n", [("K", 5), ("C", 6)])

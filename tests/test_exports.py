@@ -153,3 +153,16 @@ def test_sequences_go_through_the_one_lazy_sequence():
             if any(isinstance(f, ast.FunctionDef) and f.name == "__getitem__" for f in node.body):
                 indexing.add((path.name, node.name))
     assert sequences == indexing == {("core.py", "LazySequence")}
+
+
+def test_bidirected_signs_are_read_only_by_the_wrapper():
+    # ``as_bidirected`` checks that every sign is +1 or -1; past it, the
+    # bidirected layer works on the shape alone.
+    tree = ast.parse((PACKAGE_DIR / "bidirected.py").read_text(encoding="utf-8"))
+    reading = {
+        top.name
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in ("sigma", "signs")
+    }
+    assert reading == {"as_bidirected"}

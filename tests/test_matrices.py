@@ -17,7 +17,6 @@ from oriented_hypergraphs.matrices import (
     graph_orientation,
     incidence_matrix,
     integer_determinant,
-    is_graph,
     laplacian_matrix,
     matrix_tree_cofactor,
     permutation_sign,
@@ -280,7 +279,7 @@ MALFORMED_GRAPHS = [
 
 @pytest.mark.parametrize("g", MALFORMED_GRAPHS)
 @pytest.mark.parametrize(
-    "fn", [spanning_tree_count, sachs_char_poly, graph_orientation, is_graph], ids=lambda f: f.__name__
+    "fn", [spanning_tree_count, sachs_char_poly, graph_orientation], ids=lambda f: f.__name__
 )
 def test_graph_entry_points_validate_first(g, fn):
     with pytest.raises(DomainError):
