@@ -226,10 +226,7 @@ def total_unpack(bg: BidirectedGraph, roots: tuple[str, ...], reduced: Steps) ->
 
 
 def single_element_classes(
-    bg: BidirectedGraph,
-    cls: MinorClass,
-    *,
-    max_vertices: int = limits.MAX_MINOR_VERTICES,
+    bg: BidirectedGraph, cls: MinorClass
 ) -> list[tuple[Steps, Arborescence]]:
     """Restricted activation classes with one member, unfolded.
 
@@ -239,7 +236,8 @@ def single_element_classes(
     has one member exactly when it has no generator; its bottom is the
     survivor.
     """
-    limits.check(len(bg.og.vertices), max_vertices, "single-element class search", "vertices")
+    n = len(bg.og.vertices)
+    limits.check(n, limits.MAX_MINOR_VERTICES, "single-element class search", "vertices")
     mc = MinorClass.build(bg.og, cls.u, cls.w)
     if set(mc.u) != set(mc.w):
         raise DomainError("single-element classes need the same row and column vertices")

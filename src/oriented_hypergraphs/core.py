@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from . import limits
 
 __all__ = [
@@ -465,32 +465,21 @@ class HomSet(LazySequence):
     """The homomorphisms g -> h as an exact, read-only sequence.
 
     The constructor validates both ends, refuses a search whose naive
-    product bound exceeds ``max_candidates``, and then runs the incidence
-    search. A leaf is one assignment of g's incidences
+    product bound exceeds ``limits.MAX_HOM_CANDIDATES``, and then runs
+    the incidence search. A leaf is one assignment of g's incidences
     (a tuple of h's incidences, in g's incidence order). It pins the
     image of every vertex and edge that carries an incidence, so each
     leaf stands for the same number of maps: one per choice of images for
     g's isolated vertices and edges. Item k is leaf k // per_leaf; the
     rest of k, read as mixed-radix digits (free vertices first, then free
     edges, the last digit fastest), picks those images.
-
-    Two hom sets with equal ends are equal without building a map.
     """
 
-    def __init__(
-        self,
-        source: IncidenceHypergraph,
-        target: IncidenceHypergraph,
-        *,
-        max_candidates: int = limits.MAX_HOM_CANDIDATES,
-    ) -> None:
+    def __init__(self, source: IncidenceHypergraph, target: IncidenceHypergraph) -> None:
         require_valid(source)
         require_valid(target)
         bound = _hom_search_bound(source, target)
-        if bound > max_candidates:
-            raise ResourceLimitError(
-                f"homomorphism search space {bound} exceeds cap {max_candidates}"
-            )
+        limits.check(bound, limits.MAX_HOM_CANDIDATES, "homomorphism search", "candidates")
         self.source = source
         self.target = target
         # Every vertex and edge that carries an incidence, with the index
@@ -550,12 +539,6 @@ class HomSet(LazySequence):
     def __len__(self) -> int:
         return len(self._leaves) * self._per_leaf
 
-    def __eq__(self, other: object) -> bool:
-        # Equal ends give the same leaves, so no map need be built.
-        if isinstance(other, HomSet) and (self.source, self.target) == (other.source, other.target):
-            return True
-        return super().__eq__(other)
-
     def _item(self, k: int) -> Homomorphism:
         leaf_k, rest = divmod(k, self._per_leaf)
         leaf = self._leaves[leaf_k]
@@ -577,19 +560,15 @@ class HomSet(LazySequence):
         return Homomorphism(self.source, h, vertex_map, edge_map, incidence_map)
 
 
-def enumerate_homomorphisms(
-    g: IncidenceHypergraph,
-    h: IncidenceHypergraph,
-    *,
-    max_candidates: int = limits.MAX_HOM_CANDIDATES,
-) -> HomSet:
+def enumerate_homomorphisms(g: IncidenceHypergraph, h: IncidenceHypergraph) -> HomSet:
     """All homomorphisms g -> h in deterministic lexicographic order.
 
     The search assigns g's incidences in order, each to an incidence of
     h on the images already pinned for its vertex and edge. Its leaves
     and the count are computed here; a map is built only when an item is
     read, so ``len()`` builds none. Two reads of one index give equal
-    maps, but not the same object. A naive product bound guards the
-    search space.
+    maps, but not the same object. A naive product bound over
+    ``limits.MAX_HOM_CANDIDATES`` raises :class:`ResourceLimitError`
+    before the search starts.
     """
-    return HomSet(g, h, max_candidates=max_candidates)
+    return HomSet(g, h)

@@ -1,12 +1,12 @@
-"""Default enumeration budgets and the one guard that enforces them.
+"""Enumeration budgets and the one guard that enforces them.
 
-Every exhaustive search in the library takes an explicit cap (or vertex
-bound) defaulting to one of these constants, so callers can tighten or
-relax the guards without touching the algorithms.  Each search first
-counts what it would build (vertices, exact family or forest counts,
-subhypergraphs) and hands that count to :func:`check`, which raises
-ResourceLimitError before any large allocation happens.  The one other
-raise is the homomorphism search bound in ``core.HomSet``.
+Every exhaustive search first counts what it would build (vertices,
+homomorphism candidates, exact family or forest counts, subhypergraphs)
+and hands that count to :func:`check`, which raises ResourceLimitError
+before any large allocation happens.  A cap is a keyword argument only
+where an ``ohg`` flag sets it (``--max-vertices``, ``--max-enum``); every
+other search reads its constant here when it is called, so a test
+tightens a guard by setting the constant.
 """
 
 from .errors import ResourceLimitError

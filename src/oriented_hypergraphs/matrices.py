@@ -372,21 +372,18 @@ def spanning_tree_count(g: IncidenceHypergraph) -> int:
     return count
 
 
-def sachs_char_poly(
-    g: IncidenceHypergraph,
-    *,
-    max_vertices: int = limits.MAX_SACHS_VERTICES,
-) -> IntPolynomial:
+def sachs_char_poly(g: IncidenceHypergraph) -> IntPolynomial:
     """Characteristic polynomial of a loopless graph from its cycle covers.
 
     A cover partitions the vertices into isolated vertices, single edges,
     and cycles on distinct edges (a pair of parallel edges counts as a
     2-cycle). A cover with p non-trivial components, c of them cycles,
     and k isolated vertices adds (-1)^p * 2^c to the x^k coefficient.
+    More than ``limits.MAX_SACHS_VERTICES`` vertices are refused.
     """
     _require_graph(g)
     n = len(g.vertices)
-    limits.check(n, max_vertices, "cover enumeration", "vertices")
+    limits.check(n, limits.MAX_SACHS_VERTICES, "cover enumeration", "vertices")
     pos = g.vertex_pos
     for e in g.edges:
         a, b = edge_endpoints(g, e)

@@ -151,7 +151,7 @@ class IntPolynomial:
         return render_univariate(self)
 
 
-def render_univariate(p: IntPolynomial, var: str = "x") -> str:
+def render_univariate(p: IntPolynomial) -> str:
     if not p.coeffs:
         return "0"
     parts: list[str] = []
@@ -163,7 +163,7 @@ def render_univariate(p: IntPolynomial, var: str = "x") -> str:
             body = str(abs(c))
         else:
             mag = "" if abs(c) == 1 else str(abs(c))
-            body = f"{mag}{var}" if k == 1 else f"{mag}{var}^{k}"
+            body = f"{mag}x" if k == 1 else f"{mag}x^{k}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

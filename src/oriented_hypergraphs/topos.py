@@ -278,14 +278,12 @@ def count_subhypergraphs(g: IncidenceHypergraph) -> int:
     return total
 
 
-def enumerate_subhypergraphs(
-    g: IncidenceHypergraph,
-    *,
-    max_count: int = limits.MAX_SUBHYPERGRAPHS,
-) -> list[Subhypergraph]:
+def enumerate_subhypergraphs(g: IncidenceHypergraph) -> list[Subhypergraph]:
     """All subhypergraphs: incidence subsets first, then free choices of
-    extra vertices and edges. Deterministic bitmask order throughout."""
-    limits.check(count_subhypergraphs(g), max_count, "subhypergraph enumeration", "subhypergraphs")
+    extra vertices and edges. Deterministic bitmask order throughout.
+    More than ``limits.MAX_SUBHYPERGRAPHS`` raise before any is built."""
+    count = count_subhypergraphs(g)
+    limits.check(count, limits.MAX_SUBHYPERGRAPHS, "subhypergraph enumeration", "subhypergraphs")
     out: list[Subhypergraph] = []
     for mask in range(1 << len(g.incidences)):
         chosen = [g.incidences[k] for k in range(len(g.incidences)) if mask >> k & 1]
@@ -339,18 +337,16 @@ class PowerResult:
         return mid
 
 
-def power(
-    g: IncidenceHypergraph,
-    *,
-    max_count: int = limits.MAX_SUBHYPERGRAPHS,
-) -> PowerResult:
+def power(g: IncidenceHypergraph) -> PowerResult:
+    # Enumerated first: its guard also bounds the 2^|V| and 2^|E| subsets.
+    subhypergraphs = enumerate_subhypergraphs(g)
     vertex_subset_ids = {
         frozenset(s): subset_id(g.vertices, s) for s in _mask_subsets(g.vertices)
     }
     edge_subset_ids = {frozenset(s): subset_id(g.edges, s) for s in _mask_subsets(g.edges)}
     members: dict[str, Subhypergraph] = {}
     incidences: list[tuple[str, str, str]] = []
-    for k in enumerate_subhypergraphs(g, max_count=max_count):
+    for k in subhypergraphs:
         mid = member_id(k)
         members[mid] = k
         incidences.append(
@@ -362,16 +358,13 @@ def power(
     return PowerResult(ext, g, vertex_subset_ids, edge_subset_ids, members)
 
 
-def elem_map(
-    g: IncidenceHypergraph,
-    pwr: PowerResult | None = None,
-) -> tuple[ProductResult, Homomorphism]:
+def elem_map(g: IncidenceHypergraph) -> tuple[ProductResult, Homomorphism]:
     """Membership map from the product of g with its power hypergraph:
     the characteristic map of the membership subhypergraph, whose
     elements are the pairs (element, collection) with the element in the
     collection.
     """
-    pwr = _power_of(g, pwr)
+    pwr = power(g)
     prod = product(g, pwr.hypergraph)
     membership = Subhypergraph(
         prod.hypergraph,
@@ -384,30 +377,16 @@ def elem_map(
     return prod, classify(membership)
 
 
-def _power_of(g: IncidenceHypergraph, pwr: PowerResult | None) -> PowerResult:
-    """``pwr`` when it was built from ``g``, or a fresh ``power(g)``."""
-    if pwr is None:
-        return power(g)
-    if pwr.parent != g:
-        raise DomainError("the power hypergraph was built from another parent")
-    return pwr
-
-
-def power_transpose(
-    prod: ProductResult,
-    phi: Homomorphism,
-    pwr: PowerResult | None = None,
-) -> Homomorphism:
+def power_transpose(prod: ProductResult, phi: Homomorphism) -> Homomorphism:
     """The unique map into the power hypergraph matching a truth-valued
-    map off the product: each element collects its true partners.
-    ``pwr``, when given, is ``power(prod.left)`` built once by the caller."""
+    map off the product: each element collects its true partners."""
     omega = subobject_classifier()
     if phi.target != omega.omega:
         raise DomainError("transpose needs a map into the truth-value hypergraph")
     if phi.source != prod.hypergraph:
         raise DomainError("phi must be defined on the given product")
     g, k = prod.left, prod.right
-    pwr = _power_of(g, pwr)
+    pwr = power(g)
     vmap = {}
     v_true: dict[str, frozenset] = {}
     for v in k.vertices:

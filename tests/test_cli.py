@@ -282,6 +282,22 @@ def test_exit_code_for_bad_input(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["contributors", K3, "--class", "v1,:v2"], "class rows: empty item", id="csv"),
+        pytest.param(["contributors", K3, "--class", "v1"], "class must look like", id="no-colon"),
+        pytest.param(
+            ["contributors", K3, "--class", "v1:v2:v3"], "class must look like", id="two-colons"
+        ),
+    ],
+)
+def test_bad_class_flag_exits_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
+
+
 def test_exit_code_for_bad_flag_value(capsys):
     code, _, err = run(capsys, "charpoly", K3, "--matrix", "nope", "--mode", "det")
     assert code == 1

@@ -177,6 +177,17 @@ def test_zero_sign_makes_contributor_weight_zero():
     assert all(contributor_sign(og, c) == 0 for c in cs)
 
 
+def test_profile_counts_a_circle_through_a_zero_sign():
+    # v1 and v2 step to each other across e; v2's incidence is signed 0.
+    g = IncidenceHypergraph.build(["v1", "v2"], ["e"], [("i", "v1", "e"), ("j", "v2", "e")])
+    og = OrientedHypergraph.build(g, {"i": 1, "j": 0})
+    swap = next(c for c in enumerate_contributors(og) if [s.head for s in c] == ["v2", "v1"])
+    prof = component_profile(og, swap)
+    assert (prof.even_circles, prof.positive_circles, prof.negative_circles) == (1, 0, 0)
+    assert prof.zero_circles == 1
+    assert contributor_sign(og, swap) == 0
+
+
 def test_contributor_enumeration_guard():
     with pytest.raises(ResourceLimitError):
         enumerate_contributors(triangle(), max_vertices=2)
@@ -447,6 +458,8 @@ def test_minor_class_validation():
         MinorClass.build(og, ("v1",), ("ghost",))
     with pytest.raises(DomainError):
         MinorClass(("v1",), ())
+    with pytest.raises(DomainError, match="column vertices repeat"):
+        MinorClass(("v1", "v2"), ("v3", "v3"))
     cls = MinorClass.build(og, ("v1",), ("v2",))
     assert cls.pairs() == (("v1", "v2"),)
 

@@ -126,6 +126,33 @@ def test_validate_flags_duplicates_and_dangling():
     assert validate(ok).first is None
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: require_valid(IncidenceHypergraph.build(["a"], ["e", "e"], [])),
+            "duplicate edge id 'e'",
+            id="duplicate-edge",
+        ),
+        pytest.param(
+            lambda: require_valid(
+                IncidenceHypergraph.build(["a"], ["e"], [("i", "a", "e"), ("i", "a", "e")])
+            ),
+            "duplicate incidence id 'i'",
+            id="duplicate-incidence",
+        ),
+        pytest.param(
+            lambda: subhypergraph(triangle().structure, ["v1", "v2"], [], ["i12a"]),
+            "attaches to edge 'e12' outside the subset",
+            id="subhypergraph-edge-outside",
+        ),
+    ],
+)
+def test_bad_input_raises_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_oriented_build_checks_signs():
     g = IncidenceHypergraph.build(["a"], ["e"], [("i", "a", "e")])
     with pytest.raises(DomainError):
@@ -202,9 +229,7 @@ def test_pair_id_is_injective_on_samples():
 
 def test_hom_enumeration_guard():
     g = triangle().structure
-    with pytest.raises(ResourceLimitError):
-        enumerate_homomorphisms(g, g, max_candidates=10)
-    message = "^homomorphism search space 34012224 exceeds cap 1000000$"
+    message = "^homomorphism search limited to 1000000 candidates, got 34012224$"
     with pytest.raises(ResourceLimitError, match=message):
         enumerate_homomorphisms(g, g)
     with pytest.raises(ResourceLimitError, match=message):

@@ -121,8 +121,8 @@ def _raises_resource_limit(node):
 
 
 def test_resource_limits_raise_only_from_the_one_guard():
-    # Every cap is enforced by ``limits.check``; the homomorphism search
-    # bound in ``HomSet`` is the one other raise.
+    # Every cap, the homomorphism search bound among them, is enforced
+    # by ``limits.check``.
     raising = {
         (path.name, top.name)
         for path in PACKAGE_DIR.glob("*.py")
@@ -130,7 +130,90 @@ def test_resource_limits_raise_only_from_the_one_guard():
         for node in ast.walk(top)
         if isinstance(node, ast.Raise) and node.exc is not None and _raises_resource_limit(node)
     }
-    assert raising == {("core.py", "HomSet"), ("limits.py", "check")}
+    assert raising == {("limits.py", "check")}
+
+
+def _is_cap(default):
+    return (
+        isinstance(default, ast.Attribute)
+        and isinstance(default.value, ast.Name)
+        and default.value.id == "limits"
+        and default.attr.startswith("MAX_")
+    )
+
+
+def _owner(func, parents):
+    # The name a caller uses: the class for ``__init__``.
+    parent = parents[func]
+    if func.name == "__init__" and isinstance(parent, ast.ClassDef):
+        return parent.name
+    return func.name
+
+
+def _keywords(call, scope):
+    # (keyword, value) for every keyword of the call; ``**name`` spreads
+    # the literal keys of a dict that ``scope`` assigns to ``name``.
+    for kw in call.keywords:
+        if kw.arg is not None:
+            yield kw.arg, kw.value
+        elif isinstance(kw.value, ast.Name) and scope is not None:
+            for node in ast.walk(scope):
+                if (
+                    isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == [kw.value.id]
+                    and isinstance(node.value, ast.Dict)
+                ):
+                    yield from (
+                        (k.value, v) for k, v in zip(node.value.keys, node.value.values)
+                        if isinstance(k, ast.Constant)
+                    )
+
+
+def _cap_parameters_and_passes():
+    # caps: (callable, keyword) for every parameter defaulting to a
+    # ``limits.MAX_*`` constant.  passes: (callable, keyword, source) for
+    # every call passing that keyword, where source is the caller's own
+    # cap parameter when the call only forwards it, else None.
+    caps, passes = set(), []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                pairs = [*zip(positional[len(positional) - len(a.defaults) :], a.defaults)]
+                pairs += zip(a.kwonlyargs, a.kw_defaults)
+                caps.update((_owner(node, parents), p.arg) for p, d in pairs if _is_cap(d))
+            elif isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                scope = parents[node]
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                scope = scope if isinstance(scope, ast.FunctionDef) else None
+                for kw, value in _keywords(node, scope):
+                    source = None
+                    if scope is not None and isinstance(value, ast.Name):
+                        source = (_owner(scope, parents), value.id)
+                    passes.append((callee, kw, source))
+    return caps, passes
+
+
+def test_every_cap_keyword_is_passed_in_the_package():
+    # A cap is a keyword only where a caller sets it (the ``ohg`` guard
+    # flags); a keyword that only forwards another unset keyword does not
+    # count.  Every other guard reads its ``limits.MAX_*`` constant.
+    caps, passes = _cap_parameters_and_passes()
+    assert caps
+    live: set = set()
+    grown = True
+    while grown:
+        grown = False
+        for callee, kw, source in passes:
+            if (callee, kw) in caps - live and (source not in caps or source in live):
+                live.add((callee, kw))
+                grown = True
+    assert sorted(caps - live) == []
 
 
 def _base_names(cls):

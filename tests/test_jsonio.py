@@ -74,6 +74,44 @@ def test_rejects_malformed_input(payload, fragment):
     assert fragment in str(err.value)
 
 
+_INCIDENCE = '"id": "i", "vertex": "a", "edge": "e"'
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param(
+            '{"vertices": {}, "edges": [], "incidences": []}',
+            "^vertices: expected a list$",
+            id="not-a-list",
+        ),
+        pytest.param(
+            '{"vertices": ["a"], "edges": ["e"], "incidences": [["i", "a", "e"]]}',
+            r"^incidences\[0\]: expected an object$",
+            id="incidence-not-an-object",
+        ),
+        pytest.param(
+            '{"vertices": ["a"], "edges": ["e"], "incidences": [{%s, "weight": 1}]}' % _INCIDENCE,
+            r"^incidences\[0\]: unknown keys \['weight'\]$",
+            id="incidence-unknown-key",
+        ),
+        pytest.param(
+            '{"vertices": ["a"], "edges": ["e"], "incidences": [{"id": "i", "vertex": "a"}]}',
+            r"^incidences\[0\]: missing key 'edge'$",
+            id="incidence-missing-key",
+        ),
+        pytest.param(
+            '{"vertices": ["a"], "edges": ["e"], "incidences": [{%s, "loaded": 1}]}' % _INCIDENCE,
+            r"^incidences\[0\]\.loaded: expected a boolean$",
+            id="loaded-not-a-boolean",
+        ),
+    ],
+)
+def test_bad_input_raises_domain_error(payload, message):
+    with pytest.raises(DomainError, match=message):
+        loads_oriented(payload)
+
+
 def test_missing_file_is_a_domain_error(tmp_path):
     with pytest.raises(DomainError):
         load_oriented_file(str(tmp_path / "absent.json"))

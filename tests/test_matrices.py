@@ -335,6 +335,50 @@ def test_sachs_matches_adjacency_char_poly():
     )
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        pytest.param([("a", "b"), ("a", "b")], id="digon"),
+        pytest.param([("a", "b"), ("a", "b"), ("b", "c"), ("c", "a")], id="triangle-doubled-edge"),
+        pytest.param([("a", "b")] * 3, id="theta"),
+    ],
+)
+def test_sachs_counts_parallel_edges_as_two_cycles(pairs):
+    g = graph_structure(sorted({v for pair in pairs for v in pair}), pairs)
+    want = char_poly_univariate(adjacency_matrix(graph_orientation(g)), "det")
+    assert sachs_char_poly(g) == want
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: square([[1]]).mul(IntegerMatrix(("x",), ("y",), ((1,),))),
+            "inner labels do not match",
+            id="mul-labels",
+        ),
+        pytest.param(
+            lambda: laplacian_matrix(triangle()).delete("ghost", "v1"),
+            "no row 'ghost'",
+            id="delete-unknown-row",
+        ),
+        pytest.param(
+            lambda: symbolic_minor_poly(IntegerMatrix(("a",), ("b",), ((1,),)), "det"),
+            "expected a square matrix",
+            id="leibniz-labels",
+        ),
+        pytest.param(
+            lambda: matrix_tree_cofactor(triangle(), "ghost", "v1"),
+            "cofactor indices must be vertex ids",
+            id="cofactor-unknown-vertex",
+        ),
+    ],
+)
+def test_bad_input_raises_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_sachs_rejects_loops():
     g = IncidenceHypergraph.build(["a"], ["e"], [("i", "a", "e"), ("j", "a", "e")])
     with pytest.raises(DomainError):

@@ -13,7 +13,7 @@ from oriented_hypergraphs.core import (
     validate_homomorphism,
 )
 from oriented_hypergraphs.corpus import all_hypergraphs
-from oriented_hypergraphs.errors import DomainError
+from oriented_hypergraphs.errors import DomainError, ResourceLimitError
 from oriented_hypergraphs.topos import (
     FALSE_ID,
     classify,
@@ -161,6 +161,132 @@ def test_represent_partial_square_is_pullback():
         assert partial_square_is_pullback(k.inclusion(), bang, chi)
 
 
+def _bang(sub):
+    return Homomorphism(
+        sub,
+        terminal(),
+        {v: "v" for v in sub.vertices},
+        {e: "e" for e in sub.edges},
+        {i.id: "i" for i in sub.incidences},
+    )
+
+
+def _square_of_other_subobject(small, large):
+    # phi and psi from one subobject of K; psihat classifies a larger one.
+    # Ids are one letter, so each string lists a set of them.
+    k = IncidenceHypergraph.build(["a", "b"], ["e", "f"], [("i", "a", "e")])
+    small, large = (Subhypergraph(k, *map(frozenset, ids)) for ids in (small, large))
+    return small.inclusion(), _bang(small.materialize()), classify(large)
+
+
+def _square_of_swapped_images(vertices, edges, incidences, vmap, emap, imap):
+    # The whole of K against the identity, psihat built from a swap of K.
+    k = IncidenceHypergraph.build(vertices, edges, incidences)
+    ident = identity_homomorphism(k)
+    return ident, ident, represent_partial(ident, Homomorphism(k, k, vmap, emap, imap))
+
+
+@pytest.mark.parametrize(
+    "square",
+    [
+        pytest.param(
+            lambda: _square_of_other_subobject(("a", "", ""), ("ab", "", "")),
+            id="true-vertices",
+        ),
+        pytest.param(
+            lambda: _square_of_other_subobject(("a", "e", ""), ("a", "ef", "")),
+            id="true-edges",
+        ),
+        pytest.param(
+            lambda: _square_of_other_subobject(("a", "e", ""), ("a", "e", "i")),
+            id="true-incidences",
+        ),
+        pytest.param(
+            lambda: _square_of_swapped_images(["a", "b"], [], [], {"a": "b", "b": "a"}, {}, {}),
+            id="vertex-images",
+        ),
+        pytest.param(
+            lambda: _square_of_swapped_images([], ["e", "f"], [], {}, {"e": "f", "f": "e"}, {}),
+            id="edge-images",
+        ),
+        pytest.param(
+            lambda: _square_of_swapped_images(
+                ["a"],
+                ["e"],
+                [("i", "a", "e"), ("j", "a", "e")],
+                {"a": "a"},
+                {"e": "e"},
+                {"i": "j", "j": "i"},
+            ),
+            id="incidence-images",
+        ),
+    ],
+)
+def test_partial_square_that_is_no_pullback(square):
+    phi, psi, psihat = square()
+    assert validate_homomorphism(psihat).ok
+    assert not partial_square_is_pullback(phi, psi, psihat)
+
+
+_POINT_SQUARED = product(terminal(), terminal())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: represent_partial(
+                identity_homomorphism(triangle().structure), identity_homomorphism(terminal())
+            ),
+            "must share a source",
+            id="represent-partial-sources",
+        ),
+        pytest.param(
+            lambda: subobject_from_map(identity_homomorphism(terminal())),
+            "truth-value hypergraph",
+            id="subobject-from-map-target",
+        ),
+        pytest.param(
+            lambda: power(terminal()).member_id_of(
+                Subhypergraph(triangle().structure, frozenset({"v1"}), frozenset(), frozenset())
+            ),
+            "not a subhypergraph of the parent",
+            id="member-of-another-parent",
+        ),
+        pytest.param(
+            lambda: power_transpose(
+                _POINT_SQUARED, identity_homomorphism(_POINT_SQUARED.hypergraph)
+            ),
+            "truth-value hypergraph",
+            id="transpose-target",
+        ),
+        pytest.param(
+            lambda: power_transpose(
+                _POINT_SQUARED, classify(enumerate_subhypergraphs(triangle().structure)[0])
+            ),
+            "defined on the given product",
+            id="transpose-source",
+        ),
+        pytest.param(
+            lambda: is_essential_mono(
+                Homomorphism(
+                    IncidenceHypergraph.build(["a", "b"], [], []),
+                    terminal(),
+                    {"a": "v", "b": "v"},
+                    {},
+                    {},
+                )
+            ),
+            "needs a monic map",
+            id="essential-not-monic",
+        ),
+    ],
+)
+def test_bad_input_raises_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_represent_partial_demands_monic():
     g = IncidenceHypergraph.build(["a", "b"], [], [])
     squash = Homomorphism(g, terminal(), {"a": "v", "b": "v"}, {}, {})
@@ -176,6 +302,19 @@ def test_power_object_membership():
     assert len(pwr.hypergraph.edges) == 2
     assert len(pwr.hypergraph.incidences) == count_subhypergraphs(g)
     assert validate(pwr.hypergraph).ok
+
+
+def test_power_guard_runs_before_the_subsets_are_built(monkeypatch):
+    # 17 isolated vertices: 131,072 subhypergraphs, over the cap.
+    import oriented_hypergraphs.topos as topos
+
+    def unguarded(items):
+        raise AssertionError(f"{len(items)} items subset before the guard")
+
+    monkeypatch.setattr(topos, "_mask_subsets", unguarded)
+    g = IncidenceHypergraph.build([f"v{k}" for k in range(17)], [], [])
+    with pytest.raises(ResourceLimitError, match="limited to 100000 subhypergraphs, got 131072"):
+        power(g)
 
 
 def test_power_transpose_round_trip():
@@ -216,7 +355,7 @@ def test_power_transpose_is_a_bijection_on_maps(g_at, k_at):
     prod = product(g, k)
     images = []
     for phi in enumerate_homomorphisms(prod.hypergraph, omega):
-        transposed = power_transpose(prod, phi, pwr)
+        transposed = power_transpose(prod, phi)
         assert transposed.source == k and transposed.target == pwr.hypergraph
         assert validate_homomorphism(transposed).ok
         images.append(_signature(transposed))
@@ -259,25 +398,6 @@ def test_elem_map_classifies_membership(g_at):
     pwr = power(g)
     want = elem_map_reference(g, pwr)
     assert elem_map(g) == want
-    assert elem_map(g, pwr) == want
-
-
-def test_prebuilt_powers_give_the_same_maps():
-    g, k = BLOCK[18], BLOCK[17]
-    prod = product(g, k)
-    phi = enumerate_homomorphisms(prod.hypergraph, subobject_classifier().omega)[57]
-    assert power_transpose(prod, phi, power(g)) == power_transpose(prod, phi)
-    assert elem_map(g, power(g)) == elem_map(g)
-
-
-def test_powers_of_another_parent_are_refused():
-    g, other = BLOCK[18], BLOCK[17]
-    prod = product(g, terminal())
-    phi = enumerate_homomorphisms(prod.hypergraph, subobject_classifier().omega)[0]
-    with pytest.raises(DomainError, match="another parent"):
-        power_transpose(prod, phi, power(other))
-    with pytest.raises(DomainError, match="another parent"):
-        elem_map(g, power(other))
 
 
 def test_power_map_acts_by_preimage():
@@ -324,6 +444,59 @@ def test_eta_essential_only_for_empty():
     assert is_essential_mono(tilde(initial()).eta)
     assert not is_essential_mono(tilde(terminal()).eta)
     assert not is_essential_mono(tilde(triangle().structure).eta)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        pytest.param(
+            Homomorphism(initial(), IncidenceHypergraph.build(["a", "b"], [], []), {}, {}, {}),
+            id="no-vertices-into-two",
+        ),
+        pytest.param(
+            Homomorphism(
+                IncidenceHypergraph.build(["a"], [], []),
+                IncidenceHypergraph.build(["a"], ["e", "f"], []),
+                {"a": "a"},
+                {},
+                {},
+            ),
+            id="no-edges-into-two",
+        ),
+        pytest.param(
+            Homomorphism(
+                IncidenceHypergraph.build(["a"], ["e"], [("i", "a", "e")]),
+                IncidenceHypergraph.build(["a"], ["e"], [("i", "a", "e"), ("j", "a", "e")]),
+                {"a": "a"},
+                {"e": "e"},
+                {"i": "i"},
+            ),
+            id="parallel-incidence-missed",
+        ),
+        pytest.param(
+            Homomorphism(
+                IncidenceHypergraph.build(["a"], ["e"], []),
+                IncidenceHypergraph.build(["a"], ["e"], [("j", "a", "e"), ("k", "a", "e")]),
+                {"a": "a"},
+                {"e": "e"},
+                {},
+            ),
+            id="unreached-pair-doubled",
+        ),
+    ],
+)
+def test_monic_that_is_not_essential(phi):
+    assert validate_homomorphism(phi).ok
+    assert not is_essential_mono(phi)
+
+
+def test_loading_renames_a_filler_id_the_input_owns():
+    g = IncidenceHypergraph.build(["a", "b"], ["e"], [("0:0,0", "b", "e")])
+    res = loading(g)
+    assert res.added_incidences == frozenset({"_0:0,0"})
+    assert res.hypergraph.incidence_by_id["_0:0,0"].vertex == "a"
+    assert is_injective(res.hypergraph)
+    assert is_essential_mono(res.j)
 
 
 def tilde_map_of_identity(g):
