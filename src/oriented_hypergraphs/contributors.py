@@ -1,25 +1,33 @@
 """Permutation-shaped step families and the minor polynomials they carry.
 
 A step family gives at most one length-1 step to each vertex, with
-pairwise-distinct heads.  :func:`_search` is the one enumerator of step
-families: a depth-first search over a map of each tail vertex to its
-allowed steps, each step resolved once into an integer row entry keyed
-by its head bit.  A contributor is a spanning family of
+pairwise-distinct heads.  :func:`_search` is the one enumerator that
+hands out step families: a depth-first search over a map of each tail
+vertex to its allowed steps, each step resolved once into an integer row
+entry keyed by its head bit.  (The one-pass total minors walk the
+families with their own prefix state, :func:`_family_sums`, and hand
+none out.)  A contributor is a spanning family of
 the full map, so its heads sweep out the whole vertex set bijectively;
 a class member pins each class row to its steps onto the matching
 column; the bidirected reduced elements (:mod:`.bidirected`) span the
 non-row vertices with heads off the class columns.  Families are
 counted exactly, by head mask, before any is built: the spanning ones (a
-permanent) for contributors, all of them for the catalog.  Everything
-here is cross-checked against the Leibniz oracle in :mod:`.matrices`.
+permanent) for contributors, all of them for the minor polynomials.
+Everything here is cross-checked against the Leibniz oracle in
+:mod:`.matrices`.
 
-The minor polynomials come from a :class:`MinorCatalog`: every step
-family, grouped into blocks by (tail set, head set).  The families of a
-block share their completions into full permutations, and a completed
-family's sign splits as eps_f * rel(c), a per-family part times a
-per-completion part, so a block stamps each of its monomials once with
-its summed family weights (the all-minors matrix-tree expansion, read
-as a sum over figures).
+The minor polynomials sum the step families grouped into blocks by
+(tail set, head set).  The families of a block share their completions
+into full permutations, and a completed family's sign splits as
+eps_f * rel(c), a per-family part times a per-completion part, so a
+block stamps each of its monomials once with its summed family weights
+(the all-minors matrix-tree expansion, read as a sum over figures).
+Two paths fill the blocks from the same step rows and stamp them the
+same way.  A one-shot answer (:func:`total_minor_poly`,
+:func:`oracle_equivalence`) weighs every family in one depth-first pass
+and stores none.  A :class:`MinorCatalog` stores every family once, for
+callers that evaluate one structure under many signings
+(:func:`minor_polys_from_catalog`).
 
 The characteristic polynomial needs only the closed families, whose
 head set equals their tail set T: a closed family of weight w adds to
@@ -514,6 +522,9 @@ class MinorBlock:
 class MinorCatalog:
     """Signing-independent family enumeration, shared by all four polynomials.
 
+    Built for callers that evaluate one structure under many signings
+    (criterion 3's corpus); a one-shot answer takes the one-pass route of
+    :func:`total_minor_poly` instead, which stores no family.
     ``blocks`` groups every step family by (tail set, head set) and
     stores each block's completions once, so evaluation stamps every
     monomial once per block rather than once per family.  ``families``
@@ -537,66 +548,129 @@ class MinorCatalog:
         )
 
 
-def minor_catalog(
-    structure: IncidenceHypergraph, *, max_vertices: int = limits.MAX_MINOR_VERTICES
-) -> MinorCatalog:
-    """Every step family of ``structure``, grouped into blocks.
+# Tail k's steps: (head position, tail incidence position, head
+# incidence position, backstep) each.
+StepRows = list[list[tuple[int, int, int, bool]]]
+# Each open size's bijections with their signs; see _completion_table.
+CompletionTable = list[list[tuple[tuple[int, ...], int]]]
+# What _stamp reads of a block: whether |T| is odd; sum(w) and
+# sum(eps_f * w) over all its families, then over its strong ones; its
+# (monomial, rel(c)) completions.
+BlockSums = tuple[bool, tuple[int, int, int, int], Sequence[tuple[int, int]]]
+
+
+def _counted_rows(structure: IncidenceHypergraph, max_vertices: int) -> StepRows:
+    """The step rows of ``structure``, in vertex order, once its guards pass.
 
     The families are counted first (:func:`_family_counts`), so more than
-    ``limits.MAX_FAMILIES`` raise :class:`ResourceLimitError` before any
-    is built.
+    ``limits.MAX_FAMILIES`` raise :class:`ResourceLimitError` before
+    either figure path builds one.
     """
     require_valid(structure)
     limits.check(len(structure.vertices), max_vertices, "minor catalog", "vertices")
     options = _all_steps(structure)
-    count = sum(_family_counts(options))
-    limits.check(count, limits.MAX_FAMILIES, "minor catalog", "families")
-    return MinorCatalog(structure, _minor_blocks(structure, options))
-
-
-def _minor_blocks(
-    structure: IncidenceHypergraph, options: Mapping[str, Sequence[OneStep]]
-) -> tuple[MinorBlock, ...]:
-    # Blocks by (tail mask, head mask), in order of first family.  By the
-    # Laplace expansion, eps_f is (-1)^(sum of the open rows and columns)
-    # times the parity of the inversions of f's heads in tail order.
+    limits.check(sum(_family_counts(options)), limits.MAX_FAMILIES, "minor catalog", "families")
     pos = structure.vertex_pos
     at = structure.incidence_pos
-    n = len(pos)
+    return [
+        [(pos[s.head], at[s.tail_incidence], at[s.head_incidence], s.is_backstep) for s in steps]
+        for steps in options.values()
+    ]
 
-    def item(s: OneStep) -> tuple[int, tuple[int, int], bool]:
-        return pos[s.head], (at[s.tail_incidence], at[s.head_incidence]), s.is_backstep
 
-    rows = [[(1 << pos[s.head], item(s)) for s in steps] for steps in options.values()]
-    grouped: dict[tuple[int, int], tuple[list[tuple[int, int]], list, int]] = {}
+def _completion_table(n: int) -> CompletionTable:
+    # Every permutation of range(m), m = 0..n, with its sign: one table
+    # per call, read by every block whose open size is m.
+    return [
+        [(p, permutation_sign(p)) for p in itertools.permutations(range(m))]
+        for m in range(n + 1)
+    ]
+
+
+def _open_block(
+    n: int, tails: int, heads: int, table: CompletionTable
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The c0 sign and the completions of the block (tail mask, head mask).
+
+    By the Laplace expansion, eps_f is (-1)^(sum of the open rows and
+    columns) times the parity of the inversions of f's heads in tail
+    order; the first is returned here, with (monomial, rel(c)) for each
+    bijection c of the open rows onto the open columns.
+    """
+    open_rows = [r for r in range(n) if not tails >> r & 1]
+    open_cols = [c for c in range(n) if not heads >> c & 1]
+    # bit[i][j]: the MultivariatePolynomial mask of x[open_rows[i], open_cols[j]].
+    bit = [[1 << (r * n + c) for c in open_cols] for r in open_rows]
+    completions = tuple(
+        (sum(row[j] for row, j in zip(bit, p)), sign) for p, sign in table[len(bit)]
+    )
+    return -1 if sum(open_rows + open_cols) & 1 else 1, completions
+
+
+def minor_catalog(structure: IncidenceHypergraph) -> MinorCatalog:
+    """Every step family of ``structure``, grouped into blocks.
+
+    More than ``limits.MAX_MINOR_VERTICES`` vertices are refused, and the
+    families are counted first (:func:`_counted_rows`), so more than
+    ``limits.MAX_FAMILIES`` raise :class:`ResourceLimitError` before any
+    is built.
+    """
+    rows = _counted_rows(structure, limits.MAX_MINOR_VERTICES)
+    return MinorCatalog(structure, _minor_blocks(rows))
+
+
+def _minor_blocks(rows: StepRows) -> tuple[MinorBlock, ...]:
+    # Blocks by (tail mask, head mask), in order of first family, each
+    # opened (c0 sign, completions) when its first family arrives.
+    n = len(rows)
+    table = _completion_table(n)
+    grouped: dict[tuple[int, int], tuple[int, tuple[tuple[int, int], ...], list]] = {}
 
     def leaf(path: list, tails: int, heads: int) -> None:
         if (tails, heads) not in grouped:
-            open_rows = [r for r in range(n) if not tails >> r & 1]
-            open_cols = [c for c in range(n) if not heads >> c & 1]
-            parity = sum(open_rows + open_cols)
-            grouped[tails, heads] = (list(zip(open_rows, open_cols)), [], parity)
-        _, entries, inversions = grouped[tails, heads]
-        seen = backsteps = 0
+            grouped[tails, heads] = (*_open_block(n, tails, heads, table), [])
+        sign, _, entries = grouped[tails, heads]
+        seen = inversions = backsteps = 0
         ids: list[int] = []
-        for h, pair, back in path:
+        for h, tail_at, head_at, back in path:
             inversions += (seen >> h).bit_count()
             seen |= 1 << h
-            ids += pair
+            ids += (tail_at, head_at)
             backsteps += back
-        entries.append((tuple(ids), not backsteps, -1 if inversions & 1 else 1))
+        entries.append((tuple(ids), not backsteps, -sign if inversions & 1 else sign))
 
-    _search(rows, False, leaf)
-    blocks = []
-    for (tails, _), (c0, entries, _) in grouped.items():
-        # bit[i][j]: the MultivariatePolynomial mask of x[rows[i], cols[j]].
-        bit = [[1 << (r * n + c) for _, c in c0] for r, _ in c0]
-        completions = tuple(
-            (sum(row[j] for row, j in zip(bit, p)), permutation_sign(p))
-            for p in itertools.permutations(range(len(c0)))
-        )
-        blocks.append(MinorBlock(tails.bit_count() % 2 == 1, tuple(entries), completions))
-    return tuple(blocks)
+    _search([[(1 << step[0], step) for step in row] for row in rows], False, leaf)
+    return tuple(
+        MinorBlock(tails.bit_count() % 2 == 1, tuple(entries), completions)
+        for (tails, _), (_, completions, entries) in grouped.items()
+    )
+
+
+def _stamp(
+    labels: tuple[str, ...], blocks: Iterable[BlockSums]
+) -> dict[tuple[str, str], MultivariatePolynomial]:
+    """The four minor polynomials from (odd, sums, completions) per block.
+
+    The all-family sums are negated when |T| is odd (the Laplacian's
+    (-1)^steps).  Every completion then gets the plain sum for perm and
+    rel(c) times the eps-sum for det; adjacency takes the strong sums.
+    A monomial fixes its open rows and columns, so one block writes it.
+    """
+    acc: dict[tuple[str, str], dict[int, int]] = {combo: {} for combo in COMBOS}
+    lap_det, lap_perm = acc[("laplacian", "det")], acc[("laplacian", "perm")]
+    adj_det, adj_perm = acc[("adjacency", "det")], acc[("adjacency", "perm")]
+    for odd, (total, signed, strong_total, strong_signed), completions in blocks:
+        if odd:
+            total, signed = -total, -signed
+        for mono, rel in completions:
+            lap_perm[mono] = total
+            lap_det[mono] = rel * signed
+            adj_perm[mono] = strong_total
+            adj_det[mono] = rel * strong_signed
+    return {
+        combo: MultivariatePolynomial._of(labels, {m: c for m, c in terms.items() if c})
+        for combo, terms in acc.items()
+    }
 
 
 def minor_polys_from_catalog(
@@ -605,44 +679,117 @@ def minor_polys_from_catalog(
     """Evaluate all four (target, mode) minor polynomials in one sweep.
 
     Each block sums its family weights w_f (step-sign products) as
-    sum(w) and sum(eps_f * w) over all families and over the strong ones,
-    negating the all-family sums when |T| is odd (the Laplacian's
-    (-1)^steps).  Every completion then gets the plain sum for perm and
-    rel(c) times the eps-sum for det; adjacency takes the strong sums.
-    A monomial fixes its open rows and columns, so one block writes it.
+    sum(w) and sum(eps_f * w) over all families and over the strong
+    ones; :func:`_stamp` writes them into the completions.
     """
-    acc: dict[tuple[str, str], dict[int, int]] = {combo: {} for combo in COMBOS}
-    lap_det, lap_perm = acc[("laplacian", "det")], acc[("laplacian", "perm")]
-    adj_det, adj_perm = acc[("adjacency", "det")], acc[("adjacency", "perm")]
     sign = [signs.get(i.id, 0) for i in catalog.structure.incidences]
-    for block in catalog.blocks:
-        total = signed = strong_total = strong_signed = 0
-        for ids, strong, eps in block.families:
-            weight = 1
-            for i in ids:
-                weight *= sign[i]
-                if not weight:
-                    break
-            if weight:
-                total += weight
-                signed += eps * weight
-                if strong:
-                    strong_total += weight
-                    strong_signed += eps * weight
-        if not (total or signed or strong_total or strong_signed):
-            continue
-        if block.odd:
-            total, signed = -total, -signed
-        for mono, rel in block.completions:
-            lap_perm[mono] = total
-            lap_det[mono] = rel * signed
-            adj_perm[mono] = strong_total
-            adj_det[mono] = rel * strong_signed
-    labels = catalog.structure.vertices
-    return {
-        combo: MultivariatePolynomial._of(labels, {m: c for m, c in terms.items() if c})
-        for combo, terms in acc.items()
-    }
+
+    def sums() -> Iterator[BlockSums]:
+        for block in catalog.blocks:
+            total = signed = strong_total = strong_signed = 0
+            for ids, strong, eps in block.families:
+                weight = 1
+                for i in ids:
+                    weight *= sign[i]
+                    if not weight:
+                        break
+                if weight:
+                    total += weight
+                    signed += eps * weight
+                    if strong:
+                        strong_total += weight
+                        strong_signed += eps * weight
+            if total or signed or strong_total or strong_signed:
+                yield block.odd, (total, signed, strong_total, strong_signed), block.completions
+
+    return _stamp(catalog.structure.vertices, sums())
+
+
+def _family_sums(rows: StepRows, sign: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The one-pass walk: every family that weighs nonzero, summed by block.
+
+    Each family is visited once, as one step at a later tail added to
+    the family it extends, and carries its own weight w (the product of
+    its steps' sign products), its signed weight e = +-w by the parity
+    of its heads' inversions in tail order, and whether it has a
+    backstep.  A step that weighs 0 is dropped, which drops exactly the
+    families that weigh 0.  ``total[key]`` and ``signed[key]`` sum w and
+    e over the families of one key: the tail mask above bit n, the head
+    mask in bits 1..n and the backstep flag in bit 0.
+    """
+    n = len(rows)
+    total = [0] * (1 << (2 * n + 1))
+    signed = [0] * (1 << (2 * n + 1))
+    # Per tail: (head bit, key bits, mask of the heads after this one, w).
+    weighed = []
+    for k, row in enumerate(rows):
+        tail = 1 << (n + 1 + k)
+        steps = []
+        for h, tail_at, head_at, back in row:
+            w = sign[tail_at] * sign[head_at]
+            if w:
+                head = 2 << h
+                after = (1 << (n + 1)) - (head << 1)
+                steps.append((head, tail | head | back, after, w))
+        weighed.append(steps)
+    total[0] = signed[0] = 1  # the empty family
+    if not n:
+        return total, signed
+    # later[k]: the tails from k on, but the last, each with the tail its
+    # families extend from next.  A family with a step at the last tail
+    # extends no further, so it is summed in place rather than visited.
+    inner = list(enumerate(weighed[:-1], 1))
+    later = [inner[k:] for k in range(n)]
+    last = weighed[-1]
+
+    def extend(start: int, key: int, w: int, e: int) -> None:
+        for nxt, steps in later[start]:
+            for head, bits, after, sw in steps:
+                if not key & head:
+                    child = key | bits
+                    cw = w * sw
+                    ce = -e * sw if (key & after).bit_count() & 1 else e * sw
+                    total[child] += cw
+                    signed[child] += ce
+                    extend(nxt, child, cw, ce)
+        for head, bits, after, sw in last:
+            if not key & head:
+                child = key | bits
+                total[child] += w * sw
+                signed[child] += -e * sw if (key & after).bit_count() & 1 else e * sw
+
+    extend(0, 0, 1, 1)
+    return total, signed
+
+
+def _one_pass(
+    structure: IncidenceHypergraph, rows: StepRows, signs: Mapping[str, int]
+) -> dict[tuple[str, str], MultivariatePolynomial]:
+    """All four minor polynomials from one walk over the families, none stored.
+
+    :func:`_family_sums` weighs every family under ``signs`` (missing
+    incidences weigh 0, the zero-loading convention) and sums it into
+    its block; each nonzero block then gets its c0 sign and completions
+    and is stamped as the catalog's blocks are, so the result equals
+    ``minor_polys_from_catalog(minor_catalog(structure), signs)``.
+    """
+    n = len(rows)
+    total, signed = _family_sums(rows, [signs.get(i.id, 0) for i in structure.incidences])
+    table = _completion_table(n)
+    heads_mask = (1 << n) - 1
+
+    def sums() -> Iterator[BlockSums]:
+        for key in range(0, len(total), 2):
+            strong_total, strong_signed = total[key], signed[key]
+            all_total = strong_total + total[key + 1]
+            all_signed = strong_signed + signed[key + 1]
+            if all_total or all_signed or strong_total or strong_signed:
+                tails, heads = key >> (n + 1), key >> 1 & heads_mask
+                sign, completions = _open_block(n, tails, heads, table)
+                block = (all_total, sign * all_signed, strong_total, sign * strong_signed)
+                yield tails.bit_count() % 2 == 1, block, completions
+
+    return _stamp(structure.vertices, sums())
 
 
 def total_minor_poly(
@@ -654,16 +801,20 @@ def total_minor_poly(
 ) -> MultivariatePolynomial:
     """Minor polynomial of the chosen matrix and mode, from step families.
 
-    It must match :func:`matrices.symbolic_minor_poly` of the same matrix
-    term for term, this module's central contract; a mismatch raises an
+    The one-pass route: the families are counted, then weighed in one
+    walk (:func:`_one_pass`) without a catalog.  The Leibniz oracle is
+    expanded before the walk, so its row guard refuses an input before
+    the figures are stamped.  The two must match term for term, this
+    module's central contract; a mismatch raises an
     :class:`InvariantError` that carries the structure as JSON and the
     (target, mode) pair, as in :func:`univariate_from_contributors`.
     """
     _require_combo(target, mode)
-    catalog = minor_catalog(og.structure, max_vertices=max_vertices)
-    poly = minor_polys_from_catalog(catalog, og.signs)[(target, mode)]
+    rows = _counted_rows(og.structure, max_vertices)
     m = laplacian_matrix(og) if target == "laplacian" else adjacency_matrix(og)
-    if poly != symbolic_minor_poly(m, mode):
+    oracle = symbolic_minor_poly(m, mode)
+    poly = _one_pass(og.structure, rows, og.signs)[(target, mode)]
+    if poly != oracle:
         raise InvariantError(
             f"figure route disagrees with the Leibniz expansion for {target}/{mode}",
             reproducer={"input": dumps_oriented(og), "target": target, "mode": mode},
@@ -727,11 +878,16 @@ def univariate_from_contributors(
 def oracle_equivalence(
     og: OrientedHypergraph, *, max_vertices: int = limits.MAX_MINOR_VERTICES
 ) -> dict[tuple[str, str], bool]:
-    """Compare every (target, mode) polynomial against the Leibniz oracle."""
-    catalog = minor_catalog(og.structure, max_vertices=max_vertices)
-    polys = minor_polys_from_catalog(catalog, og.signs)
+    """Compare every (target, mode) polynomial against the Leibniz oracle.
+
+    The one-pass route, as in :func:`total_minor_poly`: the families are
+    counted, the four oracles expanded, and only then are the families
+    weighed in one walk.
+    """
+    rows = _counted_rows(og.structure, max_vertices)
     matrices = {"adjacency": adjacency_matrix(og), "laplacian": laplacian_matrix(og)}
-    return {
-        (target, mode): polys[(target, mode)] == symbolic_minor_poly(matrices[target], mode)
-        for target, mode in COMBOS
+    oracles = {
+        (target, mode): symbolic_minor_poly(matrices[target], mode) for target, mode in COMBOS
     }
+    polys = _one_pass(og.structure, rows, og.signs)
+    return {combo: polys[combo] == oracle for combo, oracle in oracles.items()}

@@ -267,15 +267,25 @@ def _mask_subsets(items: tuple[str, ...]) -> list[tuple[str, ...]]:
 
 
 def count_subhypergraphs(g: IncidenceHypergraph) -> int:
-    """Number of subhypergraphs, computed without materializing them."""
+    """Number of subhypergraphs, computed without materializing them.
+
+    A subhypergraph picks a vertex set V', an edge set E' and any of the
+    incidences between the two.  For a fixed V', each edge is left out
+    or taken with any subset of its incidences at V', so the count is
+    the sum over V' of the product over edges of 1 + 2^(incidences at
+    V').  Only the vertices that carry an incidence are chosen here;
+    each other vertex doubles the count.
+    """
     require_valid(g)
-    n, m = len(g.vertices), len(g.edges)
+    bit = {v: 1 << k for k, v in enumerate(dict.fromkeys(i.vertex for i in g.incidences))}
+    on_edge = [[bit[g.vertex_of(i)] for i in g.incidences_on_edge[e]] for e in g.edges]
     total = 0
-    for mask in range(1 << len(g.incidences)):
-        vs = {g.incidences[k].vertex for k in range(len(g.incidences)) if mask >> k & 1}
-        es = {g.incidences[k].edge for k in range(len(g.incidences)) if mask >> k & 1}
-        total += 2 ** (n - len(vs)) * 2 ** (m - len(es))
-    return total
+    for chosen in range(1 << len(bit)):
+        term = 1
+        for bits in on_edge:
+            term *= 1 + (1 << sum(1 for b in bits if chosen & b))
+        total += term
+    return total << (len(g.vertices) - len(bit))
 
 
 def enumerate_subhypergraphs(g: IncidenceHypergraph) -> list[Subhypergraph]:

@@ -1,9 +1,13 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, rung
 from oriented_hypergraphs import limits
 from oriented_hypergraphs.cli import main
 from oriented_hypergraphs.contributors import total_minor_poly
@@ -363,6 +367,42 @@ def test_catalog_commands_refuse_k8_from_the_family_count(tmp_path, capsys, argv
     assert code == 2
     assert out == ""
     assert err == "resource limit: minor catalog limited to 5000000 families, got 88929169\n"
+
+
+# A child under a 1 GB address-space cap, as size_ladder runs its items:
+# it prints the seconds ``main`` took and exits with its code.
+CAPPED_MAIN = """
+import resource, sys, time
+cap = 1024 * 1024 * 1024
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from oriented_hypergraphs.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["total-minor", "--target", "laplacian", "--mode", "det"]]
+)
+def test_catalog_commands_refuse_c10_on_the_oracle_rows(tmp_path, argv):
+    # C10 has 891,097 families, under the family cap, but the oracle
+    # refuses 10 rows before any figure is built or stamped.
+    src = tmp_path / "c10.json"
+    src.write_text(dumps_oriented(rung("C", 10)))
+    source = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, argv[0], str(src), *argv[1:], "--max-vertices", "10"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr == "resource limit: Leibniz expansion limited to 9 rows, got 10\n"
+    assert float(done.stdout) < 1.0
 
 
 def test_guard_flags_only_where_they_are_read(capsys):

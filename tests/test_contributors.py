@@ -35,15 +35,17 @@ from oriented_hypergraphs.contributors import (
     vertex_steps,
     _all_steps,
     _circles,
+    _counted_rows,
     _cover_sums,
     _family_counts,
     _map_cycles,
+    _one_pass,
     _steps_between,
 )
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
 from oriented_hypergraphs.errors import DomainError, InvariantError, ResourceLimitError
 from oriented_hypergraphs.cli import main
-from oriented_hypergraphs.jsonio import loads_oriented
+from oriented_hypergraphs.jsonio import dumps_oriented, loads_oriented
 from oriented_hypergraphs.matrices import (
     adjacency_matrix,
     char_poly_univariate,
@@ -284,6 +286,7 @@ def test_minor_catalog_refuses_k8_from_the_family_count(monkeypatch):
         raise AssertionError("step families enumerated past the guard")
 
     monkeypatch.setattr(contributors, "_search", never)
+    monkeypatch.setattr(contributors, "_family_sums", never)
     message = "minor catalog limited to 5000000 families, got 88929169"
     with pytest.raises(ResourceLimitError, match=message):
         minor_catalog(og.structure)
@@ -328,16 +331,55 @@ def test_contributors_match_generator_reference_on_rungs(n, count):
     assert got == list(step_families_reference(_all_steps(og.structure), spanning=True))
 
 
+def _pass_polys(structure, signs):
+    return _one_pass(structure, _counted_rows(structure, limits.MAX_MINOR_VERTICES), signs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_oriented(), st.data())
+def test_one_pass_matches_the_catalog(og, data):
+    # The strategy draws 0 signs; the incidences left out of ``signs``
+    # weigh 0 as well (the zero-loading convention).
+    g = og.structure
+    kept = data.draw(st.sets(st.sampled_from(sorted(og.signs)))) if og.signs else set()
+    signs = {i: s for i, s in og.signs.items() if i in kept}
+    assert _pass_polys(g, signs) == minor_polys_from_catalog(minor_catalog(g), signs)
+
+
+@pytest.mark.parametrize("family, n", [("C", 6), ("K", 5), ("B", 5)])
+def test_one_pass_matches_the_catalog_on_rungs(family, n):
+    og = rung(family, n)
+    g = og.structure
+    assert _pass_polys(g, og.signs) == minor_polys_from_catalog(minor_catalog(g), og.signs)
+
+
+def test_one_shot_answers_build_no_catalog(monkeypatch, tmp_path, capsys):
+    og = rung("K", 4)
+    src = tmp_path / "k4.json"
+    src.write_text(dumps_oriented(og))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a one-shot answer built or evaluated a minor catalog")
+
+    monkeypatch.setattr(contributors, "minor_catalog", never)
+    monkeypatch.setattr(contributors, "minor_polys_from_catalog", never)
+    oracle = symbolic_minor_poly(laplacian_matrix(og), "det")
+    assert total_minor_poly(og, "laplacian", "det") == oracle
+    assert all(oracle_equivalence(og).values())
+    assert main(["verify", str(src)]) == 0
+    assert capsys.readouterr().out.count(": PASS") == 4
+
+
 def test_total_minor_disagreement_replays_through_verify(monkeypatch, tmp_path, capsys):
     og = one_edge(-1)
-    evaluate = contributors.minor_polys_from_catalog
+    evaluate = contributors._one_pass
 
-    def skewed(catalog, signs):
-        polys = evaluate(catalog, signs)
+    def skewed(structure, rows, signs):
+        polys = evaluate(structure, rows, signs)
         polys[("laplacian", "det")] = polys[("adjacency", "det")]
         return polys
 
-    monkeypatch.setattr(contributors, "minor_polys_from_catalog", skewed)
+    monkeypatch.setattr(contributors, "_one_pass", skewed)
     with pytest.raises(InvariantError, match="laplacian/det") as info:
         total_minor_poly(og, "laplacian", "det")
     reproducer = info.value.reproducer

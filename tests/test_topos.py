@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -144,6 +146,34 @@ def test_subobject_count_matches_map_count():
     omega = subobject_classifier().omega
     assert len(enumerate_homomorphisms(g, omega)) == len(subs)
     assert len({member_id(k) for k in subs}) == len(subs)
+
+
+def _count_by_masks(g):
+    # The count as it was first written, the reference for
+    # ``count_subhypergraphs``: every incidence subset fixes the vertices
+    # and edges it touches, and each other vertex and edge is free.
+    n, m = len(g.vertices), len(g.edges)
+    total = 0
+    for mask in range(1 << len(g.incidences)):
+        chosen = [i for k, i in enumerate(g.incidences) if mask >> k & 1]
+        total += 2 ** (n - len({i.vertex for i in chosen})) * 2 ** (m - len({i.edge for i in chosen}))
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_oriented(max_vertices=4, max_edges=3, max_incidences=8))
+def test_subhypergraph_count_matches_the_mask_walk(og):
+    assert count_subhypergraphs(og.structure) == _count_by_masks(og.structure)
+
+
+def test_subhypergraph_guard_refuses_thirty_parallel_incidences_at_once():
+    # 2^30 + 3 subhypergraphs: the count takes one pass per subset of the
+    # one vertex, where the mask walk would take 2^30 steps.
+    g = IncidenceHypergraph.build(["a"], ["e"], [(f"i{k}", "a", "e") for k in range(30)])
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="limited to 100000 subhypergraphs, got 1073741827"):
+        enumerate_subhypergraphs(g)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_represent_partial_square_is_pullback():
