@@ -164,7 +164,13 @@ def _classes(
 ) -> list[ActivationClass]:
     rows, classes = _bottoms(bg, options, max_count)
     steps = tuple((tuple([o[1] for o in row]), tuple([o[2] for o in row])) for row in rows)
-    return [ActivationClass(steps, choice, tuple(cycles)) for choice, cycles in classes]
+    # Each distinct cycle and cycle set once (K7: 3,906 and 8,898 in 279,936 classes).
+    held: dict = {}
+    out = []
+    for choice, cycles in classes:
+        key = tuple([held.setdefault(c, c) for c in cycles])
+        out.append(ActivationClass(steps, choice, held.setdefault(key, key)))
+    return out
 
 
 def activation_classes(

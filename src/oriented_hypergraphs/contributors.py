@@ -24,10 +24,11 @@ block stamps each of its monomials once with its summed family weights
 (the all-minors matrix-tree expansion, read as a sum over figures).
 Two paths fill the blocks from the same step rows and stamp them the
 same way.  A one-shot answer (:func:`total_minor_poly`,
-:func:`oracle_equivalence`) weighs every family in one depth-first pass
-and stores none.  A :class:`MinorCatalog` stores every family once, for
-callers that evaluate one structure under many signings
-(:func:`minor_polys_from_catalog`).
+:func:`oracle_equivalence`) checks the Leibniz oracle's row bound first,
+weighs every family in one depth-first pass and stores none, and only
+then expands each oracle and compares.  A :class:`MinorCatalog` stores
+every family once, for callers that evaluate one structure under many
+signings (:func:`minor_polys_from_catalog`).
 
 The characteristic polynomial needs only the closed families, whose
 head set equals their tail set T: a closed family of weight w adds to
@@ -178,8 +179,8 @@ def _search(rows: Sequence[Sequence[tuple[int, object]]], spanning: bool, leaf: 
 
 def step_families(
     options: Mapping[str, Sequence[OneStep]], *, spanning: bool = False
-) -> Iterator[Steps]:
-    """Every step family drawn from ``options``, as tuples of steps.
+) -> list[Steps]:
+    """Every step family drawn from ``options``, as a list of step tuples.
 
     ``options`` maps each tail vertex, in order, to the steps it may take.
     Each tail is either skipped or given one of its steps to a head not
@@ -192,7 +193,7 @@ def step_families(
     ]
     out: list[Steps] = []
     _search(rows, spanning, lambda path, tails, heads: out.append(tuple(path)))
-    return iter(out)
+    return out
 
 
 def _steps_between(options: Mapping[str, Sequence[OneStep]]) -> list[list[list[OneStep]]]:
@@ -329,7 +330,7 @@ def _contributors_from(
     limits.check(count, max_count, "contributor enumeration", "contributors")
     if not count:
         return []
-    return list(step_families(options, spanning=True))
+    return step_families(options, spanning=True)
 
 
 def enumerate_contributors(
@@ -647,30 +648,36 @@ def _minor_blocks(rows: StepRows) -> tuple[MinorBlock, ...]:
 
 
 def _stamp(
-    labels: tuple[str, ...], blocks: Iterable[BlockSums]
+    labels: tuple[str, ...],
+    blocks: Iterable[BlockSums],
+    combos: Iterable[tuple[str, str]] = COMBOS,
 ) -> dict[tuple[str, str], MultivariatePolynomial]:
-    """The four minor polynomials from (odd, sums, completions) per block.
+    """The asked-for minor polynomials from (odd, sums, completions) per block.
 
     The all-family sums are negated when |T| is odd (the Laplacian's
     (-1)^steps).  Every completion then gets the plain sum for perm and
     rel(c) times the eps-sum for det; adjacency takes the strong sums.
-    A monomial fixes its open rows and columns, so one block writes it.
+    A monomial fixes its open rows and columns, so one block writes it;
+    rel(c) is +-1, so only the blocks with a nonzero sum write, straight
+    into the returned terms, and no zero coefficient is filtered out.
     """
-    acc: dict[tuple[str, str], dict[int, int]] = {combo: {} for combo in COMBOS}
-    lap_det, lap_perm = acc[("laplacian", "det")], acc[("laplacian", "perm")]
-    adj_det, adj_perm = acc[("adjacency", "det")], acc[("adjacency", "perm")]
-    for odd, (total, signed, strong_total, strong_signed), completions in blocks:
-        if odd:
-            total, signed = -total, -signed
-        for mono, rel in completions:
-            lap_perm[mono] = total
-            lap_det[mono] = rel * signed
-            adj_perm[mono] = strong_total
-            adj_det[mono] = rel * strong_signed
-    return {
-        combo: MultivariatePolynomial._of(labels, {m: c for m, c in terms.items() if c})
-        for combo, terms in acc.items()
-    }
+    acc: dict[tuple[str, str], dict[int, int]] = {combo: {} for combo in combos}
+    # Per polynomial: its terms, its slot in a block's sums, whether it
+    # takes rel(c) (det) and whether an odd |T| negates it (Laplacian).
+    picks = [
+        (terms, 2 * (target == "adjacency") + (mode == "det"), mode == "det", target == "laplacian")
+        for (target, mode), terms in acc.items()
+    ]
+    for odd, sums, completions in blocks:
+        for terms, slot, det, laplacian in picks:
+            s = -sums[slot] if odd and laplacian else sums[slot]
+            if s and det:
+                for mono, rel in completions:
+                    terms[mono] = rel * s
+            elif s:
+                for mono, _ in completions:
+                    terms[mono] = s
+    return {combo: MultivariatePolynomial._of(labels, terms) for combo, terms in acc.items()}
 
 
 def minor_polys_from_catalog(
@@ -763,15 +770,18 @@ def _family_sums(rows: StepRows, sign: Sequence[int]) -> tuple[list[int], list[i
 
 
 def _one_pass(
-    structure: IncidenceHypergraph, rows: StepRows, signs: Mapping[str, int]
+    structure: IncidenceHypergraph,
+    rows: StepRows,
+    signs: Mapping[str, int],
+    combos: Iterable[tuple[str, str]] = COMBOS,
 ) -> dict[tuple[str, str], MultivariatePolynomial]:
-    """All four minor polynomials from one walk over the families, none stored.
+    """The ``combos`` minor polynomials from one walk over the families, none stored.
 
     :func:`_family_sums` weighs every family under ``signs`` (missing
     incidences weigh 0, the zero-loading convention) and sums it into
     its block; each nonzero block then gets its c0 sign and completions
     and is stamped as the catalog's blocks are, so the result equals
-    ``minor_polys_from_catalog(minor_catalog(structure), signs)``.
+    ``minor_polys_from_catalog(minor_catalog(structure), signs)`` there.
     """
     n = len(rows)
     total, signed = _family_sums(rows, [signs.get(i.id, 0) for i in structure.incidences])
@@ -789,7 +799,7 @@ def _one_pass(
                 block = (all_total, sign * all_signed, strong_total, sign * strong_signed)
                 yield tails.bit_count() % 2 == 1, block, completions
 
-    return _stamp(structure.vertices, sums())
+    return _stamp(structure.vertices, sums(), combos)
 
 
 def total_minor_poly(
@@ -802,19 +812,20 @@ def total_minor_poly(
     """Minor polynomial of the chosen matrix and mode, from step families.
 
     The one-pass route: the families are counted, then weighed in one
-    walk (:func:`_one_pass`) without a catalog.  The Leibniz oracle is
-    expanded before the walk, so its row guard refuses an input before
-    the figures are stamped.  The two must match term for term, this
-    module's central contract; a mismatch raises an
-    :class:`InvariantError` that carries the structure as JSON and the
-    (target, mode) pair, as in :func:`univariate_from_contributors`.
+    walk (:func:`_one_pass`) without a catalog, and only this pair is
+    stamped.  The Leibniz oracle's row bound is checked before the walk,
+    so an input it would refuse is refused before any figure is weighed;
+    the oracle is expanded after the walk and compared.  The two must
+    match term for term, this module's central contract; a mismatch
+    raises an :class:`InvariantError` that carries the structure as JSON
+    and the (target, mode) pair, as in :func:`univariate_from_contributors`.
     """
     _require_combo(target, mode)
     rows = _counted_rows(og.structure, max_vertices)
+    limits.check(len(rows), limits.MAX_ORACLE_VERTICES, "Leibniz expansion", "rows")
+    poly = _one_pass(og.structure, rows, og.signs, [(target, mode)])[(target, mode)]
     m = laplacian_matrix(og) if target == "laplacian" else adjacency_matrix(og)
-    oracle = symbolic_minor_poly(m, mode)
-    poly = _one_pass(og.structure, rows, og.signs)[(target, mode)]
-    if poly != oracle:
+    if poly != symbolic_minor_poly(m, mode):
         raise InvariantError(
             f"figure route disagrees with the Leibniz expansion for {target}/{mode}",
             reproducer={"input": dumps_oriented(og), "target": target, "mode": mode},
@@ -881,13 +892,15 @@ def oracle_equivalence(
     """Compare every (target, mode) polynomial against the Leibniz oracle.
 
     The one-pass route, as in :func:`total_minor_poly`: the families are
-    counted, the four oracles expanded, and only then are the families
-    weighed in one walk.
+    counted and the oracle's row bound checked, then the families are
+    weighed in one walk.  Only then is each oracle expanded, compared
+    and dropped, so at most one is held beside the four polynomials.
     """
     rows = _counted_rows(og.structure, max_vertices)
-    matrices = {"adjacency": adjacency_matrix(og), "laplacian": laplacian_matrix(og)}
-    oracles = {
-        (target, mode): symbolic_minor_poly(matrices[target], mode) for target, mode in COMBOS
-    }
+    limits.check(len(rows), limits.MAX_ORACLE_VERTICES, "Leibniz expansion", "rows")
     polys = _one_pass(og.structure, rows, og.signs)
-    return {combo: polys[combo] == oracle for combo, oracle in oracles.items()}
+    matrices = {"adjacency": adjacency_matrix(og), "laplacian": laplacian_matrix(og)}
+    return {
+        (target, mode): polys[target, mode] == symbolic_minor_poly(matrices[target], mode)
+        for target, mode in COMBOS
+    }

@@ -273,19 +273,26 @@ def count_subhypergraphs(g: IncidenceHypergraph) -> int:
     incidences between the two.  For a fixed V', each edge is left out
     or taken with any subset of its incidences at V', so the count is
     the sum over V' of the product over edges of 1 + 2^(incidences at
-    V').  Only the vertices that carry an incidence are chosen here;
-    each other vertex doubles the count.
+    V'); by symmetry it is also the sum over E' of the product over
+    vertices of 1 + 2^(incidences on E').  The sum runs over the side
+    with fewer members that carry an incidence, and only those are
+    chosen; each other member of that side doubles the count.
     """
     require_valid(g)
-    bit = {v: 1 << k for k, v in enumerate(dict.fromkeys(i.vertex for i in g.incidences))}
-    on_edge = [[bit[g.vertex_of(i)] for i in g.incidences_on_edge[e]] for e in g.edges]
+    pairs = [(i.vertex, i.edge) for i in g.incidences]
+    sides = [(g.vertices, g.edges, pairs), (g.edges, g.vertices, [(e, v) for v, e in pairs])]
+    side, other, pairs = min(sides, key=lambda s: len({a for a, _ in s[2]}))
+    bit = {a: 1 << k for k, a in enumerate(dict.fromkeys(a for a, _ in pairs))}
+    on_other: dict[str, list[int]] = {b: [] for b in other}
+    for a, b in pairs:
+        on_other[b].append(bit[a])
     total = 0
     for chosen in range(1 << len(bit)):
         term = 1
-        for bits in on_edge:
+        for bits in on_other.values():
             term *= 1 + (1 << sum(1 for b in bits if chosen & b))
         total += term
-    return total << (len(g.vertices) - len(bit))
+    return total << (len(side) - len(bit))
 
 
 def enumerate_subhypergraphs(g: IncidenceHypergraph) -> list[Subhypergraph]:

@@ -280,6 +280,16 @@ def test_activation_cap_runs_on_the_exact_count():
         activation_classes(bg, max_count=10)
 
 
+def test_activation_classes_hold_each_cycle_set_once():
+    # Seeded K6's classes share far fewer cycles and cycle sets than they
+    # number; equal ones are one object.
+    classes = activation_classes(as_bidirected(rung("K", 6)))
+    sets = {a.cycles for a in classes}
+    assert len({id(a.cycles) for a in classes}) == len(sets) < len(classes)
+    cycles = [c for cycle_set in sets for c in cycle_set]
+    assert len({id(c) for c in cycles}) == len(set(cycles))
+
+
 # Reference partition: a breadth-first search over single pack and unpack
 # moves from every spanning family, independent of the class builder.
 

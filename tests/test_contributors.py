@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -343,7 +345,14 @@ def test_one_pass_matches_the_catalog(og, data):
     g = og.structure
     kept = data.draw(st.sets(st.sampled_from(sorted(og.signs)))) if og.signs else set()
     signs = {i: s for i, s in og.signs.items() if i in kept}
-    assert _pass_polys(g, signs) == minor_polys_from_catalog(minor_catalog(g), signs)
+    polys = _pass_polys(g, signs)
+    from_catalog = minor_polys_from_catalog(minor_catalog(g), signs)
+    assert polys == from_catalog
+    for poly in (*polys.values(), *from_catalog.values()):
+        assert 0 not in poly.terms.values()
+    combos = data.draw(st.lists(st.sampled_from(COMBOS), unique=True))
+    rows = _counted_rows(g, limits.MAX_MINOR_VERTICES)
+    assert _one_pass(g, rows, signs, combos) == {combo: polys[combo] for combo in combos}
 
 
 @pytest.mark.parametrize("family, n", [("C", 6), ("K", 5), ("B", 5)])
@@ -370,14 +379,58 @@ def test_one_shot_answers_build_no_catalog(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out.count(": PASS") == 4
 
 
+def test_one_shot_answers_check_the_oracle_rows_before_the_walk(monkeypatch):
+    og = rung("K", 4)
+
+    def never(*args, **kwargs):
+        raise AssertionError("families weighed past the oracle's row bound")
+
+    monkeypatch.setattr(limits, "MAX_ORACLE_VERTICES", 3)
+    monkeypatch.setattr(contributors, "_family_sums", never)
+    message = "Leibniz expansion limited to 3 rows, got 4"
+    with pytest.raises(ResourceLimitError, match=message):
+        total_minor_poly(og, "laplacian", "det")
+    with pytest.raises(ResourceLimitError, match=message):
+        oracle_equivalence(og)
+
+
+def _traced(call):
+    # What ``call`` leaves allocated and its peak, both above what was
+    # traced before it.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return size - before, peak - before
+
+
+@pytest.mark.parametrize("family, n", [("C", 6), ("K", 5)])
+def test_one_shot_answers_hold_one_oracle_at_a_time(family, n):
+    # The one-shot answers expand each oracle after the walk and drop it
+    # once compared: four polynomials and one oracle at the peak of
+    # ``oracle_equivalence``, one of each for ``total_minor_poly``.
+    # Holding the oracles through the walk reads over 8x and 6x here;
+    # C7 and K6 read alike, but tracing makes them take over 4 s.
+    og = rung(family, n)
+    held = []
+    oracle, _ = _traced(lambda: held.append(symbolic_minor_poly(laplacian_matrix(og), "det")))
+    held.clear()
+    assert _traced(lambda: oracle_equivalence(og))[1] <= 5.5 * oracle
+    assert _traced(lambda: total_minor_poly(og, "laplacian", "det"))[1] <= 3.5 * oracle
+
+
 def test_total_minor_disagreement_replays_through_verify(monkeypatch, tmp_path, capsys):
     og = one_edge(-1)
     evaluate = contributors._one_pass
 
-    def skewed(structure, rows, signs):
+    def skewed(structure, rows, signs, combos=COMBOS):
         polys = evaluate(structure, rows, signs)
         polys[("laplacian", "det")] = polys[("adjacency", "det")]
-        return polys
+        return {combo: polys[combo] for combo in combos}
 
     monkeypatch.setattr(contributors, "_one_pass", skewed)
     with pytest.raises(InvariantError, match="laplacian/det") as info:

@@ -176,6 +176,22 @@ def test_subhypergraph_guard_refuses_thirty_parallel_incidences_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("mirror", [False, True])
+def test_subhypergraph_guard_refuses_twenty_single_incidences_at_once(mirror):
+    # 20 vertices with one incidence each on one edge, or one vertex with
+    # one incidence on each of 20 edges: 2^20 + 3^20 subhypergraphs,
+    # summed over the side with one member that carries an incidence.
+    many = [f"x{k}" for k in range(20)]
+    if mirror:
+        g = IncidenceHypergraph.build(["a"], many, [(f"i{k}", "a", e) for k, e in enumerate(many)])
+    else:
+        g = IncidenceHypergraph.build(many, ["e"], [(f"i{k}", v, "e") for k, v in enumerate(many)])
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="limited to 100000 subhypergraphs, got 3487832977"):
+        enumerate_subhypergraphs(g)
+    assert time.perf_counter() - start < 0.05
+
+
 def test_represent_partial_square_is_pullback():
     g = triangle().structure
     for k in enumerate_subhypergraphs(g):
