@@ -4,7 +4,7 @@ A step family gives at most one length-1 step to each vertex, with
 pairwise-distinct heads.  :func:`_search` is the one enumerator that
 hands out step families: a depth-first search over a map of each tail
 vertex to its allowed steps, each step resolved once into an integer row
-entry keyed by its head bit.  (The one-pass total minors walk the
+entry keyed by its head bit.  (The minor polynomials walk the
 families with their own prefix state, :func:`_family_sums`, and hand
 none out.)  A contributor is a spanning family of
 the full map, so its heads sweep out the whole vertex set bijectively;
@@ -22,13 +22,15 @@ into full permutations, and a completed family's sign splits as
 eps_f * rel(c), a per-family part times a per-completion part, so a
 block stamps each of its monomials once with its summed family weights
 (the all-minors matrix-tree expansion, read as a sum over figures).
-Two paths fill the blocks from the same step rows and stamp them the
-same way.  A one-shot answer (:func:`total_minor_poly`,
-:func:`oracle_equivalence`) checks the Leibniz oracle's row bound first,
-weighs every family in one depth-first pass and stores none, and only
-then expands each oracle and compares.  A :class:`MinorCatalog` stores
-every family once, for callers that evaluate one structure under many
-signings (:func:`minor_polys_from_catalog`).
+One walk, :func:`_family_sums`, weighs every family and sums it into
+its block; no family is stored, and the blocks are stamped the same way
+on both paths.  A :class:`MinorCatalog` stores the step rows and every
+block some family reaches, opened ahead of time, for callers that
+evaluate one structure under many signings
+(:func:`minor_polys_from_catalog`).  A one-shot answer
+(:func:`total_minor_poly`, :func:`oracle_equivalence`) checks the
+Leibniz oracle's row bound first, opens only the blocks its walk left
+nonzero, and only then expands each oracle and compares.
 
 The characteristic polynomial needs only the closed families, whose
 head set equals their tail set T: a closed family of weight w adds to
@@ -47,7 +49,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import limits
 from .core import IncidenceHypergraph, OrientedHypergraph, require_valid
@@ -158,23 +160,23 @@ def _search(rows: Sequence[Sequence[tuple[int, object]]], spanning: bool, leaf: 
 
     ``rows[k]`` lists tail k's steps as (head bit, item).  Each tail in
     turn is skipped (unless ``spanning``) or, skipping first, takes a step
-    to an unused head; ``leaf(path, tails, heads)`` gets each family as
-    its items in tail order (one list, reused) with its tail and head masks.
+    to an unused head; ``leaf(path)`` gets each family as its items in
+    tail order (one list, reused).
     """
     path: list = []
 
-    def extend(k: int, tails: int, heads: int) -> None:
+    def extend(k: int, heads: int) -> None:
         if k == len(rows):
-            return leaf(path, tails, heads)
+            return leaf(path)
         if not spanning:
-            extend(k + 1, tails, heads)
+            extend(k + 1, heads)
         for bit, item in rows[k]:
             if not heads & bit:
                 path.append(item)
-                extend(k + 1, tails | 1 << k, heads | bit)
+                extend(k + 1, heads | bit)
                 path.pop()
 
-    extend(0, 0, 0)
+    extend(0, 0)
 
 
 def step_families(
@@ -192,7 +194,7 @@ def step_families(
         [(bits.setdefault(s.head, 1 << len(bits)), s) for s in steps] for steps in options.values()
     ]
     out: list[Steps] = []
-    _search(rows, spanning, lambda path, tails, heads: out.append(tuple(path)))
+    _search(rows, spanning, lambda path: out.append(tuple(path)))
     return out
 
 
@@ -498,7 +500,7 @@ class StepFamily:
 
 @dataclass(frozen=True)
 class MinorBlock:
-    """The step families sharing one tail set T and one head set H.
+    """A tail set T and a head set H that some step family reaches, opened.
 
     Every family of the block leaves the same open rows V - T and open
     columns V - H, so all of them complete through the same bijections
@@ -506,31 +508,31 @@ class MinorBlock:
     open column, the sign of a completed head map h_f + c splits as
     eps_f * rel(c), eps_f = sign(h_f + c0) and rel(c) = sign(c0^-1 c).
 
-    ``families`` holds (the positions of the traversed incidences in the
-    structure's incidence order, strong, eps_f) per family;
-    ``completions`` holds (monomial, rel(c)) per bijection c, the
-    monomial as a :class:`MultivariatePolynomial` bitmask over the
-    structure's vertex order; ``odd`` records whether |T| is odd, the
-    sign of the Laplacian factor.
+    ``key`` is the block's slot in :func:`_family_sums` (its strong
+    families; ``key + 1`` holds those with a backstep); ``odd`` records
+    whether |T| is odd, the sign of the Laplacian factor; ``sign`` is
+    c0's part of eps_f (see :func:`_open_block`); ``completions`` holds
+    (monomial, rel(c)) per bijection c, the monomial as a
+    :class:`MultivariatePolynomial` bitmask over the structure's vertex
+    order.  No family is stored.
     """
 
+    key: int
     odd: bool
-    families: tuple[tuple[tuple[int, ...], bool, int], ...]
+    sign: int
     completions: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class MinorCatalog:
-    """Signing-independent family enumeration, shared by all four polynomials.
+    """The signing-independent part of all four minor polynomials.
 
     Built for callers that evaluate one structure under many signings
-    (criterion 3's corpus); a one-shot answer takes the one-pass route of
-    :func:`total_minor_poly` instead, which stores no family.
-    ``blocks`` groups every step family by (tail set, head set) and
-    stores each block's completions once, so evaluation stamps every
-    monomial once per block rather than once per family.  ``families``
-    lists the same families as figures, in enumeration order; it is
-    enumerated again when first read.
+    (criterion 3's corpus).  ``rows`` holds the structure's step rows and
+    ``blocks`` every block some family reaches, opened once, so an
+    evaluation only walks the families (:func:`_family_sums`) and stamps
+    these blocks.  The catalog stores no family; ``families`` lists them
+    as figures, in enumeration order, enumerated when first read.
 
     Families through incidences missing from the evaluation signs score
     zero and drop out, which is exactly the zero-loading convention, so
@@ -539,6 +541,7 @@ class MinorCatalog:
     """
 
     structure: IncidenceHypergraph
+    rows: StepRows
     blocks: tuple[MinorBlock, ...]
 
     @cached_property
@@ -554,18 +557,14 @@ class MinorCatalog:
 StepRows = list[list[tuple[int, int, int, bool]]]
 # Each open size's bijections with their signs; see _completion_table.
 CompletionTable = list[list[tuple[tuple[int, ...], int]]]
-# What _stamp reads of a block: whether |T| is odd; sum(w) and
-# sum(eps_f * w) over all its families, then over its strong ones; its
-# (monomial, rel(c)) completions.
-BlockSums = tuple[bool, tuple[int, int, int, int], Sequence[tuple[int, int]]]
 
 
 def _counted_rows(structure: IncidenceHypergraph, max_vertices: int) -> StepRows:
     """The step rows of ``structure``, in vertex order, once its guards pass.
 
     The families are counted first (:func:`_family_counts`), so more than
-    ``limits.MAX_FAMILIES`` raise :class:`ResourceLimitError` before
-    either figure path builds one.
+    ``limits.MAX_FAMILIES`` raise :class:`ResourceLimitError` before any
+    is walked.
     """
     require_valid(structure)
     limits.check(len(structure.vertices), max_vertices, "minor catalog", "vertices")
@@ -588,16 +587,15 @@ def _completion_table(n: int) -> CompletionTable:
     ]
 
 
-def _open_block(
-    n: int, tails: int, heads: int, table: CompletionTable
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The c0 sign and the completions of the block (tail mask, head mask).
+def _open_block(n: int, key: int, table: CompletionTable) -> MinorBlock:
+    """The block at :func:`_family_sums` slot ``key``, with its c0 sign and completions.
 
     By the Laplace expansion, eps_f is (-1)^(sum of the open rows and
     columns) times the parity of the inversions of f's heads in tail
-    order; the first is returned here, with (monomial, rel(c)) for each
-    bijection c of the open rows onto the open columns.
+    order; the first is the block's ``sign``, and each bijection c of the
+    open rows onto the open columns gives a (monomial, rel(c)).
     """
+    tails, heads = key >> (n + 1), key >> 1
     open_rows = [r for r in range(n) if not tails >> r & 1]
     open_cols = [c for c in range(n) if not heads >> c & 1]
     # bit[i][j]: the MultivariatePolynomial mask of x[open_rows[i], open_cols[j]].
@@ -605,62 +603,47 @@ def _open_block(
     completions = tuple(
         (sum(row[j] for row, j in zip(bit, p)), sign) for p, sign in table[len(bit)]
     )
-    return -1 if sum(open_rows + open_cols) & 1 else 1, completions
+    sign = -1 if sum(open_rows + open_cols) & 1 else 1
+    return MinorBlock(key, tails.bit_count() % 2 == 1, sign, completions)
 
 
 def minor_catalog(structure: IncidenceHypergraph) -> MinorCatalog:
-    """Every step family of ``structure``, grouped into blocks.
+    """The step rows of ``structure`` and every block a family reaches, opened.
 
     More than ``limits.MAX_MINOR_VERTICES`` vertices are refused, and the
     families are counted first (:func:`_counted_rows`), so more than
     ``limits.MAX_FAMILIES`` raise :class:`ResourceLimitError` before any
-    is built.
+    is walked.  One walk with every sign 1, where each family weighs 1,
+    finds the reached blocks from their family counts; no family is kept.
     """
     rows = _counted_rows(structure, limits.MAX_MINOR_VERTICES)
-    return MinorCatalog(structure, _minor_blocks(rows))
-
-
-def _minor_blocks(rows: StepRows) -> tuple[MinorBlock, ...]:
-    # Blocks by (tail mask, head mask), in order of first family, each
-    # opened (c0 sign, completions) when its first family arrives.
     n = len(rows)
     table = _completion_table(n)
-    grouped: dict[tuple[int, int], tuple[int, tuple[tuple[int, int], ...], list]] = {}
-
-    def leaf(path: list, tails: int, heads: int) -> None:
-        if (tails, heads) not in grouped:
-            grouped[tails, heads] = (*_open_block(n, tails, heads, table), [])
-        sign, _, entries = grouped[tails, heads]
-        seen = inversions = backsteps = 0
-        ids: list[int] = []
-        for h, tail_at, head_at, back in path:
-            inversions += (seen >> h).bit_count()
-            seen |= 1 << h
-            ids += (tail_at, head_at)
-            backsteps += back
-        entries.append((tuple(ids), not backsteps, -sign if inversions & 1 else sign))
-
-    _search([[(1 << step[0], step) for step in row] for row in rows], False, leaf)
-    return tuple(
-        MinorBlock(tails.bit_count() % 2 == 1, tuple(entries), completions)
-        for (tails, _), (_, completions, entries) in grouped.items()
-    )
+    total, _ = _family_sums(rows, [1] * len(structure.incidences))
+    reached = [key for key in range(0, len(total), 2) if total[key] or total[key + 1]]
+    blocks = tuple(_open_block(n, key, table) for key in reached)
+    return MinorCatalog(structure, rows, blocks)
 
 
 def _stamp(
     labels: tuple[str, ...],
-    blocks: Iterable[BlockSums],
+    sums: tuple[list[int], list[int]],
+    blocks: Iterable[MinorBlock],
     combos: Iterable[tuple[str, str]] = COMBOS,
 ) -> dict[tuple[str, str], MultivariatePolynomial]:
-    """The asked-for minor polynomials from (odd, sums, completions) per block.
+    """The asked-for minor polynomials from the walk's ``sums``, block by block.
 
-    The all-family sums are negated when |T| is odd (the Laplacian's
-    (-1)^steps).  Every completion then gets the plain sum for perm and
-    rel(c) times the eps-sum for det; adjacency takes the strong sums.
-    A monomial fixes its open rows and columns, so one block writes it;
-    rel(c) is +-1, so only the blocks with a nonzero sum write, straight
-    into the returned terms, and no zero coefficient is filtered out.
+    A block's four sums, read from :func:`_family_sums`'s (total,
+    signed) at its key, are sum(w) and sum(eps_f * w) over all its
+    families, then over its strong ones.  The all-family sums are
+    negated when |T| is odd (the Laplacian's (-1)^steps).  Every
+    completion then gets the plain sum for perm and rel(c) times the
+    eps-sum for det; adjacency takes the strong sums.  A monomial fixes
+    its open rows and columns, so one block writes it; rel(c) is +-1, so
+    only the blocks with a nonzero sum write, straight into the returned
+    terms, and no zero coefficient is filtered out.
     """
+    total, signed = sums
     acc: dict[tuple[str, str], dict[int, int]] = {combo: {} for combo in combos}
     # Per polynomial: its terms, its slot in a block's sums, whether it
     # takes rel(c) (det) and whether an odd |T| negates it (Laplacian).
@@ -668,14 +651,17 @@ def _stamp(
         (terms, 2 * (target == "adjacency") + (mode == "det"), mode == "det", target == "laplacian")
         for (target, mode), terms in acc.items()
     ]
-    for odd, sums, completions in blocks:
+    for block in blocks:
+        key, sign = block.key, block.sign
+        strong = (total[key], sign * signed[key])
+        block_sums = (strong[0] + total[key + 1], strong[1] + sign * signed[key + 1], *strong)
         for terms, slot, det, laplacian in picks:
-            s = -sums[slot] if odd and laplacian else sums[slot]
+            s = -block_sums[slot] if block.odd and laplacian else block_sums[slot]
             if s and det:
-                for mono, rel in completions:
+                for mono, rel in block.completions:
                     terms[mono] = rel * s
             elif s:
-                for mono, _ in completions:
+                for mono, _ in block.completions:
                     terms[mono] = s
     return {combo: MultivariatePolynomial._of(labels, terms) for combo, terms in acc.items()}
 
@@ -685,35 +671,17 @@ def minor_polys_from_catalog(
 ) -> dict[tuple[str, str], MultivariatePolynomial]:
     """Evaluate all four (target, mode) minor polynomials in one sweep.
 
-    Each block sums its family weights w_f (step-sign products) as
-    sum(w) and sum(eps_f * w) over all families and over the strong
-    ones; :func:`_stamp` writes them into the completions.
+    :func:`_family_sums` weighs every family under ``signs`` over the
+    catalog's rows, and :func:`_stamp` writes each block's sums into its
+    completions, as :func:`_one_pass` does for a one-shot answer.
     """
     sign = [signs.get(i.id, 0) for i in catalog.structure.incidences]
-
-    def sums() -> Iterator[BlockSums]:
-        for block in catalog.blocks:
-            total = signed = strong_total = strong_signed = 0
-            for ids, strong, eps in block.families:
-                weight = 1
-                for i in ids:
-                    weight *= sign[i]
-                    if not weight:
-                        break
-                if weight:
-                    total += weight
-                    signed += eps * weight
-                    if strong:
-                        strong_total += weight
-                        strong_signed += eps * weight
-            if total or signed or strong_total or strong_signed:
-                yield block.odd, (total, signed, strong_total, strong_signed), block.completions
-
-    return _stamp(catalog.structure.vertices, sums())
+    sums = _family_sums(catalog.rows, sign)
+    return _stamp(catalog.structure.vertices, sums, catalog.blocks)
 
 
 def _family_sums(rows: StepRows, sign: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The one-pass walk: every family that weighs nonzero, summed by block.
+    """The one figure walk: every family that weighs nonzero, summed by block.
 
     Each family is visited once, as one step at a later tail added to
     the family it extends, and carries its own weight w (the product of
@@ -777,29 +745,21 @@ def _one_pass(
 ) -> dict[tuple[str, str], MultivariatePolynomial]:
     """The ``combos`` minor polynomials from one walk over the families, none stored.
 
+    The evaluation of :func:`minor_polys_from_catalog`, with no catalog:
     :func:`_family_sums` weighs every family under ``signs`` (missing
-    incidences weigh 0, the zero-loading convention) and sums it into
-    its block; each nonzero block then gets its c0 sign and completions
-    and is stamped as the catalog's blocks are, so the result equals
-    ``minor_polys_from_catalog(minor_catalog(structure), signs)`` there.
+    incidences weigh 0, the zero-loading convention), and only the
+    blocks the walk left nonzero are opened, as they are stamped.
     """
     n = len(rows)
-    total, signed = _family_sums(rows, [signs.get(i.id, 0) for i in structure.incidences])
+    sums = _family_sums(rows, [signs.get(i.id, 0) for i in structure.incidences])
+    total, signed = sums
     table = _completion_table(n)
-    heads_mask = (1 << n) - 1
-
-    def sums() -> Iterator[BlockSums]:
-        for key in range(0, len(total), 2):
-            strong_total, strong_signed = total[key], signed[key]
-            all_total = strong_total + total[key + 1]
-            all_signed = strong_signed + signed[key + 1]
-            if all_total or all_signed or strong_total or strong_signed:
-                tails, heads = key >> (n + 1), key >> 1 & heads_mask
-                sign, completions = _open_block(n, tails, heads, table)
-                block = (all_total, sign * all_signed, strong_total, sign * strong_signed)
-                yield tails.bit_count() % 2 == 1, block, completions
-
-    return _stamp(structure.vertices, sums(), combos)
+    blocks = (
+        _open_block(n, key, table)
+        for key in range(0, len(total), 2)
+        if total[key] or signed[key] or total[key + 1] or signed[key + 1]
+    )
+    return _stamp(structure.vertices, sums, blocks, combos)
 
 
 def total_minor_poly(

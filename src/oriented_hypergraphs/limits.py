@@ -25,7 +25,7 @@ MAX_CONTRIBUTORS = 1_000_000
 # counted beforehand.  Strong K8 has 16,064.
 MAX_CIRCLES = 1_000_000
 
-# Step families the minor catalog may build; counted beforehand.  The
+# Step families the minor polynomials may walk; counted beforehand.  The
 # seeded complete graphs K7 and K8 have 3,823,392 and 88,929,169.
 MAX_FAMILIES = 5_000_000
 

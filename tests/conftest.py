@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import runpy
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from oriented_hypergraphs.contributors import MinorBlock, _all_steps, is_strong
+from oriented_hypergraphs.contributors import _all_steps, _family_sums, is_strong, minor_catalog
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
 from oriented_hypergraphs.jsonio import loads_oriented
 from oriented_hypergraphs.matrices import graph_orientation, permutation_sign
@@ -22,7 +23,8 @@ def rung(family: str, n: int, seed: int = 2019) -> OrientedHypergraph:
 
 
 # The step-family engine as it was before integer rows, kept as the
-# reference for ``contributors._search`` and ``contributors._minor_blocks``.
+# reference for ``contributors._search`` and for the blocks and per-block
+# sums of ``contributors.minor_catalog`` and ``contributors._family_sums``.
 
 
 def step_families_reference(options, *, spanning=False):
@@ -50,7 +52,9 @@ def step_families_reference(options, *, spanning=False):
 
 def minor_blocks_reference(structure):
     # Every family grouped by its frozen tail and head sets, each eps the
-    # sign of the image list of the family completed by the block's c0.
+    # sign of the image list of the family completed by the block's c0:
+    # (odd, ((incidence positions, strong, eps) per family), completions)
+    # per block.
     order = structure.vertices
     pos = structure.vertex_pos
     at = structure.incidence_pos
@@ -76,8 +80,48 @@ def minor_blocks_reference(structure):
             (sum(row[j] for row, j in zip(bit, p)), permutation_sign(p))
             for p in itertools.permutations(range(len(rows)))
         )
-        blocks.append(MinorBlock(len(tails) % 2 == 1, tuple(entries), completions))
+        blocks.append((len(tails) % 2 == 1, tuple(entries), completions))
     return tuple(blocks)
+
+
+def assert_blocks_match_reference(structure, signs):
+    # The catalog opens exactly the reference's blocks (a block's
+    # completions name its open rows and columns), and under every sign 1
+    # and under ``signs`` the walk's sums at each block's key equal the
+    # reference's per-family sums: (w, eps * w) over all its families,
+    # then over its strong ones.  No key outside the blocks sums nonzero.
+    catalog = minor_catalog(structure)
+    reference = {
+        completions: (odd, entries)
+        for odd, entries, completions in minor_blocks_reference(structure)
+    }
+    assert sorted((b.odd, b.completions) for b in catalog.blocks) == sorted(
+        (odd, completions) for completions, (odd, _) in reference.items()
+    )
+    opened = {key for b in catalog.blocks for key in (b.key, b.key + 1)}
+    for sign in (
+        [1] * len(structure.incidences),
+        [signs.get(i.id, 0) for i in structure.incidences],
+    ):
+        total, signed = _family_sums(catalog.rows, sign)
+        for block in catalog.blocks:
+            k = block.key
+            walked = (
+                total[k] + total[k + 1],
+                block.sign * (signed[k] + signed[k + 1]),
+                total[k],
+                block.sign * signed[k],
+            )
+            sums = [0, 0, 0, 0]
+            for ids, strong, eps in reference[block.completions][1]:
+                w = math.prod(sign[i] for i in ids)
+                sums[0] += w
+                sums[1] += eps * w
+                if strong:
+                    sums[2] += w
+                    sums[3] += eps * w
+            assert walked == tuple(sums)
+        assert not any(total[k] or signed[k] for k in range(len(total)) if k not in opened)
 
 
 def triangle() -> OrientedHypergraph:

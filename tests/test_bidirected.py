@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import minor_blocks_reference, rung, triangle
+from conftest import assert_blocks_match_reference, rung, triangle
 from oriented_hypergraphs import limits
 from oriented_hypergraphs.bidirected import (
     Arborescence,
@@ -22,7 +22,6 @@ from oriented_hypergraphs.contributors import (
     OneStep,
     contributor_sign,
     enumerate_contributors,
-    minor_catalog,
     step_families,
     total_minor_poly,
     vertex_steps,
@@ -483,7 +482,7 @@ def single_element_reference(bg, roots):
 
 def assert_rows_match_references(bg, roots):
     g = bg.og.structure
-    assert minor_catalog(g).blocks == minor_blocks_reference(g)
+    assert_blocks_match_reference(g, bg.og.signs)
     options = full_options(bg)
     built = _classes(bg, options, limits.MAX_CONTRIBUTORS)
     assert [(a.bottom, a.opened, a.generators) for a in built] == classes_reference(bg, options)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     MALFORMED_STRUCTURES,
-    minor_blocks_reference,
+    assert_blocks_match_reference,
     rung,
     small_oriented,
     step_families_reference,
@@ -312,8 +312,8 @@ def test_step_families_match_generator_reference(options, data):
 @settings(max_examples=60, deadline=None)
 @given(small_oriented())
 def test_minor_blocks_match_frozenset_reference(og):
+    assert_blocks_match_reference(og.structure, og.signs)
     catalog = minor_catalog(og.structure)
-    assert catalog.blocks == minor_blocks_reference(og.structure)
     families = list(step_families_reference(_all_steps(og.structure)))
     assert [f.steps for f in catalog.families] == families
     assert [f.strong for f in catalog.families] == [is_strong(steps) for steps in families]
@@ -321,8 +321,8 @@ def test_minor_blocks_match_frozenset_reference(og):
 
 @pytest.mark.parametrize("family, n", [("K", 5), ("C", 6), ("B", 5)])
 def test_minor_blocks_match_frozenset_reference_on_rungs(family, n):
-    g = rung(family, n).structure
-    assert minor_catalog(g).blocks == minor_blocks_reference(g)
+    og = rung(family, n)
+    assert_blocks_match_reference(og.structure, og.signs)
 
 
 @pytest.mark.parametrize("n, count", [(3, 16), (4, 168), (5, 2208), (6, 34960)])
@@ -360,6 +360,19 @@ def test_one_pass_matches_the_catalog_on_rungs(family, n):
     og = rung(family, n)
     g = og.structure
     assert _pass_polys(g, og.signs) == minor_polys_from_catalog(minor_catalog(g), og.signs)
+
+
+@pytest.mark.parametrize("family, n", [("K", 4), ("C", 5)])
+def test_catalog_enumerates_no_family(monkeypatch, family, n):
+    # The catalog finds its blocks and evaluates through the walk alone.
+    og = rung(family, n)
+    g = og.structure
+
+    def never(*args, **kwargs):
+        raise AssertionError("the minor catalog enumerated step families")
+
+    monkeypatch.setattr(contributors, "_search", never)
+    assert minor_polys_from_catalog(minor_catalog(g), og.signs) == _pass_polys(g, og.signs)
 
 
 def test_one_shot_answers_build_no_catalog(monkeypatch, tmp_path, capsys):
@@ -421,6 +434,16 @@ def test_one_shot_answers_hold_one_oracle_at_a_time(family, n):
     held.clear()
     assert _traced(lambda: oracle_equivalence(og))[1] <= 5.5 * oracle
     assert _traced(lambda: total_minor_poly(og, "laplacian", "det"))[1] <= 3.5 * oracle
+
+
+def test_minor_catalog_holds_blocks_not_families():
+    # Seeded K5's catalog walks its 10,684 families and keeps only the
+    # opened blocks; storing every family read over 17x one oracle.
+    og = rung("K", 5)
+    held = []
+    oracle, _ = _traced(lambda: held.append(symbolic_minor_poly(laplacian_matrix(og), "det")))
+    held.clear()
+    assert _traced(lambda: minor_catalog(og.structure))[1] <= 3 * oracle
 
 
 def test_total_minor_disagreement_replays_through_verify(monkeypatch, tmp_path, capsys):
