@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple
 
 from . import limits
 from .core import IncidenceHypergraph, LazySequence, OrientedHypergraph
@@ -56,8 +57,7 @@ def _opened(g: IncidenceHypergraph, s: OneStep) -> OneStep:
     return OneStep(s.tail, s.tail_incidence, s.edge, j, g.vertex_of(j))
 
 
-@dataclass(frozen=True, slots=True)
-class ActivationClass:
+class ActivationClass(NamedTuple):
     """A Boolean lattice of contributors under circle activation.
 
     ``steps`` holds per row its backsteps and, in the same order, their
@@ -66,13 +66,15 @@ class ActivationClass:
     ``bottom`` is the all-backstep member and ``opened`` the same row
     with every backstep unpacked, both built when read.  Each cycle of
     the unpacked head map is kept as its row positions; ``generators``
-    gives the same cycles as tuples of tail vertices.  ``members`` builds
-    the members on demand.
+    holds the same cycles as tuples of tail vertices, computed once per
+    distinct cycle set of a build and shared by its classes.  ``members``
+    builds the members on demand.
     """
 
     steps: tuple[tuple[Steps, Steps], ...]
     choice: tuple[int, ...]
     cycles: tuple[tuple[int, ...], ...]
+    generators: tuple[tuple[str, ...], ...]
 
     @property
     def bottom(self) -> Steps:
@@ -81,11 +83,6 @@ class ActivationClass:
     @property
     def opened(self) -> Steps:
         return tuple([unpacked[k] for (_, unpacked), k in zip(self.steps, self.choice)])
-
-    @property
-    def generators(self) -> tuple[tuple[str, ...], ...]:
-        steps = self.steps  # every backstep of row k leaves the row's tail
-        return tuple(tuple([steps[k][0][0].tail for k in c]) for c in self.cycles)
 
     @property
     def members(self) -> "ActivationMembers":
@@ -117,59 +114,66 @@ class ActivationMembers(LazySequence):
         return tuple(member)
 
 
-def _bottoms(bg: BidirectedGraph, options: Mapping[str, Steps], max_count: int) -> tuple:
-    # Every spanning family of ``options`` packs down to one backstep per
-    # tail, so each choice of backsteps, in options order, is the bottom
-    # of one class, and its members open any set of the cycles of the
-    # would-be-head map.  Returns the rows of backstep options and an
-    # iterator over the classes, each as its choice of one option per
-    # row and its cycles as row positions.  The exact family count is
-    # held to ``max_count`` before the build and then checks that the
-    # classes hold every family once.  A member's heads are a permutation
-    # of the tails because the bottom's are and each generator's opened
-    # steps head round the generator's own tails, which both are checked.
-    count = _family_counts(options)[-1]
-    limits.check(count, max_count, "activation classes", "members")
-    g = bg.og.structure
-    row_of = {v: k for k, v in enumerate(options)}
-
-    def option(s: OneStep) -> tuple[int, OneStep, OneStep]:
-        # The unpacked step's head as a row position (-1 off the rows),
-        # the backstep and the unpacked step.
-        if s.head != s.tail:
-            raise InvariantError("a class bottom's heads are not its tails")
-        o = _opened(g, s)
-        return row_of.get(o.head, -1), s, o
-
-    rows = [[option(s) for s in steps if s.is_backstep] for steps in options.values()]
-
-    def classes() -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-        built = 0
-        heads = itertools.product(*[[o[0] for o in row] for row in rows])
-        for f, choice in zip(heads, itertools.product(*[range(len(row)) for row in rows])):
-            cycles = _map_cycles(f)
-            for cycle in cycles:
-                if [f[k] for k in cycle] != [*cycle[1:], cycle[0]]:
-                    raise InvariantError("activation class member heads are not a permutation")
-            built += 1 << len(cycles)
-            yield choice, cycles
-        if built != count:
-            raise InvariantError(f"activation classes hold {built} families, expected {count}")
-
-    return rows, classes()
-
-
 def _classes(
     bg: BidirectedGraph, options: Mapping[str, Steps], max_count: int
 ) -> list[ActivationClass]:
-    rows, classes = _bottoms(bg, options, max_count)
+    # Every spanning family of ``options`` packs down to one backstep per
+    # tail, so each choice of backsteps, in options order, is the bottom
+    # of one class, and its members open any set of the cycles of the
+    # would-be-head map.  The exact family count is held to ``max_count``
+    # before the build and then checks that the classes hold every family
+    # once.  A member's heads are a permutation of the tails because the
+    # bottom's are and each generator's opened steps head round the
+    # generator's own tails, which both are checked.
+    count = _family_counts(options)[-1]
+    limits.check(count, max_count, "activation classes", "members")
+    g = bg.og.structure
+    tails = tuple(options)
+    row_of = {v: k for k, v in enumerate(tails)}
+    # Per row: each backstep option's unpacked head as a row position (-1
+    # off the rows), the backstep and the unpacked step.
+    rows = []
+    for steps in options.values():
+        row = []
+        for s in steps:
+            if s.is_backstep:
+                if s.head != s.tail:
+                    raise InvariantError("a class bottom's heads are not its tails")
+                o = _opened(g, s)
+                row.append((row_of.get(o.head, -1), s, o))
+        rows.append(row)
     steps = tuple((tuple([o[1] for o in row]), tuple([o[2] for o in row])) for row in rows)
-    # Each distinct cycle and cycle set once (K7: 3,906 and 8,898 in 279,936 classes).
+    # Each distinct cycle and cycle set once (K7: 3,906 and 8,898 in
+    # 279,936 classes), a set with its generators, a getter of the heads
+    # at its cycles' positions and what a permutation has there: each
+    # position's successor on its cycle.
     held: dict = {}
+    sets: dict = {}
+    built = 0
     out = []
-    for choice, cycles in classes:
-        key = tuple([held.setdefault(c, c) for c in cycles])
-        out.append(ActivationClass(steps, choice, held.setdefault(key, key)))
+    new = tuple.__new__  # the class's own __new__ is one more Python call per class
+    heads = itertools.product(*[[o[0] for o in row] for row in rows])
+    for f, choice in zip(heads, itertools.product(*[range(len(row)) for row in rows])):
+        found = tuple(_map_cycles(f))
+        entry = sets.get(found)
+        if entry is None:
+            cycles = tuple([held.setdefault(c, c) for c in found])
+            at = [k for c in cycles for k in c]
+            succ = {k: c[(i + 1) % len(c)] for c in cycles for i, k in enumerate(c)}
+            get = itemgetter(*at) if at else None
+            entry = sets[found] = (
+                cycles,
+                tuple([tuple([tails[k] for k in c]) for c in cycles]),
+                get,
+                get and get(succ),
+            )
+        cycles, generators, get, want = entry
+        if get and get(f) != want:
+            raise InvariantError("activation class member heads are not a permutation")
+        built += 1 << len(cycles)
+        out.append(new(ActivationClass, (steps, choice, cycles, generators)))
+    if built != count:
+        raise InvariantError(f"activation classes hold {built} families, expected {count}")
     return out
 
 
@@ -256,11 +260,10 @@ def single_element_classes(
         for v in g.vertices
         if v not in mc.u
     }
-    rows, classes = _bottoms(bg, options, limits.MAX_CONTRIBUTORS)
     out = []
-    for choice, cycles in classes:
-        if not cycles:
-            survivor = tuple([row[k][1] for row, k in zip(rows, choice)])
+    for a in _classes(bg, options, limits.MAX_CONTRIBUTORS):
+        if not a.cycles:
+            survivor = a.bottom
             out.append((survivor, total_unpack(bg, mc.u, survivor)))
     return out
 

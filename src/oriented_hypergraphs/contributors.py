@@ -24,10 +24,12 @@ block stamps each of its monomials once with its summed family weights
 (the all-minors matrix-tree expansion, read as a sum over figures).
 One walk, :func:`_family_sums`, weighs every family and sums it into
 its block; no family is stored, and the blocks are stamped the same way
-on both paths.  A :class:`MinorCatalog` stores the step rows and every
-block some family reaches, opened ahead of time, for callers that
-evaluate one structure under many signings
-(:func:`minor_polys_from_catalog`).  A one-shot answer
+on both paths.  The walk goes depth-first over all tails but the last
+two and reads every extension over those two from a table built once
+per head mask, still adding each family on its own.  A
+:class:`MinorCatalog` stores the step rows and every block some family
+reaches, opened ahead of time, for callers that evaluate one structure
+under many signings (:func:`minor_polys_from_catalog`).  A one-shot answer
 (:func:`total_minor_poly`, :func:`oracle_equivalence`) checks the
 Leibniz oracle's row bound first, opens only the blocks its walk left
 nonzero, and only then expands each oracle and compares.
@@ -49,6 +51,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import limits
@@ -376,6 +379,8 @@ def _map_cycles(f: Sequence[int]) -> list[tuple[int, ...]]:
     walked = [False] * len(f) + [True]  # the slot at -1 ends every walk
     cycles: list[tuple[int, ...]] = []
     for start in range(len(f)):
+        if walked[start]:
+            continue
         path = []
         v = start
         while not walked[v]:
@@ -555,8 +560,9 @@ class MinorCatalog:
 # Tail k's steps: (head position, tail incidence position, head
 # incidence position, backstep) each.
 StepRows = list[list[tuple[int, int, int, bool]]]
-# Each open size's bijections with their signs; see _completion_table.
-CompletionTable = list[list[tuple[tuple[int, ...], int]]]
+# Each open size's bijections as grid getters with their signs; see
+# _completion_table.
+CompletionTable = list[list[tuple[Callable[[list[int]], tuple[int, ...]], int]]]
 
 
 def _counted_rows(structure: IncidenceHypergraph, max_vertices: int) -> StepRows:
@@ -579,10 +585,15 @@ def _counted_rows(structure: IncidenceHypergraph, max_vertices: int) -> StepRows
 
 
 def _completion_table(n: int) -> CompletionTable:
-    # Every permutation of range(m), m = 0..n, with its sign: one table
-    # per call, read by every block whose open size is m.
+    # Every permutation p of range(m), m = 0..n, with its sign: one table
+    # per call, read by every block whose open size is m.  p is a getter
+    # of the entries (i, p[i]) of an m-by-m grid in row order, and of its
+    # two trailing slots, which hold 0 so that every getter gives a tuple.
     return [
-        [(p, permutation_sign(p)) for p in itertools.permutations(range(m))]
+        [
+            (itemgetter(*[i * m + j for i, j in enumerate(p)], m * m, m * m), permutation_sign(p))
+            for p in itertools.permutations(range(m))
+        ]
         for m in range(n + 1)
     ]
 
@@ -598,11 +609,10 @@ def _open_block(n: int, key: int, table: CompletionTable) -> MinorBlock:
     tails, heads = key >> (n + 1), key >> 1
     open_rows = [r for r in range(n) if not tails >> r & 1]
     open_cols = [c for c in range(n) if not heads >> c & 1]
-    # bit[i][j]: the MultivariatePolynomial mask of x[open_rows[i], open_cols[j]].
-    bit = [[1 << (r * n + c) for c in open_cols] for r in open_rows]
-    completions = tuple(
-        (sum(row[j] for row, j in zip(bit, p)), sign) for p, sign in table[len(bit)]
-    )
+    # The MultivariatePolynomial mask of x[open_rows[i], open_cols[j]] at
+    # i * m + j, then the two 0 slots.
+    grid = [1 << (r * n + c) for r in open_rows for c in open_cols] + [0, 0]
+    completions = tuple((sum(get(grid)), sign) for get, sign in table[len(open_rows)])
     sign = -1 if sum(open_rows + open_cols) & 1 else 1
     return MinorBlock(key, tails.bit_count() % 2 == 1, sign, completions)
 
@@ -691,7 +701,18 @@ def _family_sums(rows: StepRows, sign: Sequence[int]) -> tuple[list[int], list[i
     families that weigh 0.  ``total[key]`` and ``signed[key]`` sum w and
     e over the families of one key: the tail mask above bit n, the head
     mask in bits 1..n and the backstep flag in bit 0.
+
+    The walk is depth-first over every tail but the last two.  Each
+    family it reaches is then extended over those two tails from a table
+    built once per head mask, by the first family with those heads, which
+    adds its extensions as it files them: every nonempty extension, as
+    its key bits, filed by the signs of its own weight and of its signed
+    weight (the inversion parity given the mask's heads).  Every family
+    so made is still added on its own.  ``sign`` holds -1, 0 or +1 per
+    incidence, so a family weighs +-1 or is dropped.
     """
+    if not set(sign) <= {-1, 0, 1}:
+        raise DomainError("incidence signs must be -1, 0, or +1")
     n = len(rows)
     total = [0] * (1 << (2 * n + 1))
     signed = [0] * (1 << (2 * n + 1))
@@ -710,12 +731,43 @@ def _family_sums(rows: StepRows, sign: Sequence[int]) -> tuple[list[int], list[i
     total[0] = signed[0] = 1  # the empty family
     if not n:
         return total, signed
-    # later[k]: the tails from k on, but the last, each with the tail its
-    # families extend from next.  A family with a step at the last tail
-    # extends no further, so it is summed in place rather than visited.
-    inner = list(enumerate(weighed[:-1], 1))
-    later = [inner[k:] for k in range(n)]
-    last = weighed[-1]
+    split = max(n - 2, 0)
+    # later[k]: the walked tails from k on, each with the tail its
+    # families extend from next.
+    walked = list(enumerate(weighed[:split], 1))
+    later = [walked[k:] for k in range(split + 1)]
+    last = weighed[split:]
+    final = last[-1]
+    all_heads = (1 << (n + 1)) - 2
+    tables: list = [None] * (1 << n)
+    shared: dict[int, int] = {}  # one int per key bits, across the tables
+
+    def first(key: int, w: int, e: int) -> None:
+        # The first family with these heads to reach the last tails: each
+        # extension over them is added, and filed by the signs of its own
+        # (w, e) as key bits in the heads' table: ++, +-, -+, --.  Only the
+        # empty family has no heads, so its extensions are not filed.
+        heads = key & all_heads
+        filed: tuple[list[int], ...] = ([], [], [], [])
+        prefixes = [(0, 1, 1)]
+        for steps in last:
+            grown = []
+            for bits, pw, pe in prefixes:
+                used = heads | bits
+                for head, step, after, sw in steps:
+                    if not used & head:
+                        ext = bits | step
+                        cw = pw * sw
+                        ce = -pe * sw if (used & after).bit_count() & 1 else pe * sw
+                        total[key | ext] += w * cw
+                        signed[key | ext] += e * ce
+                        if heads:
+                            filed[(cw < 0) * 2 + (ce < 0)].append(shared.setdefault(ext, ext))
+                        if steps is not final:
+                            grown.append((ext, cw, ce))
+            prefixes += grown
+        if heads:
+            tables[heads >> 1] = tuple(map(tuple, filed))
 
     def extend(start: int, key: int, w: int, e: int) -> None:
         for nxt, steps in later[start]:
@@ -727,11 +779,26 @@ def _family_sums(rows: StepRows, sign: Sequence[int]) -> tuple[list[int], list[i
                     total[child] += cw
                     signed[child] += ce
                     extend(nxt, child, cw, ce)
-        for head, bits, after, sw in last:
-            if not key & head:
-                child = key | bits
-                total[child] += w * sw
-                signed[child] += -e * sw if (key & after).bit_count() & 1 else e * sw
+        table = tables[(key & all_heads) >> 1]
+        if table is None:
+            return first(key, w, e)
+        same, flip, minus, both = table
+        for bits in same:
+            child = key | bits
+            total[child] += w
+            signed[child] += e
+        for bits in flip:
+            child = key | bits
+            total[child] += w
+            signed[child] -= e
+        for bits in minus:
+            child = key | bits
+            total[child] -= w
+            signed[child] += e
+        for bits in both:
+            child = key | bits
+            total[child] -= w
+            signed[child] -= e
 
     extend(0, 0, 1, 1)
     return total, signed

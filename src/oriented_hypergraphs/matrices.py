@@ -340,36 +340,35 @@ def matrix_tree_cofactor(og: OrientedHypergraph, row_vertex: str, col_vertex: st
 
 
 def spanning_tree_count(g: IncidenceHypergraph) -> int:
-    """Brute-force count of spanning trees by edge subsets."""
+    """Brute-force count of spanning trees, grown edge by edge.
+
+    The edges are taken in order, each skipped or, when its ends lie in
+    different components, added; an edge that would close a cycle is
+    never added, and a forest with n - 1 edges is a spanning tree.  No
+    matrix is read.
+    """
     _require_graph(g)
     n = len(g.vertices)
     if n == 0:
         return 0
-    if n == 1:
-        return 1
     pos = g.vertex_pos
-    pairs = [tuple(sorted((pos[a], pos[b]))) for a, b in (edge_endpoints(g, e) for e in g.edges)]
-    count = 0
-    for subset in itertools.combinations(range(len(pairs)), n - 1):
-        parent = list(range(n))
+    pairs = [(pos[a], pos[b]) for a, b in (edge_endpoints(g, e) for e in g.edges)]
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def grow(k: int, component: list[int], missing: int) -> int:
+        # Trees from the forest with these component labels, ``missing``
+        # edges short, grown from edge k on.
+        if not missing:
+            return 1
+        if len(pairs) - k < missing:
+            return 0
+        count = grow(k + 1, component, missing)
+        a, b = component[pairs[k][0]], component[pairs[k][1]]
+        if a != b:
+            merged = [a if c == b else c for c in component]
+            count += grow(k + 1, merged, missing - 1)
+        return count
 
-        ok = True
-        for k in subset:
-            a, b = pairs[k]
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                ok = False
-                break
-            parent[ra] = rb
-        if ok:
-            count += 1
-    return count
+    return grow(0, list(range(n)), n - 1)
 
 
 def sachs_char_poly(g: IncidenceHypergraph) -> IntPolynomial:

@@ -16,6 +16,8 @@ and the canonical term list and text.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -171,6 +173,22 @@ def render_univariate(p: IntPolynomial) -> str:
     return " ".join(parts)
 
 
+# Each byte value with its eight bits in reverse order.
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _by_byte(items: Sequence, empty):
+    # Per byte of a mask over ``items`` (bit k for items[k]), indexed by
+    # the byte's value: the sum of its items in bit order, from ``empty``.
+    tables = []
+    for j in range(0, len(items), 8):
+        table = [empty]
+        for item in items[j : j + 8]:
+            table += [t + item for t in table]
+        tables.append(table)
+    return tables
+
+
 def _ranked(
     p: MultivariatePolynomial, order: Sequence[str]
 ) -> tuple[list[tuple[str, str]], list[tuple[int, int]]]:
@@ -186,23 +204,27 @@ def _ranked(
         range(width),
         key=lambda b: (pos.get(pairs[b][0], len(pos)), pos.get(pairs[b][1], len(pos)), *pairs[b]),
     )
+    size = (width + 7) // 8
     terms = p._terms
     if by_rank != list(range(width)):
         rank = [0] * width
         for k, b in enumerate(by_rank):
             rank[b] = k
-        terms = {sum(1 << rank[b] for b in _bits(m)): c for m, c in terms.items()}
-    full = (1 << width) - 1
+        moved = _by_byte([1 << k for k in rank], 0)
+        terms = {sum(map(getitem, moved, m.to_bytes(size, "little"))): c for m, c in terms.items()}
+    top = 8 * size
+    full = (1 << top) - 1
 
-    def key(mono: int) -> int:
+    def key(term: tuple[int, int]) -> int:
         # Degree descending, then the ascending ranks lexicographically:
         # of two sets of equal size, the one holding the lowest rank
         # where they differ comes first, so its bit-reversed mask is
         # the larger.
-        reversed_mask = int(bin(mono)[:1:-1].ljust(width, "0"), 2)
-        return (width - mono.bit_count()) << width | full ^ reversed_mask
+        mono = term[0]
+        reversed_mask = int.from_bytes(mono.to_bytes(size, "little").translate(_REVERSED), "big")
+        return (width - mono.bit_count()) << top | full ^ reversed_mask
 
-    return [pairs[b] for b in by_rank], [(m, terms[m]) for m in sorted(terms, key=key)]
+    return [pairs[b] for b in by_rank], sorted(terms.items(), key=key)
 
 
 def canonical_terms(
@@ -214,7 +236,12 @@ def canonical_terms(
     ``order``; terms come degree-descending, then by those sorted positions.
     """
     variables, ordered = _ranked(p, order)
-    return [([variables[k] for k in _bits(m)], c) for m, c in ordered]
+    table = _by_byte([(v,) for v in variables], ())
+    size = len(table)
+    return [
+        (list(chain.from_iterable(map(getitem, table, m.to_bytes(size, "little")))), c)
+        for m, c in ordered
+    ]
 
 
 def render_multivariate(p: MultivariatePolynomial, order: Sequence[str]) -> str:
@@ -226,8 +253,9 @@ def render_multivariate(p: MultivariatePolynomial, order: Sequence[str]) -> str:
     if not p:
         return "0"
     variables, ordered = _ranked(p, order)
-    text = [f"*x[{u},{w}]" for u, w in variables]
+    text = _by_byte([f"*x[{u},{w}]" for u, w in variables], "")
+    size = len(text)
+    # No coefficient is 0, so "+d" prints each with its sign.
     return " ".join(
-        f"{'+' if c > 0 else '-'}{abs(c)}" + "".join([text[k] for k in _bits(m)])
-        for m, c in ordered
+        [f"{c:+d}" + "".join(map(getitem, text, m.to_bytes(size, "little"))) for m, c in ordered]
     )

@@ -84,6 +84,51 @@ def minor_blocks_reference(structure):
     return tuple(blocks)
 
 
+def family_sums_reference(rows, sign):
+    # ``contributors._family_sums`` before its table for the last two
+    # tails: every family visited depth-first, the last tail's steps
+    # summed in place.
+    n = len(rows)
+    total = [0] * (1 << (2 * n + 1))
+    signed = [0] * (1 << (2 * n + 1))
+    weighed = []
+    for k, row in enumerate(rows):
+        tail = 1 << (n + 1 + k)
+        steps = []
+        for h, tail_at, head_at, back in row:
+            w = sign[tail_at] * sign[head_at]
+            if w:
+                head = 2 << h
+                after = (1 << (n + 1)) - (head << 1)
+                steps.append((head, tail | head | back, after, w))
+        weighed.append(steps)
+    total[0] = signed[0] = 1
+    if not n:
+        return total, signed
+    inner = list(enumerate(weighed[:-1], 1))
+    later = [inner[k:] for k in range(n)]
+    last = weighed[-1]
+
+    def extend(start, key, w, e):
+        for nxt, steps in later[start]:
+            for head, bits, after, sw in steps:
+                if not key & head:
+                    child = key | bits
+                    cw = w * sw
+                    ce = -e * sw if (key & after).bit_count() & 1 else e * sw
+                    total[child] += cw
+                    signed[child] += ce
+                    extend(nxt, child, cw, ce)
+        for head, bits, after, sw in last:
+            if not key & head:
+                child = key | bits
+                total[child] += w * sw
+                signed[child] += -e * sw if (key & after).bit_count() & 1 else e * sw
+
+    extend(0, 0, 1, 1)
+    return total, signed
+
+
 def assert_blocks_match_reference(structure, signs):
     # The catalog opens exactly the reference's blocks (a block's
     # completions name its open rows and columns), and under every sign 1

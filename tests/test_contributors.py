@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     MALFORMED_STRUCTURES,
     assert_blocks_match_reference,
+    family_sums_reference,
     rung,
     small_oriented,
     step_families_reference,
@@ -40,11 +42,13 @@ from oriented_hypergraphs.contributors import (
     _counted_rows,
     _cover_sums,
     _family_counts,
+    _family_sums,
     _map_cycles,
     _one_pass,
     _steps_between,
 )
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
+from oriented_hypergraphs.corpus import signings_for, structure_corpus
 from oriented_hypergraphs.errors import DomainError, InvariantError, ResourceLimitError
 from oriented_hypergraphs.cli import main
 from oriented_hypergraphs.jsonio import dumps_oriented, loads_oriented
@@ -444,6 +448,61 @@ def test_minor_catalog_holds_blocks_not_families():
     oracle, _ = _traced(lambda: held.append(symbolic_minor_poly(laplacian_matrix(og), "det")))
     held.clear()
     assert _traced(lambda: minor_catalog(og.structure))[1] <= 3 * oracle
+
+
+def test_family_sums_hold_little_beside_their_sums():
+    # Seeded K6: the walk's tables for the last two tails are small next
+    # to the two sum lists it returns (1.44x them at the peak; the walk
+    # without tables reads 1.19x).
+    og = rung("K", 6)
+    rows = _counted_rows(og.structure, limits.MAX_MINOR_VERTICES)
+    sign = [og.signs[i.id] for i in og.structure.incidences]
+    held = []
+    _, peak = _traced(lambda: held.append(_family_sums(rows, sign)))
+    total, signed = held[0]
+    assert peak <= 1.5 * (sys.getsizeof(total) + sys.getsizeof(signed))
+
+
+def _walks(structure, signs):
+    # The walk and its reference agree under every sign 1 and under ``signs``.
+    rows = _counted_rows(structure, limits.MAX_MINOR_VERTICES)
+    for sign in (
+        [1] * len(structure.incidences),
+        [signs.get(i.id, 0) for i in structure.incidences],
+    ):
+        assert _family_sums(rows, sign) == family_sums_reference(rows, sign)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_oriented())
+def test_family_sums_match_the_walk_reference(og):
+    _walks(og.structure, og.signs)
+
+
+def test_family_sums_match_the_walk_reference_on_the_corpus():
+    # Criterion 3's corpus and signings.
+    rng = random.Random(271828)
+    for g in structure_corpus():
+        rows = _counted_rows(g, limits.MAX_MINOR_VERTICES)
+        signings = signings_for(g)
+        if len(signings) > 64:
+            signings = rng.sample(signings, 64)
+        for signs in signings:
+            sign = [signs[i.id] for i in g.incidences]
+            assert _family_sums(rows, sign) == family_sums_reference(rows, sign)
+
+
+@pytest.mark.parametrize("family, n", [("K", 5), ("K", 6), ("C", 6), ("B", 5)])
+def test_family_sums_match_the_walk_reference_on_rungs(family, n):
+    og = rung(family, n)
+    _walks(og.structure, og.signs)
+
+
+def test_family_sums_refuse_signs_outside_plus_minus_one():
+    g = rung("K", 3).structure
+    sign = [2] + [1] * (len(g.incidences) - 1)
+    with pytest.raises(DomainError, match="-1, 0, or \\+1"):
+        _family_sums(_counted_rows(g, limits.MAX_MINOR_VERTICES), sign)
 
 
 def test_total_minor_disagreement_replays_through_verify(monkeypatch, tmp_path, capsys):

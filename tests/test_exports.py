@@ -249,3 +249,44 @@ def test_bidirected_signs_are_read_only_by_the_wrapper():
         if isinstance(node, ast.Attribute) and node.attr in ("sigma", "signs")
     }
     assert reading == {"as_bidirected"}
+
+
+# The figure route's walk, blocks and stamping, which must stay a route of
+# their own beside the Leibniz oracle.
+FIGURE_ROUTE = {
+    "_family_sums",
+    "_counted_rows",
+    "_open_block",
+    "_stamp",
+    "_one_pass",
+    "minor_catalog",
+    "minor_polys_from_catalog",
+}
+
+
+def test_the_figure_route_reads_no_matrix():
+    # Of ``.matrices`` it reads only ``permutation_sign`` (a sign of a
+    # permutation, no matrix entry), and it never groups the steps by
+    # (tail, head), as ``_steps_between`` does for the counts.
+    tree = ast.parse((PACKAGE_DIR / "contributors.py").read_text(encoding="utf-8"))
+    from_matrices = {
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "matrices" and node.level == 1
+        for a in node.names
+    }
+    assert "permutation_sign" in from_matrices
+    functions = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in FIGURE_ROUTE
+    }
+    assert set(functions) == FIGURE_ROUTE
+    reads = {
+        (name, node.id)
+        for name, function in functions.items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name)
+        and (node.id in from_matrices - {"permutation_sign"} or node.id == "_steps_between")
+    }
+    assert reads == set()

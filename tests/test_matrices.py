@@ -4,16 +4,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import small_oriented, triangle
+from conftest import rung, small_oriented, triangle
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
-from oriented_hypergraphs.corpus import graph_structure
+from oriented_hypergraphs.corpus import bidirected_corpus, connected_graph_corpus, graph_structure
 from oriented_hypergraphs.errors import DomainError, ResourceLimitError
 from oriented_hypergraphs.matrices import (
     IntegerMatrix,
     _leibniz,
+    _require_graph,
     adjacency_matrix,
     char_poly_univariate,
     degree_matrix,
+    edge_endpoints,
     graph_orientation,
     incidence_matrix,
     integer_determinant,
@@ -249,6 +251,61 @@ def test_spanning_tree_count_matches_networkx(pairs):
     n = max(max(p) for p in pairs) + 1
     g = graph_structure([f"v{k}" for k in range(n)], [(f"v{a}", f"v{b}") for a, b in pairs])
     assert spanning_tree_count(g) == round(nx.number_of_spanning_trees(nx.Graph(pairs)))
+
+
+def spanning_tree_count_reference(g):
+    # ``spanning_tree_count`` as it was: every (n - 1)-subset of the edges
+    # checked for a cycle by union-find.
+    _require_graph(g)
+    n = len(g.vertices)
+    if n == 0:
+        return 0
+    if n == 1:
+        return 1
+    pos = g.vertex_pos
+    pairs = [tuple(sorted((pos[a], pos[b]))) for a, b in (edge_endpoints(g, e) for e in g.edges)]
+    count = 0
+    for subset in itertools.combinations(range(len(pairs)), n - 1):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        ok = True
+        for k in subset:
+            ra, rb = find(pairs[k][0]), find(pairs[k][1])
+            if ra == rb:
+                ok = False
+                break
+            parent[ra] = rb
+        count += ok
+    return count
+
+
+@st.composite
+def multigraphs(draw):
+    """At most 6 vertices and 9 edges, loops and parallel edges allowed."""
+    n = draw(st.integers(0, 6))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(ends, max_size=9)) if n else []
+    vertices = [f"v{k}" for k in range(n)]
+    return graph_structure(vertices, [(vertices[a], vertices[b]) for a, b in pairs])
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs())
+def test_spanning_tree_count_matches_the_subset_reference(g):
+    assert spanning_tree_count(g) == spanning_tree_count_reference(g)
+
+
+def test_spanning_tree_count_matches_the_subset_reference_on_corpora():
+    graphs = connected_graph_corpus() + [bg.og.structure for bg in bidirected_corpus()]
+    graphs += [rung(family, n).structure for family, n in [("K", 5), ("K", 6), ("C", 6), ("K", 7)]]
+    for g in graphs:
+        assert spanning_tree_count(g) == spanning_tree_count_reference(g)
 
 
 def test_graph_orientation_requires_two_incidences():

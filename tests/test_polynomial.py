@@ -1,12 +1,19 @@
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_oriented
+from conftest import rung, small_oriented
+from oriented_hypergraphs.cli import _poly_json
 from oriented_hypergraphs.contributors import COMBOS, minor_catalog, minor_polys_from_catalog
+from oriented_hypergraphs.core import OrientedHypergraph
+from oriented_hypergraphs.corpus import signings_for, structure_corpus
 from oriented_hypergraphs.matrices import adjacency_matrix, laplacian_matrix, symbolic_minor_poly
 from oriented_hypergraphs.polynomial import (
     IntPolynomial,
     MultivariatePolynomial,
+    _bits,
     canonical_terms,
     render_multivariate,
     render_univariate,
@@ -124,3 +131,94 @@ def test_of_over_a_label_superset_equals_the_labelled_build():
     assert wide.terms == labelled.terms
     assert wide != MultivariatePolynomial._of(("c", "a", "b"), {1 << 5: 2})
     assert wide != MultivariatePolynomial._of(("c", "a", "b"), {1 << 1: 2, 0: -1})
+
+
+# The canonical order, its text and its JSON as they were before the
+# per-byte tables: each mask bit-reversed through a string, each term's
+# variables read bit by bit.
+
+
+def ranked_reference(p, order):
+    pos = {v: k for k, v in enumerate(order)}
+    pairs = p._pairs()
+    width = len(pairs)
+    by_rank = sorted(
+        range(width),
+        key=lambda b: (pos.get(pairs[b][0], len(pos)), pos.get(pairs[b][1], len(pos)), *pairs[b]),
+    )
+    terms = p._terms
+    if by_rank != list(range(width)):
+        rank = [0] * width
+        for k, b in enumerate(by_rank):
+            rank[b] = k
+        terms = {sum(1 << rank[b] for b in _bits(m)): c for m, c in terms.items()}
+    full = (1 << width) - 1
+
+    def key(mono):
+        reversed_mask = int(bin(mono)[:1:-1].ljust(width, "0"), 2)
+        return (width - mono.bit_count()) << width | full ^ reversed_mask
+
+    return [pairs[b] for b in by_rank], [(m, terms[m]) for m in sorted(terms, key=key)]
+
+
+def canonical_terms_reference(p, order):
+    variables, ordered = ranked_reference(p, order)
+    return [([variables[k] for k in _bits(m)], c) for m, c in ordered]
+
+
+def render_reference(p, order):
+    if not p:
+        return "0"
+    variables, ordered = ranked_reference(p, order)
+    text = [f"*x[{u},{w}]" for u, w in variables]
+    return " ".join(
+        f"{'+' if c > 0 else '-'}{abs(c)}" + "".join([text[k] for k in _bits(m)])
+        for m, c in ordered
+    )
+
+
+def poly_json_reference(p, order):
+    return [
+        {"monomial": [list(uw) for uw in pairs], "coefficient": coeff}
+        for pairs, coeff in canonical_terms_reference(p, order)
+    ]
+
+
+def assert_outputs_match_reference(og):
+    # All four oracle polynomials in text and JSON, over the structure's
+    # own vertex order and the reversed one.
+    for target, mode in COMBOS:
+        m = laplacian_matrix(og) if target == "laplacian" else adjacency_matrix(og)
+        p = symbolic_minor_poly(m, mode)
+        for order in (og.vertices, og.vertices[::-1]):
+            assert render_multivariate(p, order) == render_reference(p, order)
+            # Equal lists of equal dicts dump to the same JSON bytes.
+            assert _poly_json(p, order) == poly_json_reference(p, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_oriented())
+def test_outputs_match_the_reference(og):
+    assert_outputs_match_reference(og)
+
+
+def test_outputs_match_the_reference_on_the_corpus():
+    # Criterion 3's structures, each under one seeded signing.
+    rng = random.Random(271828)
+    for g in structure_corpus():
+        assert_outputs_match_reference(OrientedHypergraph.build(g, rng.choice(signings_for(g))))
+
+
+@pytest.mark.parametrize("family, n", [("K", 5), ("K", 6), ("C", 6), ("B", 5)])
+def test_outputs_match_the_reference_on_rungs(family, n):
+    assert_outputs_match_reference(rung(family, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_terms, st.permutations("abcde"))
+def test_canonical_order_matches_the_reference_over_any_order(terms, order):
+    # Orders that leave out some labels rank those last, by name.
+    p = MultivariatePolynomial(terms)
+    for chosen in (order, order[:2], ()):
+        assert canonical_terms(p, chosen) == canonical_terms_reference(p, chosen)
+        assert render_multivariate(p, chosen) == render_reference(p, chosen)
