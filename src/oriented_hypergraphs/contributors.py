@@ -1,11 +1,11 @@
 """Permutation-shaped step families and the minor polynomials they carry.
 
 A step family gives at most one length-1 step to each vertex, with
-pairwise-distinct heads.  :func:`_search` is the one enumerator that
-hands out step families: a depth-first search over a map of each tail
-vertex to its allowed steps, each step resolved once into an integer row
-entry keyed by its head bit.  (The minor polynomials walk the
-families with their own prefix state, :func:`_family_sums`, and hand
+pairwise-distinct heads.  :func:`step_families` is the one enumerator
+that hands out step families: a depth-first search over a map of each
+tail vertex to its allowed steps, each step resolved once into an
+integer row entry keyed by its head bit.  (The minor polynomials walk
+the families with their own prefix state, :func:`_family_sums`, and hand
 none out.)  A contributor is a spanning family of
 the full map, so its heads sweep out the whole vertex set bijectively;
 a class member pins each class row to its steps onto the matching
@@ -39,16 +39,16 @@ head set equals their tail set T: a closed family of weight w adds to
 the coefficient of x^(n - |T|).  Such a family is a disjoint cover of T
 by circles of strong steps and backsteps, and its term is a product
 over these pieces (the Sachs-coefficient type of the all-minors
-theorem).  :func:`univariate_from_contributors` picks every circle once,
-step by step, gives each piece its permutation-sign factor (as on the
-catalog's diagonal), combines disjoint pieces by subset convolution
-over vertex masks, and checks the sum against the matrix.
+theorem).  :func:`univariate_from_contributors` sums the circles' weights
+per vertex mask in one walk DP that lists no circle, gives each piece
+its permutation-sign factor (as on the catalog's diagonal), combines
+disjoint pieces by subset convolution over vertex masks, and checks the
+sum against the matrix.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -158,30 +158,6 @@ def _all_steps(
     return {v: vertex_steps(g, v, strong_only=strong_only) for v in g.vertices}
 
 
-def _search(rows: Sequence[Sequence[tuple[int, object]]], spanning: bool, leaf: Callable) -> None:
-    """The one step-family enumerator, over integer rows.
-
-    ``rows[k]`` lists tail k's steps as (head bit, item).  Each tail in
-    turn is skipped (unless ``spanning``) or, skipping first, takes a step
-    to an unused head; ``leaf(path)`` gets each family as its items in
-    tail order (one list, reused).
-    """
-    path: list = []
-
-    def extend(k: int, heads: int) -> None:
-        if k == len(rows):
-            return leaf(path)
-        if not spanning:
-            extend(k + 1, heads)
-        for bit, item in rows[k]:
-            if not heads & bit:
-                path.append(item)
-                extend(k + 1, heads | bit)
-                path.pop()
-
-    extend(0, 0)
-
-
 def step_families(
     options: Mapping[str, Sequence[OneStep]], *, spanning: bool = False
 ) -> list[Steps]:
@@ -190,14 +166,28 @@ def step_families(
     ``options`` maps each tail vertex, in order, to the steps it may take.
     Each tail is either skipped or given one of its steps to a head not
     used yet, skipping first.  ``spanning`` forbids skipping, so every
-    tail gets a step.
+    tail gets a step.  The search is depth-first over integer rows, each
+    step resolved once into its head bit.
     """
     bits = {v: 1 << k for k, v in enumerate(options)}
     rows = [
         [(bits.setdefault(s.head, 1 << len(bits)), s) for s in steps] for steps in options.values()
     ]
     out: list[Steps] = []
-    _search(rows, spanning, lambda path: out.append(tuple(path)))
+    path: list[OneStep] = []
+
+    def extend(k: int, heads: int) -> None:
+        if k == len(rows):
+            return out.append(tuple(path))
+        if not spanning:
+            extend(k + 1, heads)
+        for bit, step in rows[k]:
+            if not heads & bit:
+                path.append(step)
+                extend(k + 1, heads | bit)
+                path.pop()
+
+    extend(0, 0)
     return out
 
 
@@ -234,72 +224,43 @@ def _family_counts(options: Mapping[str, Sequence[OneStep]]) -> list[int]:
     return counts
 
 
-def _circles(
-    options: Mapping[str, Sequence[OneStep]],
-    signs: Mapping[str, int],
-) -> dict[tuple[int, int], int]:
-    """Every circle of the backstep-free ``options``, by vertex mask and weight.
+def _circles(options: Mapping[str, Sequence[OneStep]], signs: Mapping[str, int]) -> dict[int, int]:
+    """The summed weight W of the circles of the backstep-free ``options``, by vertex mask.
 
     A circle is a closed walk of steps through pairwise-distinct vertices
     (a loop is one of length 1); its length is the size of its mask and
     its weight W is the product of the signs of every traversed
-    incidence.  Returns {(vertex mask, W): number of circles}, leaving
-    out the zero-weight ones.
+    incidence.
 
-    Each circle is picked once, one step at a time, from its lowest
-    vertex s.  A table of the walks out of s (over exactly the vertices
-    of a mask above s, ending at v) first counts the circles, weighted by
-    step multiplicity, so more than ``limits.MAX_CIRCLES`` are refused before
-    any is built.  The table then steers the search, which picks each
-    circle backwards from s and so never follows a walk that cannot close.
+    Each circle is taken once, from its lowest vertex s.  A table of the
+    walks out of s (over exactly the vertices of a mask above s, ending
+    at v) holds their summed weight, grown one step at a time by the
+    summed weight of the steps from each tail to each head; a step from v
+    back to s closes each walk into a circle on ``mask | 1 << s``.  One
+    start vertex's table is held at a time, no circle is built, and every
+    nonempty mask is a key.
     """
-    between = _steps_between(options)
+    between = [
+        [sum(signs[t.tail_incidence] * signs[t.head_incidence] for t in steps) for steps in row]
+        for row in _steps_between(options)
+    ]
     n = len(between)
-    walks: list[dict[int, list[int]]] = []
-    count = 0
+    sums: dict[int, int] = {}
     for s in range(n):
-        table: dict[int, list[int]] = {}
+        sums[1 << s] = between[s][s]
+        walks: dict[int, list[int]] = {}
         for m in range(1, 1 << (n - s - 1)):
             mask = m << (s + 1)
             row = [0] * n
             for w in _bits(mask):
                 rest = mask ^ (1 << w)
                 if rest:
-                    row[w] = sum(table[rest][v] * len(between[v][w]) for v in _bits(rest))
+                    row[w] = sum(walks[rest][v] * between[v][w] for v in _bits(rest))
                 else:
-                    row[w] = len(between[s][w])
-                count += row[w] * len(between[w][s])
-            table[mask] = row
-        count += len(between[s][s])
-        walks.append(table)
-    limits.check(count, limits.MAX_CIRCLES, "circle enumeration", "circles")
-
-    def weigh(step: OneStep) -> int:
-        return signs[step.tail_incidence] * signs[step.head_incidence]
-
-    weights = [[[w for w in map(weigh, steps) if w] for steps in row] for row in between]
-    found: defaultdict[tuple[int, int], int] = defaultdict(int)
-
-    def back(s: int, circle: int, mask: int, v: int, weight: int) -> None:
-        # The circle's steps from v round to s are chosen (none while
-        # v = s); a walk out of s over the rest of ``mask`` and a step
-        # into v complete it.
-        rest = mask ^ (1 << v)
-        if not rest:
-            for w in weights[s][v]:
-                found[circle, weight * w] += 1
-            return
-        row = walks[s][rest]
-        for u in _bits(rest):
-            if row[u]:
-                for w in weights[u][v]:
-                    back(s, circle, rest, u, weight * w)
-
-    for s in range(n):
-        for m in range(1 << (n - s - 1)):
-            circle = m << (s + 1) | 1 << s
-            back(s, circle, circle, s, 1)
-    return found
+                    row[w] = between[s][w]
+            walks[mask] = row
+            sums[mask | 1 << s] = sum(row[w] * between[w][s] for w in _bits(mask))
+    return sums
 
 
 def _cover_sums(pieces: Mapping[int, int], n: int) -> list[int]:
@@ -872,13 +833,13 @@ def univariate_from_contributors(
     A closed step family (head set = tail set T) is a disjoint union of
     circles of strong steps and, on the Laplacian, backsteps; its term
     is a product over these pieces and adds to the coefficient of
-    x^(n - |T|).  Each circle of length L and weight W is picked once
-    (:func:`_circles`, which refuses more than ``limits.MAX_CIRCLES``)
-    and gives W, times (-1)^(L-1) for det (the sign of its cyclic
-    permutation) and (-1)^L on the Laplacian; a backstep gives -sigma^2.
-    These are the factors on the diagonal of :func:`total_minor_poly`.
-    The factors are summed per vertex mask and disjoint pieces combined
-    by subset convolution (:func:`_cover_sums`).  No matrix entry is
+    x^(n - |T|).  A circle of length L and weight W gives W, times
+    (-1)^(L-1) for det (the sign of its cyclic permutation) and (-1)^L on
+    the Laplacian; a backstep gives -sigma^2.  These are the factors on
+    the diagonal of :func:`total_minor_poly`.  The factors are summed per
+    vertex mask, the circles' W by one weighted walk DP
+    (:func:`_circles`) that lists none of them, and disjoint pieces
+    combined by subset convolution (:func:`_cover_sums`).  No matrix entry is
     read; the result must equal the Leibniz expansion of the matrix,
     else an :class:`InvariantError` carries the structure as JSON and
     the (target, mode) pair so the failure can be replayed.
@@ -889,12 +850,11 @@ def univariate_from_contributors(
     limits.check(n, max_vertices, "univariate contributor route", "vertices")
     laplacian = target == "laplacian"
     det = mode == "det"
-    pieces: defaultdict[int, int] = defaultdict(int)
-    strong = _all_steps(g, strong_only=True)
-    for (mask, weight), count in _circles(strong, og.signs).items():
+    pieces = _circles(_all_steps(g, strong_only=True), og.signs)
+    for mask, weight in pieces.items():
         odd = mask.bit_count() % 2 == 1
-        flips = (det and not odd) + (laplacian and odd)
-        pieces[mask] += count * weight * (-1) ** flips
+        if (det and not odd) or (laplacian and odd):
+            pieces[mask] = -weight
     if laplacian:
         for j, v in enumerate(g.vertices):
             pieces[1 << j] -= sum(og.signs[i] ** 2 for i in g.incidences_at_vertex[v])

@@ -3,7 +3,9 @@
 Every exhaustive search first counts what it would build (vertices,
 homomorphism candidates, exact family or forest counts, subhypergraphs)
 and hands that count to :func:`check`, which raises ResourceLimitError
-before any large allocation happens.  A cap is a keyword argument only
+before any large allocation happens.  A DP that sums without building
+what it counts, as the univariate route's circle weights, is bounded by
+its vertex count alone.  A cap is a keyword argument only
 where an ``ohg`` flag sets it (``--max-vertices``, ``--max-enum``); every
 other search reads its constant here when it is called, so a test
 tightens a guard by setting the constant.
@@ -20,10 +22,6 @@ MAX_SUBHYPERGRAPHS = 100_000
 
 # Exact number of contributors enumeration may build; counted beforehand.
 MAX_CONTRIBUTORS = 1_000_000
-
-# Circles (weighted by step multiplicity) the univariate route may pick;
-# counted beforehand.  Strong K8 has 16,064.
-MAX_CIRCLES = 1_000_000
 
 # Step families the minor polynomials may walk; counted beforehand.  The
 # seeded complete graphs K7 and K8 have 3,823,392 and 88,929,169.

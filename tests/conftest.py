@@ -2,15 +2,23 @@ import itertools
 import math
 import re
 import runpy
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from oriented_hypergraphs.contributors import _all_steps, _family_sums, is_strong, minor_catalog
+from oriented_hypergraphs.contributors import (
+    _all_steps,
+    _family_sums,
+    _steps_between,
+    is_strong,
+    minor_catalog,
+)
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
 from oriented_hypergraphs.jsonio import loads_oriented
 from oriented_hypergraphs.matrices import graph_orientation, permutation_sign
+from oriented_hypergraphs.polynomial import _bits
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 # The benchmark's input generators, run from source (no bytecode is written).
@@ -23,7 +31,7 @@ def rung(family: str, n: int, seed: int = 2019) -> OrientedHypergraph:
 
 
 # The step-family engine as it was before integer rows, kept as the
-# reference for ``contributors._search`` and for the blocks and per-block
+# reference for ``contributors.step_families`` and for the blocks and per-block
 # sums of ``contributors.minor_catalog`` and ``contributors._family_sums``.
 
 
@@ -127,6 +135,58 @@ def family_sums_reference(rows, sign):
 
     extend(0, 0, 1, 1)
     return total, signed
+
+
+# ``contributors._circles`` as it was while it listed every circle, kept as
+# the reference for its summed weights.  Only its count against the old
+# circle cap is gone; the walk table still steers the search.
+
+
+def circles_reference(options, signs):
+    # {(vertex mask, W): number of circles}, the zero-weight ones left out.
+    between = _steps_between(options)
+    n = len(between)
+    walks = []
+    for s in range(n):
+        table = {}
+        for m in range(1, 1 << (n - s - 1)):
+            mask = m << (s + 1)
+            row = [0] * n
+            for w in _bits(mask):
+                rest = mask ^ (1 << w)
+                if rest:
+                    row[w] = sum(table[rest][v] * len(between[v][w]) for v in _bits(rest))
+                else:
+                    row[w] = len(between[s][w])
+            table[mask] = row
+        walks.append(table)
+
+    def weigh(step):
+        return signs[step.tail_incidence] * signs[step.head_incidence]
+
+    weights = [[[w for w in map(weigh, steps) if w] for steps in row] for row in between]
+    found = defaultdict(int)
+
+    def back(s, circle, mask, v, weight):
+        # The circle's steps from v round to s are chosen (none while
+        # v = s); a walk out of s over the rest of ``mask`` and a step
+        # into v complete it.
+        rest = mask ^ (1 << v)
+        if not rest:
+            for w in weights[s][v]:
+                found[circle, weight * w] += 1
+            return
+        row = walks[s][rest]
+        for u in _bits(rest):
+            if row[u]:
+                for w in weights[u][v]:
+                    back(s, circle, rest, u, weight * w)
+
+    for s in range(n):
+        for m in range(1 << (n - s - 1)):
+            circle = m << (s + 1) | 1 << s
+            back(s, circle, circle, s, 1)
+    return found
 
 
 def assert_blocks_match_reference(structure, signs):

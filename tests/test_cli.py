@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURE_DIR, rung
-from oriented_hypergraphs import limits
 from oriented_hypergraphs.cli import main
 from oriented_hypergraphs.contributors import total_minor_poly
 from oriented_hypergraphs.corpus import bidirected_corpus, graph_structure
@@ -52,7 +51,7 @@ def test_charpoly_multivariate(capsys):
 
 def test_charpoly_is_cross_checked_on_the_figure_route(capsys, monkeypatch):
     # Without --multivariate the circle-cover polynomial is checked against
-    # the matrix: a disagreement exits 3, and the circle guard exits 2.
+    # the matrix: a disagreement exits 3, and the vertex guard exits 2.
     import oriented_hypergraphs.contributors as contributors
 
     argv = ["charpoly", K3, "--matrix", "adjacency", "--mode", "det"]
@@ -63,10 +62,9 @@ def test_charpoly_is_cross_checked_on_the_figure_route(capsys, monkeypatch):
         assert "contributor route disagrees for adjacency/det" in err
         code, _, _ = run(capsys, *argv, "--multivariate")
         assert code == 0
-    monkeypatch.setattr(limits, "MAX_CIRCLES", 1)
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--max-vertices", "2")
     assert (code, out) == (2, "")
-    assert "circle enumeration limited to 1 circles" in err
+    assert "univariate contributor route limited to 2 vertices, got 3" in err
 
 
 def test_matrices_on_empty_input(tmp_path, capsys):

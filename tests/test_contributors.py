@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     MALFORMED_STRUCTURES,
     assert_blocks_match_reference,
+    circles_reference,
     family_sums_reference,
     rung,
     small_oriented,
@@ -291,7 +293,7 @@ def test_minor_catalog_refuses_k8_from_the_family_count(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("step families enumerated past the guard")
 
-    monkeypatch.setattr(contributors, "_search", never)
+    monkeypatch.setattr(contributors, "step_families", never)
     monkeypatch.setattr(contributors, "_family_sums", never)
     message = "minor catalog limited to 5000000 families, got 88929169"
     with pytest.raises(ResourceLimitError, match=message):
@@ -375,7 +377,7 @@ def test_catalog_enumerates_no_family(monkeypatch, family, n):
     def never(*args, **kwargs):
         raise AssertionError("the minor catalog enumerated step families")
 
-    monkeypatch.setattr(contributors, "_search", never)
+    monkeypatch.setattr(contributors, "step_families", never)
     assert minor_polys_from_catalog(minor_catalog(g), og.signs) == _pass_polys(g, og.signs)
 
 
@@ -566,25 +568,54 @@ def _derangements(k):
     return round(math.factorial(k) / math.e) if k else 1
 
 
+def _circle_sums_reference(options, signs):
+    sums = {}
+    for (mask, weight), count in circles_reference(options, signs).items():
+        sums[mask] = sums.get(mask, 0) + weight * count
+    return sums
+
+
+def _assert_circle_sums_match_reference(og):
+    strong = _all_steps(og.structure, strong_only=True)
+    got = _circles(strong, og.signs)
+    reference = _circle_sums_reference(strong, og.signs)
+    assert sorted(got) == list(range(1, 1 << len(og.vertices)))
+    assert got == {mask: reference.get(mask, 0) for mask in got}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_oriented())
+def test_circle_sums_match_the_circle_lister(og):
+    _assert_circle_sums_match_reference(og)
+
+
+@pytest.mark.parametrize("family, n", [("C", 6), ("K", 5), ("K", 6), ("B", 5)])
+def test_circle_sums_match_the_circle_lister_on_rungs(family, n):
+    _assert_circle_sums_match_reference(rung(family, n))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_closed_family_counts_on_complete_graphs(n):
     # A closed family is a disjoint cover of its tail set T by circles of
-    # strong steps and backsteps.  With unit weights the circle enumerator
-    # and the subset convolution count them; on each T the count is the
-    # permanent of the step-multiplicity submatrix on T.  Closed strong
-    # families are the derangements of their tail sets, n! in all.  With
-    # backsteps, a fixed point has n - 1 of them.
+    # strong steps and backsteps.  Under unit signs every circle weighs 1,
+    # so the circle sums count the circles, and the subset convolution
+    # counts the covers; on each T the count is the permanent of the
+    # step-multiplicity submatrix on T.  Closed strong families are the
+    # derangements of their tail sets, n! in all.  With backsteps, a
+    # fixed point has n - 1 of them.
     g = complete_graph(n).structure
     unit = {i.id: 1 for i in g.incidences}
     steps = {v: vertex_steps(g, v) for v in g.vertices}
     strong = {v: vertex_steps(g, v, strong_only=True) for v in g.vertices}
-    circles = {}
-    for (mask, weight), count in _circles(strong, unit).items():
-        assert weight == 1
-        circles[mask] = circles.get(mask, 0) + count
+    circles = _circles(strong, unit)
+    # A k-set carries (k - 1)! directed circles for k >= 3, one for k = 2
+    # (one edge, one step each way) and none for k = 1 (no loops).
+    for mask, count in circles.items():
+        k = mask.bit_count()
+        assert count == {1: 0, 2: 1}.get(k, math.factorial(k - 1))
     pieces = dict(circles)
     for j, v in enumerate(g.vertices):
-        pieces[1 << j] = pieces.get(1 << j, 0) + sum(s.is_backstep for s in steps[v])
+        pieces[1 << j] += sum(s.is_backstep for s in steps[v])
 
     def with_backsteps(k):
         return sum(math.comb(k, j) * (n - 1) ** j * _derangements(k - j) for j in range(k + 1))
@@ -602,17 +633,23 @@ def test_closed_family_counts_on_complete_graphs(n):
             assert count == _permanent_count(sub) == per_size(len(tails))
 
 
-def test_circle_count_guard_runs_before_enumeration():
+def test_one_edge_blob_is_answered_from_the_circle_sums():
     # One edge holding ten incidences at each of four vertices: 100 steps
-    # between any two vertices, 90 loops at each, and 6 * 10^8 circles of
-    # length 4 alone, refused from the count without building any: the
-    # exact count in the message exists only before enumeration starts.
+    # between any two vertices, 90 loops at each, and 608,060,360 circles
+    # counted by step multiplicity, which unit signs make their summed
+    # weight.  The walk sums them per vertex mask without listing one, so
+    # all four pairs are answered, and quickly.
     vertices = ["v1", "v2", "v3", "v4"]
     triples = [(f"i{v}_{k}", v, "e") for v in vertices for k in range(10)]
     og = OrientedHypergraph.build(IncidenceHypergraph.build(vertices, ["e"], triples))
+    assert sum(_circles(_all_steps(og.structure, strong_only=True), og.signs).values()) == (
+        608060360
+    )
+    start = time.perf_counter()
     for target, mode in COMBOS:
-        with pytest.raises(ResourceLimitError, match="got 608060360"):
-            univariate_from_contributors(og, target, mode)
+        m = adjacency_matrix(og) if target == "adjacency" else laplacian_matrix(og)
+        assert univariate_from_contributors(og, target, mode) == char_poly_univariate(m, mode)
+    assert time.perf_counter() - start < 1
 
 
 def test_route_disagreement_carries_a_reproducer(monkeypatch):
@@ -824,8 +861,8 @@ def test_univariate_triple_route_never_diverges(og):
 )
 def test_univariate_route_on_zero_loading_heavy_structures(og):
     # The zero-loaded C6 has 33,592,320 contributors and K8 has
-    # 32,237,681 closed step families; the route needs only the circles
-    # of the raw structure (16,064 on K8).
+    # 32,237,681 closed step families; the route needs only the summed
+    # weights of the raw structure's circles, one per vertex mask.
     for target, mode in COMBOS:
         m = adjacency_matrix(og) if target == "adjacency" else laplacian_matrix(og)
         assert univariate_from_contributors(og, target, mode) == char_poly_univariate(m, mode)

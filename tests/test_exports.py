@@ -264,10 +264,9 @@ FIGURE_ROUTE = {
 }
 
 
-def test_the_figure_route_reads_no_matrix():
-    # Of ``.matrices`` it reads only ``permutation_sign`` (a sign of a
-    # permutation, no matrix entry), and it never groups the steps by
-    # (tail, head), as ``_steps_between`` does for the counts.
+def _contributors_functions(names):
+    # The top-level functions ``names`` of contributors.py, and every name
+    # it imports from ``.matrices``.
     tree = ast.parse((PACKAGE_DIR / "contributors.py").read_text(encoding="utf-8"))
     from_matrices = {
         a.asname or a.name
@@ -275,18 +274,41 @@ def test_the_figure_route_reads_no_matrix():
         if isinstance(node, ast.ImportFrom) and node.module == "matrices" and node.level == 1
         for a in node.names
     }
-    assert "permutation_sign" in from_matrices
     functions = {
         node.name: node
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in FIGURE_ROUTE
+        if isinstance(node, ast.FunctionDef) and node.name in names
     }
-    assert set(functions) == FIGURE_ROUTE
+    assert set(functions) == set(names)
+    return functions, from_matrices
+
+
+def test_the_figure_route_reads_no_matrix():
+    # Of ``.matrices`` it reads only ``permutation_sign`` (a sign of a
+    # permutation, no matrix entry), and it never groups the steps by
+    # (tail, head), as ``_steps_between`` does for the counts.
+    functions, from_matrices = _contributors_functions(FIGURE_ROUTE)
+    assert "permutation_sign" in from_matrices
     reads = {
         (name, node.id)
         for name, function in functions.items()
         for node in ast.walk(function)
         if isinstance(node, ast.Name)
         and (node.id in from_matrices - {"permutation_sign"} or node.id == "_steps_between")
+    }
+    assert reads == set()
+
+
+def test_the_circle_route_reads_no_matrix():
+    # The circle sums and their covers weigh the steps themselves; the
+    # matrix is built only for the final check in
+    # ``univariate_from_contributors``.
+    functions, from_matrices = _contributors_functions({"_circles", "_cover_sums"})
+    assert {"adjacency_matrix", "laplacian_matrix", "char_poly_univariate"} <= from_matrices
+    reads = {
+        (name, node.id)
+        for name, function in functions.items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id in from_matrices
     }
     assert reads == set()
