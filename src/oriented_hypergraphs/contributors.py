@@ -4,9 +4,9 @@ A step family gives at most one length-1 step to each vertex, with
 pairwise-distinct heads.  :func:`step_families` is the one enumerator
 that hands out step families: a depth-first search over a map of each
 tail vertex to its allowed steps, each step resolved once into an
-integer row entry keyed by its head bit.  (The minor polynomials walk
-the families with their own prefix state, :func:`_family_sums`, and hand
-none out.)  A contributor is a spanning family of
+integer row entry keyed by its head bit.  (The minor polynomials sum
+the families block by block, :func:`_family_sums`, and hand none out.)
+A contributor is a spanning family of
 the full map, so its heads sweep out the whole vertex set bijectively;
 a class member pins each class row to its steps onto the matching
 column; the bidirected reduced elements (:mod:`.bidirected`) span the
@@ -22,16 +22,15 @@ into full permutations, and a completed family's sign splits as
 eps_f * rel(c), a per-family part times a per-completion part, so a
 block stamps each of its monomials once with its summed family weights
 (the all-minors matrix-tree expansion, read as a sum over figures).
-One walk, :func:`_family_sums`, weighs every family and sums it into
-its block; no family is stored, and the blocks are stamped the same way
-on both paths.  The walk goes depth-first over all tails but the last
-two and reads every extension over those two from a table built once
-per head mask, still adding each family on its own.  A
+One sweep, :func:`_family_sums`, sums every family's weight into its
+block: it takes the tails in order and extends every block sum reached
+so far by each step of the next tail, so no family is visited on its own
+or stored, and the blocks are stamped the same way on both paths.  A
 :class:`MinorCatalog` stores the step rows and every block some family
 reaches, opened ahead of time, for callers that evaluate one structure
 under many signings (:func:`minor_polys_from_catalog`).  A one-shot answer
 (:func:`total_minor_poly`, :func:`oracle_equivalence`) checks the
-Leibniz oracle's row bound first, opens only the blocks its walk left
+Leibniz oracle's row bound first, opens only the blocks its sweep left
 nonzero, and only then expands each oracle and compares.
 
 The characteristic polynomial needs only the closed families, whose
@@ -51,7 +50,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import limits
@@ -496,7 +495,7 @@ class MinorCatalog:
     Built for callers that evaluate one structure under many signings
     (criterion 3's corpus).  ``rows`` holds the structure's step rows and
     ``blocks`` every block some family reaches, opened once, so an
-    evaluation only walks the families (:func:`_family_sums`) and stamps
+    evaluation only sums the families (:func:`_family_sums`) and stamps
     these blocks.  The catalog stores no family; ``families`` lists them
     as figures, in enumeration order, enumerated when first read.
 
@@ -529,9 +528,10 @@ CompletionTable = list[list[tuple[Callable[[list[int]], tuple[int, ...]], int]]]
 def _counted_rows(structure: IncidenceHypergraph, max_vertices: int) -> StepRows:
     """The step rows of ``structure``, in vertex order, once its guards pass.
 
-    The families are counted first (:func:`_family_counts`), so more than
-    ``limits.MAX_FAMILIES`` raise :class:`ResourceLimitError` before any
-    is walked.
+    The families are counted first (:func:`_family_counts`), and more
+    than ``limits.MAX_FAMILIES`` raise :class:`ResourceLimitError`.  No
+    family is visited on its own, so the count stands in for the size of
+    the answer and of its Leibniz oracle, which no guard counts yet.
     """
     require_valid(structure)
     limits.check(len(structure.vertices), max_vertices, "minor catalog", "vertices")
@@ -583,9 +583,9 @@ def minor_catalog(structure: IncidenceHypergraph) -> MinorCatalog:
 
     More than ``limits.MAX_MINOR_VERTICES`` vertices are refused, and the
     families are counted first (:func:`_counted_rows`), so more than
-    ``limits.MAX_FAMILIES`` raise :class:`ResourceLimitError` before any
-    is walked.  One walk with every sign 1, where each family weighs 1,
-    finds the reached blocks from their family counts; no family is kept.
+    ``limits.MAX_FAMILIES`` raise :class:`ResourceLimitError`.  One sweep
+    with every sign 1, where each family weighs 1, finds the reached
+    blocks from their family counts; no family is kept.
     """
     rows = _counted_rows(structure, limits.MAX_MINOR_VERTICES)
     n = len(rows)
@@ -602,7 +602,7 @@ def _stamp(
     blocks: Iterable[MinorBlock],
     combos: Iterable[tuple[str, str]] = COMBOS,
 ) -> dict[tuple[str, str], MultivariatePolynomial]:
-    """The asked-for minor polynomials from the walk's ``sums``, block by block.
+    """The asked-for minor polynomials from the sweep's ``sums``, block by block.
 
     A block's four sums, read from :func:`_family_sums`'s (total,
     signed) at its key, are sum(w) and sum(eps_f * w) over all its
@@ -652,116 +652,48 @@ def minor_polys_from_catalog(
 
 
 def _family_sums(rows: StepRows, sign: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The one figure walk: every family that weighs nonzero, summed by block.
+    """The one figure sweep: every step family's weight, summed by block.
 
-    Each family is visited once, as one step at a later tail added to
-    the family it extends, and carries its own weight w (the product of
-    its steps' sign products), its signed weight e = +-w by the parity
-    of its heads' inversions in tail order, and whether it has a
-    backstep.  A step that weighs 0 is dropped, which drops exactly the
-    families that weigh 0.  ``total[key]`` and ``signed[key]`` sum w and
-    e over the families of one key: the tail mask above bit n, the head
-    mask in bits 1..n and the backstep flag in bit 0.
+    ``total[key]`` and ``signed[key]`` sum w and e over the families of
+    one key: the tail mask above bit n, the head mask in bits 1..n and
+    the backstep flag in bit 0.  A family's weight w is the product of
+    its steps' sign products; its signed weight e is +-w by the parity of
+    its heads' inversions in tail order.
 
-    The walk is depth-first over every tail but the last two.  Each
-    family it reaches is then extended over those two tails from a table
-    built once per head mask, by the first family with those heads, which
-    adds its extensions as it files them: every nonempty extension, as
-    its key bits, filed by the signs of its own weight and of its signed
-    weight (the inversion parity given the mask's heads).  Every family
-    so made is still added on its own.  ``sign`` holds -1, 0 or +1 per
-    incidence, so a family weighs +-1 or is dropped.
+    The sweep takes the tails in order.  The keys below tail k's bit are
+    exactly those whose tails all lie before k, and each of them that
+    holds a nonzero sum extends by each of tail k's steps to a head it
+    has not used: the step's key bits join the key's, its sign product
+    scales both sums, and the key's heads after the step's head flip e
+    by their parity.  A step that weighs 0 adds nothing.  No family is
+    visited on its own, so the work grows with the 2^(2n+1) keys times
+    the steps of a tail, not with the family count.  ``sign`` holds -1,
+    0 or +1 per incidence, the signing contract of the JSON format.
     """
     if not set(sign) <= {-1, 0, 1}:
         raise DomainError("incidence signs must be -1, 0, or +1")
     n = len(rows)
     total = [0] * (1 << (2 * n + 1))
     signed = [0] * (1 << (2 * n + 1))
-    # Per tail: (head bit, key bits, mask of the heads after this one, w).
-    weighed = []
+    total[0] = signed[0] = 1  # the empty family
     for k, row in enumerate(rows):
         tail = 1 << (n + 1 + k)
-        steps = []
-        for h, tail_at, head_at, back in row:
-            w = sign[tail_at] * sign[head_at]
-            if w:
-                head = 2 << h
-                after = (1 << (n + 1)) - (head << 1)
-                steps.append((head, tail | head | back, after, w))
-        weighed.append(steps)
-    total[0] = signed[0] = 1  # the empty family
-    if not n:
-        return total, signed
-    split = max(n - 2, 0)
-    # later[k]: the walked tails from k on, each with the tail its
-    # families extend from next.
-    walked = list(enumerate(weighed[:split], 1))
-    later = [walked[k:] for k in range(split + 1)]
-    last = weighed[split:]
-    final = last[-1]
-    all_heads = (1 << (n + 1)) - 2
-    tables: list = [None] * (1 << n)
-    shared: dict[int, int] = {}  # one int per key bits, across the tables
-
-    def first(key: int, w: int, e: int) -> None:
-        # The first family with these heads to reach the last tails: each
-        # extension over them is added, and filed by the signs of its own
-        # (w, e) as key bits in the heads' table: ++, +-, -+, --.  Only the
-        # empty family has no heads, so its extensions are not filed.
-        heads = key & all_heads
-        filed: tuple[list[int], ...] = ([], [], [], [])
-        prefixes = [(0, 1, 1)]
-        for steps in last:
-            grown = []
-            for bits, pw, pe in prefixes:
-                used = heads | bits
-                for head, step, after, sw in steps:
-                    if not used & head:
-                        ext = bits | step
-                        cw = pw * sw
-                        ce = -pe * sw if (used & after).bit_count() & 1 else pe * sw
-                        total[key | ext] += w * cw
-                        signed[key | ext] += e * ce
-                        if heads:
-                            filed[(cw < 0) * 2 + (ce < 0)].append(shared.setdefault(ext, ext))
-                        if steps is not final:
-                            grown.append((ext, cw, ce))
-            prefixes += grown
-        if heads:
-            tables[heads >> 1] = tuple(map(tuple, filed))
-
-    def extend(start: int, key: int, w: int, e: int) -> None:
-        for nxt, steps in later[start]:
+        # (head bit, key bits, mask of the heads after this one, sw) per step.
+        steps = [
+            (2 << h, tail | 2 << h | back, (1 << (n + 1)) - (4 << h), sw)
+            for h, t, h_at, back in row
+            if (sw := sign[t] * sign[h_at])
+        ]
+        if not steps:
+            continue
+        # Every key read here is below ``tail`` and every key written is
+        # above it, so the sweep reads no sum it has changed.
+        for key in itertools.compress(range(tail), map(or_, total, signed)):
+            w, e = total[key], signed[key]
             for head, bits, after, sw in steps:
                 if not key & head:
-                    child = key | bits
-                    cw = w * sw
-                    ce = -e * sw if (key & after).bit_count() & 1 else e * sw
-                    total[child] += cw
-                    signed[child] += ce
-                    extend(nxt, child, cw, ce)
-        table = tables[(key & all_heads) >> 1]
-        if table is None:
-            return first(key, w, e)
-        same, flip, minus, both = table
-        for bits in same:
-            child = key | bits
-            total[child] += w
-            signed[child] += e
-        for bits in flip:
-            child = key | bits
-            total[child] += w
-            signed[child] -= e
-        for bits in minus:
-            child = key | bits
-            total[child] -= w
-            signed[child] += e
-        for bits in both:
-            child = key | bits
-            total[child] -= w
-            signed[child] -= e
-
-    extend(0, 0, 1, 1)
+                    total[key | bits] += w * sw
+                    signed[key | bits] += -e * sw if (key & after).bit_count() & 1 else e * sw
     return total, signed
 
 
@@ -771,12 +703,12 @@ def _one_pass(
     signs: Mapping[str, int],
     combos: Iterable[tuple[str, str]] = COMBOS,
 ) -> dict[tuple[str, str], MultivariatePolynomial]:
-    """The ``combos`` minor polynomials from one walk over the families, none stored.
+    """The ``combos`` minor polynomials from one sweep over the families, none stored.
 
     The evaluation of :func:`minor_polys_from_catalog`, with no catalog:
     :func:`_family_sums` weighs every family under ``signs`` (missing
     incidences weigh 0, the zero-loading convention), and only the
-    blocks the walk left nonzero are opened, as they are stamped.
+    blocks the sweep left nonzero are opened, as they are stamped.
     """
     n = len(rows)
     sums = _family_sums(rows, [signs.get(i.id, 0) for i in structure.incidences])
@@ -800,10 +732,10 @@ def total_minor_poly(
     """Minor polynomial of the chosen matrix and mode, from step families.
 
     The one-pass route: the families are counted, then weighed in one
-    walk (:func:`_one_pass`) without a catalog, and only this pair is
-    stamped.  The Leibniz oracle's row bound is checked before the walk,
+    sweep (:func:`_one_pass`) without a catalog, and only this pair is
+    stamped.  The Leibniz oracle's row bound is checked before the sweep,
     so an input it would refuse is refused before any figure is weighed;
-    the oracle is expanded after the walk and compared.  The two must
+    the oracle is expanded after the sweep and compared.  The two must
     match term for term, this module's central contract; a mismatch
     raises an :class:`InvariantError` that carries the structure as JSON
     and the (target, mode) pair, as in :func:`univariate_from_contributors`.
@@ -880,7 +812,7 @@ def oracle_equivalence(
 
     The one-pass route, as in :func:`total_minor_poly`: the families are
     counted and the oracle's row bound checked, then the families are
-    weighed in one walk.  Only then is each oracle expanded, compared
+    weighed in one sweep.  Only then is each oracle expanded, compared
     and dropped, so at most one is held beside the four polynomials.
     """
     rows = _counted_rows(og.structure, max_vertices)

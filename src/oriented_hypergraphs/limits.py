@@ -23,8 +23,11 @@ MAX_SUBHYPERGRAPHS = 100_000
 # Exact number of contributors enumeration may build; counted beforehand.
 MAX_CONTRIBUTORS = 1_000_000
 
-# Step families the minor polynomials may walk; counted beforehand.  The
-# seeded complete graphs K7 and K8 have 3,823,392 and 88,929,169.
+# Step families the minor polynomials may sum; counted beforehand.  The
+# sum visits no family on its own, so the count stands in for the size
+# of the answer and of its Leibniz oracle until an answer-count cap
+# replaces it.  The seeded complete graphs K7 and K8 have 3,823,392 and
+# 88,929,169.
 MAX_FAMILIES = 5_000_000
 
 # Vertex bounds for the factorial-flavoured enumerations.

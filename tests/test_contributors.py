@@ -453,16 +453,16 @@ def test_minor_catalog_holds_blocks_not_families():
 
 
 def test_family_sums_hold_little_beside_their_sums():
-    # Seeded K6: the walk's tables for the last two tails are small next
-    # to the two sum lists it returns (1.44x them at the peak; the walk
-    # without tables reads 1.19x).
+    # Seeded K6: the sweep holds nothing beside the two sum lists it
+    # returns but their entries (1.14x them at the peak; the per-family
+    # walk with tables for its last two tails read 1.44x).
     og = rung("K", 6)
     rows = _counted_rows(og.structure, limits.MAX_MINOR_VERTICES)
     sign = [og.signs[i.id] for i in og.structure.incidences]
     held = []
     _, peak = _traced(lambda: held.append(_family_sums(rows, sign)))
     total, signed = held[0]
-    assert peak <= 1.5 * (sys.getsizeof(total) + sys.getsizeof(signed))
+    assert peak <= 1.25 * (sys.getsizeof(total) + sys.getsizeof(signed))
 
 
 def _walks(structure, signs):
@@ -498,6 +498,32 @@ def test_family_sums_match_the_walk_reference_on_the_corpus():
 def test_family_sums_match_the_walk_reference_on_rungs(family, n):
     og = rung(family, n)
     _walks(og.structure, og.signs)
+
+
+def _sums_count_the_families(structure):
+    # Under every sign 1 each family weighs 1, so the sweep's totals over
+    # the keys of one head mask count that mask's families, which the
+    # separate multiplicity DP of ``_family_counts`` counts too.
+    options = _all_steps(structure)
+    rows = _counted_rows(structure, limits.MAX_MINOR_VERTICES)
+    total, _ = _family_sums(rows, [1] * len(structure.incidences))
+    n = len(rows)
+    by_heads = [0] * (1 << n)
+    for key, w in enumerate(total):
+        by_heads[key >> 1 & (1 << n) - 1] += w
+    assert by_heads == _family_counts(options)
+    return sum(by_heads)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_oriented())
+def test_family_sums_count_the_families(og):
+    _sums_count_the_families(og.structure)
+
+
+def test_family_sums_count_the_families_of_k7():
+    # Seeded K7's families, too many for the reference walk.
+    assert _sums_count_the_families(rung("K", 7).structure) == 3823392
 
 
 def test_family_sums_refuse_signs_outside_plus_minus_one():
