@@ -37,7 +37,6 @@ from .matrices import (
     incidence_matrix,
     integer_determinant,
     laplacian_matrix,
-    symbolic_minor_poly,
 )
 from .polynomial import MultivariatePolynomial, canonical_terms, render_multivariate, render_univariate
 from .topos import classify, loading, subobject_classifier
@@ -122,10 +121,8 @@ def cmd_matrices(og, args) -> tuple[list[str], dict[str, Any]]:
 
 def cmd_charpoly(og, args) -> tuple[list[str], dict[str, Any]]:
     if args.multivariate:
-        m = adjacency_matrix(og) if args.matrix == "adjacency" else laplacian_matrix(og)
-        p = symbolic_minor_poly(m, args.mode, max_vertices=args.max_vertices)
-        text = render_multivariate(p, og.vertices)
-        return [text], {
+        p = total_minor_poly(og, args.matrix, args.mode, max_vertices=args.max_vertices)
+        return [render_multivariate(p, og.vertices)], {
             "matrix": args.matrix,
             "mode": args.mode,
             "multivariate": True,

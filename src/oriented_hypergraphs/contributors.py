@@ -10,10 +10,9 @@ A contributor is a spanning family of
 the full map, so its heads sweep out the whole vertex set bijectively;
 a class member pins each class row to its steps onto the matching
 column; the bidirected reduced elements (:mod:`.bidirected`) span the
-non-row vertices with heads off the class columns.  Families are
-counted exactly, by head mask, before any is built: the spanning ones (a
-permanent) for contributors, all of them for the minor polynomials.
-Everything here is cross-checked against the Leibniz oracle in
+non-row vertices with heads off the class columns.  The spanning
+families are counted exactly (a permanent, by head mask) before any is
+built.  Everything here is cross-checked against the Leibniz oracle in
 :mod:`.matrices`.
 
 The minor polynomials sum the step families grouped into blocks by
@@ -31,7 +30,8 @@ reaches, opened ahead of time, for callers that evaluate one structure
 under many signings (:func:`minor_polys_from_catalog`).  A one-shot answer
 (:func:`total_minor_poly`, :func:`oracle_equivalence`) checks the
 Leibniz oracle's row bound first, opens only the blocks its sweep left
-nonzero, and only then expands each oracle and compares.
+nonzero, and only then expands each oracle and compares.  Both paths
+bound the answer's terms before they open a block (:func:`_open_blocks`).
 
 The characteristic polynomial needs only the closed families, whose
 head set equals their tail set T: a closed family of weight w adds to
@@ -50,8 +50,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import limits
 from .core import IncidenceHypergraph, OrientedHypergraph, require_valid
@@ -208,7 +209,8 @@ def _family_counts(options: Mapping[str, Sequence[OneStep]]) -> list[int]:
     A DP over the tails in order: each tail is either skipped or steps
     to a head not used yet, weighted by its number of steps there.  The
     full-mask entry counts the spanning families (the permanent of the
-    step-multiplicity matrix); the sum counts every family.
+    step-multiplicity matrix), which the contributor and activation-class
+    guards read; the sum counts every family.
     """
     counts = [0] * (1 << len(options))
     counts[0] = 1
@@ -526,22 +528,18 @@ CompletionTable = list[list[tuple[Callable[[list[int]], tuple[int, ...]], int]]]
 
 
 def _counted_rows(structure: IncidenceHypergraph, max_vertices: int) -> StepRows:
-    """The step rows of ``structure``, in vertex order, once its guards pass.
+    """The step rows of ``structure``, in vertex order, once its vertex guard passes.
 
-    The families are counted first (:func:`_family_counts`), and more
-    than ``limits.MAX_FAMILIES`` raise :class:`ResourceLimitError`.  No
-    family is visited on its own, so the count stands in for the size of
-    the answer and of its Leibniz oracle, which no guard counts yet.
+    The guard alone bounds the sweep over the rows, whose 2^(2n+1) keys
+    do not grow with the families; the answer is bounded after it.
     """
     require_valid(structure)
     limits.check(len(structure.vertices), max_vertices, "minor catalog", "vertices")
-    options = _all_steps(structure)
-    limits.check(sum(_family_counts(options)), limits.MAX_FAMILIES, "minor catalog", "families")
     pos = structure.vertex_pos
     at = structure.incidence_pos
     return [
         [(pos[s.head], at[s.tail_incidence], at[s.head_incidence], s.is_backstep) for s in steps]
-        for steps in options.values()
+        for steps in _all_steps(structure).values()
     ]
 
 
@@ -578,22 +576,32 @@ def _open_block(n: int, key: int, table: CompletionTable) -> MinorBlock:
     return MinorBlock(key, tails.bit_count() % 2 == 1, sign, completions)
 
 
+def _open_blocks(n: int, sums: tuple[list[int], list[int]]) -> Iterator[MinorBlock]:
+    """The blocks that :func:`_family_sums`' ``sums`` leave nonzero, opened as they are read.
+
+    A block holds (n - |T|)! completions and no two share a monomial, so
+    their sum bounds every stamped polynomial's terms; more than
+    ``limits.MAX_TERMS`` raise before the completion table is built.
+    """
+    keys = sorted({key & ~1 for key in itertools.compress(itertools.count(), map(or_, *sums))})
+    terms = sum(factorial(n - (key >> (n + 1)).bit_count()) for key in keys)
+    limits.check(terms, limits.MAX_TERMS, "minor polynomials", "terms")
+    table = _completion_table(n)
+    return (_open_block(n, key, table) for key in keys)
+
+
 def minor_catalog(structure: IncidenceHypergraph) -> MinorCatalog:
     """The step rows of ``structure`` and every block a family reaches, opened.
 
-    More than ``limits.MAX_MINOR_VERTICES`` vertices are refused, and the
-    families are counted first (:func:`_counted_rows`), so more than
-    ``limits.MAX_FAMILIES`` raise :class:`ResourceLimitError`.  One sweep
-    with every sign 1, where each family weighs 1, finds the reached
-    blocks from their family counts; no family is kept.
+    More than ``limits.MAX_MINOR_VERTICES`` vertices are refused
+    (:func:`_counted_rows`).  One sweep with every sign 1, where each
+    family weighs 1, finds the reached blocks from their family counts,
+    and their terms, which bound every signing's, pass
+    ``limits.MAX_TERMS`` before any is opened.  No family is kept.
     """
     rows = _counted_rows(structure, limits.MAX_MINOR_VERTICES)
-    n = len(rows)
-    table = _completion_table(n)
-    total, _ = _family_sums(rows, [1] * len(structure.incidences))
-    reached = [key for key in range(0, len(total), 2) if total[key] or total[key + 1]]
-    blocks = tuple(_open_block(n, key, table) for key in reached)
-    return MinorCatalog(structure, rows, blocks)
+    sums = _family_sums(rows, [1] * len(structure.incidences))
+    return MinorCatalog(structure, rows, tuple(_open_blocks(len(rows), sums)))
 
 
 def _stamp(
@@ -708,18 +716,11 @@ def _one_pass(
     The evaluation of :func:`minor_polys_from_catalog`, with no catalog:
     :func:`_family_sums` weighs every family under ``signs`` (missing
     incidences weigh 0, the zero-loading convention), and only the
-    blocks the sweep left nonzero are opened, as they are stamped.
+    blocks the sweep left nonzero are opened, once their terms pass
+    ``limits.MAX_TERMS``, one by one as they are stamped.
     """
-    n = len(rows)
     sums = _family_sums(rows, [signs.get(i.id, 0) for i in structure.incidences])
-    total, signed = sums
-    table = _completion_table(n)
-    blocks = (
-        _open_block(n, key, table)
-        for key in range(0, len(total), 2)
-        if total[key] or signed[key] or total[key + 1] or signed[key + 1]
-    )
-    return _stamp(structure.vertices, sums, blocks, combos)
+    return _stamp(structure.vertices, sums, _open_blocks(len(rows), sums), combos)
 
 
 def total_minor_poly(
@@ -731,21 +732,22 @@ def total_minor_poly(
 ) -> MultivariatePolynomial:
     """Minor polynomial of the chosen matrix and mode, from step families.
 
-    The one-pass route: the families are counted, then weighed in one
-    sweep (:func:`_one_pass`) without a catalog, and only this pair is
-    stamped.  The Leibniz oracle's row bound is checked before the sweep,
-    so an input it would refuse is refused before any figure is weighed;
-    the oracle is expanded after the sweep and compared.  The two must
-    match term for term, this module's central contract; a mismatch
-    raises an :class:`InvariantError` that carries the structure as JSON
-    and the (target, mode) pair, as in :func:`univariate_from_contributors`.
+    The one-pass route: the families are weighed in one sweep
+    (:func:`_one_pass`) without a catalog, the answer's terms bounded,
+    and only this pair stamped.  The Leibniz oracle's row bound is
+    checked before the sweep, so an input it would refuse is refused
+    before any figure is weighed; the oracle is expanded after the
+    sweep and compared.  The two must match term for term, this
+    module's central contract; a mismatch raises an :class:`InvariantError`
+    that carries the structure as JSON and the (target, mode) pair, as in
+    :func:`univariate_from_contributors`.
     """
     _require_combo(target, mode)
     rows = _counted_rows(og.structure, max_vertices)
     limits.check(len(rows), limits.MAX_ORACLE_VERTICES, "Leibniz expansion", "rows")
     poly = _one_pass(og.structure, rows, og.signs, [(target, mode)])[(target, mode)]
     m = laplacian_matrix(og) if target == "laplacian" else adjacency_matrix(og)
-    if poly != symbolic_minor_poly(m, mode):
+    if poly != symbolic_minor_poly(m, mode, max_vertices=max_vertices):
         raise InvariantError(
             f"figure route disagrees with the Leibniz expansion for {target}/{mode}",
             reproducer={"input": dumps_oriented(og), "target": target, "mode": mode},
@@ -810,9 +812,9 @@ def oracle_equivalence(
 ) -> dict[tuple[str, str], bool]:
     """Compare every (target, mode) polynomial against the Leibniz oracle.
 
-    The one-pass route, as in :func:`total_minor_poly`: the families are
-    counted and the oracle's row bound checked, then the families are
-    weighed in one sweep.  Only then is each oracle expanded, compared
+    The one-pass route, as in :func:`total_minor_poly`: the oracle's row
+    bound is checked, then the families are weighed in one sweep and the
+    answer's terms bounded.  Only then is each oracle expanded, compared
     and dropped, so at most one is held beside the four polynomials.
     """
     rows = _counted_rows(og.structure, max_vertices)
@@ -820,6 +822,6 @@ def oracle_equivalence(
     polys = _one_pass(og.structure, rows, og.signs)
     matrices = {"adjacency": adjacency_matrix(og), "laplacian": laplacian_matrix(og)}
     return {
-        (target, mode): polys[target, mode] == symbolic_minor_poly(matrices[target], mode)
-        for target, mode in COMBOS
+        (t, m): polys[t, m] == symbolic_minor_poly(matrices[t], m, max_vertices=max_vertices)
+        for t, m in COMBOS
     }

@@ -1,14 +1,15 @@
 """Enumeration budgets and the one guard that enforces them.
 
 Every exhaustive search first counts what it would build (vertices,
-homomorphism candidates, exact family or forest counts, subhypergraphs)
-and hands that count to :func:`check`, which raises ResourceLimitError
-before any large allocation happens.  A DP that sums without building
-what it counts, as the univariate route's circle weights, is bounded by
-its vertex count alone.  A cap is a keyword argument only
-where an ``ohg`` flag sets it (``--max-vertices``, ``--max-enum``); every
-other search reads its constant here when it is called, so a test
-tightens a guard by setting the constant.
+homomorphism candidates, exact contributor or forest counts,
+subhypergraphs, the terms of a minor polynomial) and hands that count to
+:func:`check`, which raises ResourceLimitError before any large
+allocation happens.  A DP that sums without building what it counts, as
+the univariate route's circle weights and the figure sweep, is bounded
+by its vertex count alone.  A cap is a keyword argument only where an
+``ohg`` flag sets it (``--max-vertices``, ``--max-enum``); every other
+search reads its constant here when it is called, so a test tightens a
+guard by setting the constant.
 """
 
 from .errors import ResourceLimitError
@@ -23,12 +24,12 @@ MAX_SUBHYPERGRAPHS = 100_000
 # Exact number of contributors enumeration may build; counted beforehand.
 MAX_CONTRIBUTORS = 1_000_000
 
-# Step families the minor polynomials may sum; counted beforehand.  The
-# sum visits no family on its own, so the count stands in for the size
-# of the answer and of its Leibniz oracle until an answer-count cap
-# replaces it.  The seeded complete graphs K7 and K8 have 3,823,392 and
-# 88,929,169.
-MAX_FAMILIES = 5_000_000
+# Terms the minor polynomials may hold, counted after the figure sweep
+# and before any block is opened: a block the sweep leaves holds
+# (n - |T|)! completions.  The count is at most sum_k C(n,k)^2 (n-k)!,
+# 1,441,729 at n = 8 (the default vertex guard, so every input inside
+# it is answered) and 17,572,114 at n = 9.
+MAX_TERMS = 1_500_000
 
 # Vertex bounds for the factorial-flavoured enumerations.
 MAX_CONTRIBUTOR_VERTICES = 9

@@ -93,9 +93,9 @@ def minor_blocks_reference(structure):
 
 
 def family_sums_reference(rows, sign):
-    # ``contributors._family_sums`` before its table for the last two
-    # tails: every family visited depth-first, the last tail's steps
-    # summed in place.
+    # The per-family reference for ``contributors._family_sums``: a
+    # depth-first walk that visits every family on its own, with the last
+    # tail's steps summed in place.
     n = len(rows)
     total = [0] * (1 << (2 * n + 1))
     signed = [0] * (1 << (2 * n + 1))

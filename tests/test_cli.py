@@ -356,15 +356,17 @@ def test_guard_flags_take_zero_as_a_value(capsys):
 @pytest.mark.parametrize(
     "argv", [["verify"], ["total-minor", "--target", "laplacian", "--mode", "det"]]
 )
-def test_catalog_commands_refuse_k8_from_the_family_count(tmp_path, capsys, argv):
-    vertices = [f"v{k}" for k in range(1, 9)]
+def test_catalog_commands_refuse_k9_from_the_term_count(tmp_path, capsys, argv):
+    # Every block of K9 is reached: 17,572,114 completions, the bound for
+    # 9 vertices, refused after the sweep and before any block is opened.
+    vertices = [f"v{k}" for k in range(1, 10)]
     g = graph_structure(vertices, itertools.combinations(vertices, 2))
-    src = tmp_path / "k8.json"
+    src = tmp_path / "k9.json"
     src.write_text(dumps_oriented(graph_orientation(g)))
-    code, out, err = run(capsys, argv[0], str(src), *argv[1:])
+    code, out, err = run(capsys, argv[0], str(src), *argv[1:], "--max-vertices", "9")
     assert code == 2
     assert out == ""
-    assert err == "resource limit: minor catalog limited to 5000000 families, got 88929169\n"
+    assert err == "resource limit: minor polynomials limited to 1500000 terms, got 17572114\n"
 
 
 # A child under a 1 GB address-space cap, as size_ladder runs its items:
@@ -381,25 +383,40 @@ sys.exit(code)
 """
 
 
+# What each seeded rung is refused on, before any block is opened: the
+# oracle's rows for C10 with ``--max-vertices 10``, and the 4,743,226
+# completions of the blocks that C9's sweep leaves (the bound for 9
+# vertices is 17,572,114).
+REFUSALS = {
+    "C10": "Leibniz expansion limited to 9 rows, got 10",
+    "C9": "minor polynomials limited to 1500000 terms, got 4743226",
+}
+
+
 @pytest.mark.parametrize(
-    "argv", [["verify"], ["total-minor", "--target", "laplacian", "--mode", "det"]]
+    "argv",
+    [
+        ["verify", "C10", "--max-vertices", "10"],
+        ["total-minor", "C10", "--target", "laplacian", "--mode", "det", "--max-vertices", "10"],
+        ["charpoly", "C9", "--matrix", "laplacian", "--mode", "det", "--multivariate"],
+        ["charpoly", "C9", "--matrix", "laplacian", "--mode", "det", "--multivariate", "--json"],
+    ],
 )
 def test_catalog_commands_refuse_c10_on_the_oracle_rows(tmp_path, argv):
-    # C10 has 891,097 families, under the family cap, but the oracle
-    # refuses 10 rows before any figure is built or stamped.
-    src = tmp_path / "c10.json"
-    src.write_text(dumps_oriented(rung("C", 10)))
+    # ``argv`` names its input rung in place of a path.
+    src = tmp_path / f"{argv[1]}.json"
+    src.write_text(dumps_oriented(rung(argv[1][0], int(argv[1][1:]))))
     source = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", CAPPED_MAIN, argv[0], str(src), *argv[1:], "--max-vertices", "10"],
+        [sys.executable, "-c", CAPPED_MAIN, argv[0], str(src), *argv[2:]],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert done.returncode == 2
-    assert done.stderr == "resource limit: Leibniz expansion limited to 9 rows, got 10\n"
+    assert done.stderr == f"resource limit: {REFUSALS[argv[1]]}\n"
     assert float(done.stdout) < 1.0
 
 

@@ -5,6 +5,7 @@ import random
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -279,28 +280,29 @@ def test_family_counts_match_ryser_and_enumeration(options):
     [(6, 187375, 34960), (7, 3823392, 648240), (8, 88929169, 13781376)],
 )
 def test_family_counts_on_complete_graphs(n, families, spanning):
-    # K7 stays under ``limits.MAX_FAMILIES`` and K8 does not.
     counts = _family_counts(_all_steps(complete_graph(n).structure))
     assert (sum(counts), counts[-1]) == (families, spanning)
-    assert (families <= limits.MAX_FAMILIES) == (n < 8)
 
 
-def test_minor_catalog_refuses_k8_from_the_family_count(monkeypatch):
-    # Seeded K8 has 88,929,169 step families; the count refuses them
-    # before the enumerator builds one.
+def test_minor_catalog_refuses_k8_from_the_term_count(monkeypatch):
+    # Seeded K8 reaches blocks with 1,441,729 completions, the bound for
+    # 8 vertices; under its signs the one-pass sweep leaves 1,441,441 of
+    # them nonzero.  Under a tighter cap the count refuses them after the
+    # sweep and before any block is opened.
     og = complete_graph(8, seed=2019)
 
     def never(*args, **kwargs):
-        raise AssertionError("step families enumerated past the guard")
+        raise AssertionError("blocks opened past the term guard")
 
-    monkeypatch.setattr(contributors, "step_families", never)
-    monkeypatch.setattr(contributors, "_family_sums", never)
-    message = "minor catalog limited to 5000000 families, got 88929169"
-    with pytest.raises(ResourceLimitError, match=message):
+    monkeypatch.setattr(limits, "MAX_TERMS", 1_000_000)
+    monkeypatch.setattr(contributors, "_completion_table", never)
+    monkeypatch.setattr(contributors, "_open_block", never)
+    message = "minor polynomials limited to 1000000 terms, got {}"
+    with pytest.raises(ResourceLimitError, match=message.format(1441729)):
         minor_catalog(og.structure)
-    with pytest.raises(ResourceLimitError, match=message):
+    with pytest.raises(ResourceLimitError, match=message.format(1441441)):
         total_minor_poly(og, "laplacian", "det")
-    with pytest.raises(ResourceLimitError, match=message):
+    with pytest.raises(ResourceLimitError, match=message.format(1441441)):
         oracle_equivalence(og)
 
 
@@ -526,6 +528,47 @@ def test_family_sums_count_the_families_of_k7():
     assert _sums_count_the_families(rung("K", 7).structure) == 3823392
 
 
+def _term_counts_bound_the_terms(structure, signs):
+    # The term counts that the catalog and the one-pass route check are
+    # never below the terms of any (target, mode) they stamp, and the
+    # blocks a signing leaves nonzero are among those the catalog reaches.
+    with mock.patch.object(limits, "check", wraps=limits.check) as check:
+        catalog = minor_catalog(structure)
+        polys = _one_pass(structure, _counted_rows(structure, limits.MAX_MINOR_VERTICES), signs)
+    reached, nonzero = [call.args[0] for call in check.call_args_list if call.args[3] == "terms"]
+    evaluated = minor_polys_from_catalog(catalog, signs)
+    for combo in COMBOS:
+        assert len(polys[combo]._terms) <= nonzero <= reached
+        assert len(evaluated[combo]._terms) <= reached
+    return reached, nonzero
+
+
+CORPUS = structure_corpus()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_term_counts_bound_the_terms_on_the_corpus(data):
+    # Criterion 3's corpus and signings.
+    g = data.draw(st.sampled_from(CORPUS))
+    _term_counts_bound_the_terms(g, data.draw(st.sampled_from(signings_for(g))))
+
+
+@pytest.mark.parametrize("family, n", [("C", 6), ("K", 5), ("B", 5)])
+def test_term_counts_bound_the_terms_on_rungs(family, n):
+    og = rung(family, n)
+    _term_counts_bound_the_terms(og.structure, og.signs)
+
+
+def test_term_count_of_k7_is_the_bound():
+    # Seeded K7 reaches every block, and its signing leaves each nonzero:
+    # sum_k C(7,k)^2 (7-k)! = 130,922 completions on both paths.
+    og = rung("K", 7)
+    bound = sum(math.comb(7, k) ** 2 * math.factorial(7 - k) for k in range(8))
+    assert bound == 130922
+    assert _term_counts_bound_the_terms(og.structure, og.signs) == (bound, bound)
+
+
 def test_family_sums_refuse_signs_outside_plus_minus_one():
     g = rung("K", 3).structure
     sign = [2] + [1] * (len(g.incidences) - 1)
@@ -551,6 +594,10 @@ def test_total_minor_disagreement_replays_through_verify(monkeypatch, tmp_path, 
     src.write_text(reproducer["input"])
     assert main(["verify", str(src)]) == 3
     assert "laplacian det: FAIL" in capsys.readouterr().out.splitlines()
+    # ``charpoly --multivariate`` answers through the same check.
+    argv = ["charpoly", str(src), "--matrix", "laplacian", "--mode", "det", "--multivariate"]
+    assert main(argv) == 3
+    assert "figure route disagrees" in capsys.readouterr().err
 
 
 def _product_reference(g, strong_only, pinned):

@@ -257,6 +257,7 @@ FIGURE_ROUTE = {
     "_family_sums",
     "_counted_rows",
     "_open_block",
+    "_open_blocks",
     "_stamp",
     "_one_pass",
     "minor_catalog",
@@ -312,3 +313,16 @@ def test_the_circle_route_reads_no_matrix():
         if isinstance(node, ast.Name) and node.id in from_matrices
     }
     assert reads == set()
+
+
+def test_every_printed_polynomial_goes_through_both_routes():
+    # ``ohg`` reads no Leibniz expansion on its own: every polynomial it
+    # prints comes from a function that checks one route against the other.
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    imported = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for a in node.names
+    }
+    assert imported & {"symbolic_minor_poly", "char_poly_univariate"} == set()
