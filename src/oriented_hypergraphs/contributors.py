@@ -209,8 +209,8 @@ def _family_counts(options: Mapping[str, Sequence[OneStep]]) -> list[int]:
     A DP over the tails in order: each tail is either skipped or steps
     to a head not used yet, weighted by its number of steps there.  The
     full-mask entry counts the spanning families (the permanent of the
-    step-multiplicity matrix), which the contributor and activation-class
-    guards read; the sum counts every family.
+    step-multiplicity matrix), read by the contributor and activation-class
+    guards; the sum, read by ``MinorCatalog.families``, counts every family.
     """
     counts = [0] * (1 << len(options))
     counts[0] = 1
@@ -499,7 +499,8 @@ class MinorCatalog:
     ``blocks`` every block some family reaches, opened once, so an
     evaluation only sums the families (:func:`_family_sums`) and stamps
     these blocks.  The catalog stores no family; ``families`` lists them
-    as figures, in enumeration order, enumerated when first read.
+    as figures, in enumeration order, enumerated when first read once
+    their count passes ``limits.MAX_CONTRIBUTORS``.
 
     Families through incidences missing from the evaluation signs score
     zero and drop out, which is exactly the zero-loading convention, so
@@ -513,18 +514,17 @@ class MinorCatalog:
 
     @cached_property
     def families(self) -> tuple[StepFamily, ...]:
-        return tuple(
-            StepFamily(steps, is_strong(steps))
-            for steps in step_families(_all_steps(self.structure))
-        )
+        options = _all_steps(self.structure)
+        limits.check(sum(_family_counts(options)), limits.MAX_CONTRIBUTORS, "minor catalog", "families")
+        return tuple(StepFamily(steps, is_strong(steps)) for steps in step_families(options))
 
 
 # Tail k's steps: (head position, tail incidence position, head
 # incidence position, backstep) each.
 StepRows = list[list[tuple[int, int, int, bool]]]
-# Each open size's bijections as grid getters with their signs; see
+# Bijections by open size, as grid getters with their signs; see
 # _completion_table.
-CompletionTable = list[list[tuple[Callable[[list[int]], tuple[int, ...]], int]]]
+CompletionTable = dict[int, list[tuple[Callable[[list[int]], tuple[int, ...]], int]]]
 
 
 def _counted_rows(structure: IncidenceHypergraph, max_vertices: int) -> StepRows:
@@ -543,18 +543,18 @@ def _counted_rows(structure: IncidenceHypergraph, max_vertices: int) -> StepRows
     ]
 
 
-def _completion_table(n: int) -> CompletionTable:
-    # Every permutation p of range(m), m = 0..n, with its sign: one table
-    # per call, read by every block whose open size is m.  p is a getter
-    # of the entries (i, p[i]) of an m-by-m grid in row order, and of its
-    # two trailing slots, which hold 0 so that every getter gives a tuple.
-    return [
-        [
+def _completion_table(sizes: Iterable[int]) -> CompletionTable:
+    # Every permutation p of range(m), m in ``sizes``, with its sign: one
+    # table per call, read by every block whose open size is m.  p is a
+    # getter of the entries (i, p[i]) of an m-by-m grid in row order, and of
+    # its two trailing slots, which hold 0 so that every getter gives a tuple.
+    return {
+        m: [
             (itemgetter(*[i * m + j for i, j in enumerate(p)], m * m, m * m), permutation_sign(p))
             for p in itertools.permutations(range(m))
         ]
-        for m in range(n + 1)
-    ]
+        for m in sizes
+    }
 
 
 def _open_block(n: int, key: int, table: CompletionTable) -> MinorBlock:
@@ -581,12 +581,12 @@ def _open_blocks(n: int, sums: tuple[list[int], list[int]]) -> Iterator[MinorBlo
 
     A block holds (n - |T|)! completions and no two share a monomial, so
     their sum bounds every stamped polynomial's terms; more than
-    ``limits.MAX_TERMS`` raise before the completion table is built.
+    ``limits.MAX_TERMS`` raise before the table of their open sizes is built.
     """
     keys = sorted({key & ~1 for key in itertools.compress(itertools.count(), map(or_, *sums))})
-    terms = sum(factorial(n - (key >> (n + 1)).bit_count()) for key in keys)
-    limits.check(terms, limits.MAX_TERMS, "minor polynomials", "terms")
-    table = _completion_table(n)
+    sizes = [n - (key >> (n + 1)).bit_count() for key in keys]
+    limits.check(sum(map(factorial, sizes)), limits.MAX_TERMS, "minor polynomials", "terms")
+    table = _completion_table(set(sizes))
     return (_open_block(n, key, table) for key in keys)
 
 

@@ -21,7 +21,7 @@ MAX_HOM_CANDIDATES = 1_000_000
 # Number of subhypergraphs materialised by enumeration / power construction.
 MAX_SUBHYPERGRAPHS = 100_000
 
-# Exact number of contributors enumeration may build; counted beforehand.
+# Exact number of contributors or catalog families to build; counted first.
 MAX_CONTRIBUTORS = 1_000_000
 
 # Terms the minor polynomials may hold, counted after the figure sweep

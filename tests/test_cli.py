@@ -383,41 +383,40 @@ sys.exit(code)
 """
 
 
-# What each seeded rung is refused on, before any block is opened: the
-# oracle's rows for C10 with ``--max-vertices 10``, and the 4,743,226
-# completions of the blocks that C9's sweep leaves (the bound for 9
-# vertices is 17,572,114).
-REFUSALS = {
-    "C10": "Leibniz expansion limited to 9 rows, got 10",
-    "C9": "minor polynomials limited to 1500000 terms, got 4743226",
-}
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "C10", "--max-vertices", "10"],
-        ["total-minor", "C10", "--target", "laplacian", "--mode", "det", "--max-vertices", "10"],
-        ["charpoly", "C9", "--matrix", "laplacian", "--mode", "det", "--multivariate"],
-        ["charpoly", "C9", "--matrix", "laplacian", "--mode", "det", "--multivariate", "--json"],
-    ],
-)
-def test_catalog_commands_refuse_c10_on_the_oracle_rows(tmp_path, argv):
-    # ``argv`` names its input rung in place of a path.
-    src = tmp_path / f"{argv[1]}.json"
-    src.write_text(dumps_oriented(rung(argv[1][0], int(argv[1][1:]))))
+def refusal_under_the_cap(tmp_path, og, argv) -> str:
+    """Run ``argv`` on ``og`` as CAPPED_MAIN; require exit 2 in under 1 s, return stderr."""
+    src = tmp_path / "input.json"
+    src.write_text(dumps_oriented(og))
     source = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", CAPPED_MAIN, argv[0], str(src), *argv[2:]],
+        [sys.executable, "-c", CAPPED_MAIN, argv[0], str(src), *argv[1:]],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert done.returncode == 2
-    assert done.stderr == f"resource limit: {REFUSALS[argv[1]]}\n"
     assert float(done.stdout) < 1.0
+    return done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["total-minor", "--target", "laplacian", "--mode", "det"]]
+)
+def test_catalog_commands_refuse_c10_on_the_oracle_rows(tmp_path, argv):
+    # The oracle refuses C10's 10 rows before the sweep weighs any figure.
+    err = refusal_under_the_cap(tmp_path, rung("C", 10), [*argv, "--max-vertices", "10"])
+    assert err == "resource limit: Leibniz expansion limited to 9 rows, got 10\n"
+
+
+@pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+def test_charpoly_multivariate_refuses_c9_on_the_term_count(tmp_path, output):
+    # C9's sweep leaves blocks with 4,743,226 completions (the bound for
+    # 9 vertices is 17,572,114), refused before any block is opened.
+    argv = ["charpoly", "--matrix", "laplacian", "--mode", "det", "--multivariate", *output]
+    err = refusal_under_the_cap(tmp_path, rung("C", 9), argv)
+    assert err == "resource limit: minor polynomials limited to 1500000 terms, got 4743226\n"
 
 
 def test_guard_flags_only_where_they_are_read(capsys):

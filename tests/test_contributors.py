@@ -306,6 +306,24 @@ def test_minor_catalog_refuses_k8_from_the_term_count(monkeypatch):
         oracle_equivalence(og)
 
 
+def test_k8_catalog_builds_and_refuses_its_families(monkeypatch):
+    # Seeded K8's 1,441,729 completions fit MAX_TERMS, so its catalog
+    # passes every guard (each block is opened as its key, the real
+    # opening takes a second); its 88,929,169 families do not fit the
+    # enumeration guard, which reads their count before any is built.
+    monkeypatch.setattr(contributors, "_open_block", lambda n, key, table: key)
+    catalog = minor_catalog(complete_graph(8, seed=2019).structure)
+    assert len(catalog.blocks) == 12870
+
+    def never(*args, **kwargs):
+        raise AssertionError("families enumerated past the guard")
+
+    monkeypatch.setattr(contributors, "step_families", never)
+    message = "minor catalog limited to 1000000 families, got 88929169"
+    with pytest.raises(ResourceLimitError, match=message):
+        catalog.families
+
+
 @settings(max_examples=60, deadline=None)
 @given(option_maps(), st.data())
 def test_step_families_match_generator_reference(options, data):
