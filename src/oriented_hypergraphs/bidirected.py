@@ -12,11 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import limits
 from .core import IncidenceHypergraph, LazySequence, OrientedHypergraph
 from .errors import DomainError, InvariantError
+from .jsonio import dumps_oriented
 from .contributors import (
     MinorClass,
     OneStep,
@@ -48,6 +49,12 @@ def as_bidirected(og: OrientedHypergraph) -> BidirectedGraph:
     return BidirectedGraph(og)
 
 
+def _replay(bg: BidirectedGraph, roots: Iterable[str]) -> dict:
+    # The reproducer of a failed class or forest check: the graph as JSON
+    # and the roots its survivor search was given.
+    return {"input": dumps_oriented(bg.og), "roots": list(roots)}
+
+
 def _opened(g: IncidenceHypergraph, s: OneStep) -> OneStep:
     # The backstep ``s`` unpacked toward its edge's other incidence.
     on_edge = g.incidences_on_edge[s.edge]
@@ -57,12 +64,18 @@ def _opened(g: IncidenceHypergraph, s: OneStep) -> OneStep:
     return OneStep(s.tail, s.tail_incidence, s.edge, j, g.vertex_of(j))
 
 
+# Per class row, each backstep option as (its unpacked head as a row
+# position, -1 off the rows; the backstep; the unpacked step).
+ClassRows = tuple[tuple[tuple[int, OneStep, OneStep], ...], ...]
+
+
 class ActivationClass(NamedTuple):
     """A Boolean lattice of contributors under circle activation.
 
-    ``steps`` holds per row its backsteps and, in the same order, their
-    unpacked steps (one pair of tuples per row, shared by the classes of
-    one build); ``choice`` picks the class's backstep in each row.
+    ``rows`` holds per row its backstep options (see :data:`ClassRows`),
+    shared by the classes of one build; ``position`` is the class's place
+    in the product order of the options, the last row's digit fastest,
+    and ``choice`` decodes it into the backstep picked in each row.
     ``bottom`` is the all-backstep member and ``opened`` the same row
     with every backstep unpacked, both built when read.  Each cycle of
     the unpacked head map is kept as its row positions; ``generators``
@@ -71,18 +84,27 @@ class ActivationClass(NamedTuple):
     builds the members on demand.
     """
 
-    steps: tuple[tuple[Steps, Steps], ...]
-    choice: tuple[int, ...]
+    rows: ClassRows
+    position: int
     cycles: tuple[tuple[int, ...], ...]
     generators: tuple[tuple[str, ...], ...]
 
     @property
+    def choice(self) -> tuple[int, ...]:
+        k = self.position
+        digits = []
+        for row in reversed(self.rows):
+            k, d = divmod(k, len(row))
+            digits.append(d)
+        return tuple(reversed(digits))
+
+    @property
     def bottom(self) -> Steps:
-        return tuple([backsteps[k] for (backsteps, _), k in zip(self.steps, self.choice)])
+        return tuple([row[k][1] for row, k in zip(self.rows, self.choice)])
 
     @property
     def opened(self) -> Steps:
-        return tuple([unpacked[k] for (_, unpacked), k in zip(self.steps, self.choice)])
+        return tuple([row[k][2] for row, k in zip(self.rows, self.choice)])
 
     @property
     def members(self) -> "ActivationMembers":
@@ -106,11 +128,12 @@ class ActivationMembers(LazySequence):
 
     def _item(self, k: int) -> Steps:
         cls = self._cls
-        member = list(cls.bottom)
+        picked = [row[c] for row, c in zip(cls.rows, cls.choice)]
+        member = [p[1] for p in picked]
         for i, cycle in enumerate(cls.cycles):
             if k >> i & 1:
                 for j in cycle:
-                    member[j] = cls.steps[j][1][cls.choice[j]]
+                    member[j] = picked[j][2]
         return tuple(member)
 
 
@@ -124,25 +147,30 @@ def _classes(
     # before the build and then checks that the classes hold every family
     # once.  A member's heads are a permutation of the tails because the
     # bottom's are and each generator's opened steps head round the
-    # generator's own tails, which both are checked.
+    # generator's own tails, which both are checked.  A failed check
+    # raises with the graph as JSON and the vertices off ``options``,
+    # the roots of a survivor search.
     count = _family_counts(options)[-1]
     limits.check(count, max_count, "activation classes", "members")
     g = bg.og.structure
     tails = tuple(options)
     row_of = {v: k for k, v in enumerate(tails)}
-    # Per row: each backstep option's unpacked head as a row position (-1
-    # off the rows), the backstep and the unpacked step.
+
+    def failed(message: str) -> InvariantError:
+        roots = [v for v in g.vertices if v not in row_of]
+        return InvariantError(message, reproducer=_replay(bg, roots))
+
     rows = []
     for steps in options.values():
         row = []
         for s in steps:
             if s.is_backstep:
                 if s.head != s.tail:
-                    raise InvariantError("a class bottom's heads are not its tails")
+                    raise failed("a class bottom's heads are not its tails")
                 o = _opened(g, s)
                 row.append((row_of.get(o.head, -1), s, o))
-        rows.append(row)
-    steps = tuple((tuple([o[1] for o in row]), tuple([o[2] for o in row])) for row in rows)
+        rows.append(tuple(row))
+    shared = tuple(rows)
     # Each distinct cycle and cycle set once (K7: 3,906 and 8,898 in
     # 279,936 classes), a set with its generators, a getter of the heads
     # at its cycles' positions and what a permutation has there: each
@@ -153,7 +181,7 @@ def _classes(
     out = []
     new = tuple.__new__  # the class's own __new__ is one more Python call per class
     heads = itertools.product(*[[o[0] for o in row] for row in rows])
-    for f, choice in zip(heads, itertools.product(*[range(len(row)) for row in rows])):
+    for position, f in enumerate(heads):
         found = tuple(_map_cycles(f))
         entry = sets.get(found)
         if entry is None:
@@ -169,11 +197,11 @@ def _classes(
             )
         cycles, generators, get, want = entry
         if get and get(f) != want:
-            raise InvariantError("activation class member heads are not a permutation")
+            raise failed("activation class member heads are not a permutation")
         built += 1 << len(cycles)
-        out.append(new(ActivationClass, (steps, choice, cycles, generators)))
+        out.append(new(ActivationClass, (shared, position, cycles, generators)))
     if built != count:
-        raise InvariantError(f"activation classes hold {built} families, expected {count}")
+        raise failed(f"activation classes hold {built} families, expected {count}")
     return out
 
 
@@ -203,6 +231,38 @@ class Arborescence:
     assignment: tuple[tuple[str, str], ...]
 
 
+def _forest(
+    bg: BidirectedGraph,
+    roots: tuple[str, ...],
+    at: Mapping[str, int],
+    opened: Steps,
+    f: Sequence[int],
+) -> Arborescence:
+    # The forest of the unpacked steps ``opened``, one per tail (``at``
+    # maps each tail to its position), whose heads are ``f`` as tail
+    # positions (-1 off the tails) and close no cycle: each tail's parent
+    # chain ends at the head of the last step on it, off the tails, which
+    # must be a root.
+    g = bg.og.structure
+    assignment = []
+    for v in g.vertices:
+        k = at.get(v)
+        if k is None:
+            if v in roots:
+                assignment.append((v, v))
+            continue
+        while f[k] >= 0:
+            k = f[k]
+        root = opened[k].head
+        if root not in roots:
+            raise InvariantError(
+                f"chain from {v!r} drains to non-root {root!r}", reproducer=_replay(bg, roots)
+            )
+        assignment.append((v, root))
+    edge_ids = sorted((s.edge for s in opened), key=g.edge_pos.__getitem__)
+    return Arborescence(roots, tuple(edge_ids), tuple(assignment))
+
+
 def total_unpack(bg: BidirectedGraph, roots: tuple[str, ...], reduced: Steps) -> Arborescence:
     """Unfold an all-backstep survivor off the rows ``roots`` into its rooted forest.
 
@@ -213,26 +273,15 @@ def total_unpack(bg: BidirectedGraph, roots: tuple[str, ...], reduced: Steps) ->
     g = bg.og.structure
     for s in reduced:
         if not s.is_backstep:
-            raise InvariantError(f"total unpacking hit a non-backstep at {s.tail!r}")
-    pos = g.vertex_pos
-    f = [-1] * len(g.vertices)
-    for s in reduced:
-        a, b = edge_endpoints(g, s.edge)
-        f[pos[s.tail]] = pos[b if a == s.tail else a]
+            raise InvariantError(
+                f"total unpacking hit a non-backstep at {s.tail!r}", reproducer=_replay(bg, roots)
+            )
+    opened = tuple([_opened(g, s) for s in reduced])
+    at = {s.tail: k for k, s in enumerate(reduced)}
+    f = [at.get(o.head, -1) for o in opened]
     if _map_cycles(f):
-        raise InvariantError("total unpacking encountered a circle")
-    assignment = []
-    for k, v in enumerate(g.vertices):
-        w = k
-        while f[w] >= 0:
-            w = f[w]
-        root = g.vertices[w]
-        if root not in roots and f[k] >= 0:
-            raise InvariantError(f"chain from {v!r} drains to non-root {root!r}")
-        if v in roots or f[k] >= 0:
-            assignment.append((v, root))
-    edge_ids = sorted((s.edge for s in reduced), key=g.edge_pos.__getitem__)
-    return Arborescence(roots, tuple(edge_ids), tuple(assignment))
+        raise InvariantError("total unpacking encountered a circle", reproducer=_replay(bg, roots))
+    return _forest(bg, roots, at, opened, f)
 
 
 def single_element_classes(
@@ -244,7 +293,8 @@ def single_element_classes(
     their survivors biject with the k-arborescences rooted at the rows.
     Every sign is +1 or -1, so every member weighs nonzero and a class
     has one member exactly when it has no generator; its bottom is the
-    survivor.
+    survivor, unfolded (as :func:`total_unpack` does) from the class's
+    unpacked steps and head map, whose cycles the class build has found.
     """
     n = len(bg.og.vertices)
     limits.check(n, limits.MAX_MINOR_VERTICES, "single-element class search", "vertices")
@@ -260,11 +310,14 @@ def single_element_classes(
         for v in g.vertices
         if v not in mc.u
     }
+    at = {v: k for k, v in enumerate(options)}
     out = []
     for a in _classes(bg, options, limits.MAX_CONTRIBUTORS):
         if not a.cycles:
-            survivor = a.bottom
-            out.append((survivor, total_unpack(bg, mc.u, survivor)))
+            picked = [row[k] for row, k in zip(a.rows, a.choice)]
+            opened = tuple([p[2] for p in picked])
+            forest = _forest(bg, mc.u, at, opened, [p[0] for p in picked])
+            out.append((tuple([p[1] for p in picked]), forest))
     return out
 
 

@@ -48,6 +48,7 @@ sum against the matrix.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
@@ -55,7 +56,7 @@ from operator import itemgetter, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import limits
-from .core import IncidenceHypergraph, OrientedHypergraph, require_valid
+from .core import IncidenceHypergraph, LazySequence, OrientedHypergraph, require_valid
 from .errors import DomainError, InvariantError
 from .jsonio import dumps_oriented
 from .matrices import (
@@ -158,37 +159,79 @@ def _all_steps(
     return {v: vertex_steps(g, v, strong_only=strong_only) for v in g.vertices}
 
 
+class Figures(LazySequence):
+    """Step families as an exact, read-only sequence of step tuples.
+
+    The enumerator writes each figure as the step indices of its
+    ``width`` tails, in tail order, into one flat array over its step
+    ``table``; a skipped tail holds ``len(table)``.  The array's typecode
+    is the narrowest that holds those indices.  With no tail there is
+    one figure, the empty one.  Item k is built as a tuple of the
+    table's steps, in tail order, when it is read.
+    """
+
+    def __init__(self, table: Steps, width: int, flat: array) -> None:
+        self._table = table
+        self._width = width
+        self._flat = flat
+
+    def __len__(self) -> int:
+        return len(self._flat) // self._width if self._width else 1
+
+    def _item(self, k: int) -> Steps:
+        table, skip = self._table, len(self._table)
+        start = k * self._width
+        return tuple([table[i] for i in self._flat[start : start + self._width] if i != skip])
+
+
 def step_families(
     options: Mapping[str, Sequence[OneStep]], *, spanning: bool = False
-) -> list[Steps]:
-    """Every step family drawn from ``options``, as a list of step tuples.
+) -> Figures:
+    """Every step family drawn from ``options``, as a :class:`Figures` sequence.
 
     ``options`` maps each tail vertex, in order, to the steps it may take.
     Each tail is either skipped or given one of its steps to a head not
     used yet, skipping first.  ``spanning`` forbids skipping, so every
     tail gets a step.  The search is depth-first over integer rows, each
-    step resolved once into its head bit.
+    step resolved once into its head bit and its index in the table of
+    every step of ``options``; it runs in full here, and only the reads
+    of the returned sequence build step tuples.
     """
+    table = tuple(s for steps in options.values() for s in steps)
     bits = {v: 1 << k for k, v in enumerate(options)}
+    index = itertools.count()
     rows = [
-        [(bits.setdefault(s.head, 1 << len(bits)), s) for s in steps] for steps in options.values()
+        [(bits.setdefault(s.head, 1 << len(bits)), next(index)) for s in steps]
+        for steps in options.values()
     ]
-    out: list[Steps] = []
-    path: list[OneStep] = []
+    skip = len(table)
+    # The narrowest typecode whose items hold every index and ``skip``.
+    flat = array(next(c for c in "BHILQ" if skip < 1 << 8 * array(c).itemsize))
+    path = [skip] * len(rows)
+    last = len(rows) - 1
 
     def extend(k: int, heads: int) -> None:
-        if k == len(rows):
-            return out.append(tuple(path))
-        if not spanning:
-            extend(k + 1, heads)
-        for bit, step in rows[k]:
-            if not heads & bit:
-                path.append(step)
-                extend(k + 1, heads | bit)
-                path.pop()
+        # Row k takes each of its steps to a free head (after a skip,
+        # unless spanning); the last row writes its figures in place.
+        if k == last:
+            if not spanning:
+                flat.fromlist(path)
+            for bit, i in rows[k]:
+                if not heads & bit:
+                    path[k] = i
+                    flat.fromlist(path)
+        else:
+            if not spanning:
+                extend(k + 1, heads)
+            for bit, i in rows[k]:
+                if not heads & bit:
+                    path[k] = i
+                    extend(k + 1, heads | bit)
+        path[k] = skip
 
-    extend(0, 0)
-    return out
+    if rows:
+        extend(0, 0)
+    return Figures(table, len(rows), flat)
 
 
 def _steps_between(options: Mapping[str, Sequence[OneStep]]) -> list[list[list[OneStep]]]:
@@ -288,16 +331,28 @@ def _cover_sums(pieces: Mapping[int, int], n: int) -> list[int]:
 
 
 def _contributors_from(
-    options: Mapping[str, Sequence[OneStep]], max_vertices: int, max_count: int
-) -> list[Steps]:
+    og: OrientedHypergraph,
+    options: Mapping[str, Sequence[OneStep]],
+    max_vertices: int,
+    max_count: int,
+    replay: dict,
+) -> Figures:
     # Guard on the vertex count, then on the exact count, before any
-    # contributor is built; a zero count skips the dead-end search.
+    # contributor is enumerated; a zero count skips the dead-end search.
+    # The search must then find exactly that many; a miss raises with
+    # ``og`` as JSON and the ``replay`` arguments that chose ``options``.
     limits.check(len(options), max_vertices, "contributor enumeration", "vertices")
     count = _family_counts(options)[-1]
     limits.check(count, max_count, "contributor enumeration", "contributors")
     if not count:
-        return []
-    return step_families(options, spanning=True)
+        return Figures((), len(options), array("B"))
+    figures = step_families(options, spanning=True)
+    if len(figures) != count:
+        raise InvariantError(
+            f"contributor enumeration found {len(figures)} contributors, expected {count}",
+            reproducer={"input": dumps_oriented(og), **replay},
+        )
+    return figures
 
 
 def enumerate_contributors(
@@ -306,14 +361,20 @@ def enumerate_contributors(
     strong_only: bool = False,
     max_vertices: int = limits.MAX_CONTRIBUTOR_VERTICES,
     max_count: int = limits.MAX_CONTRIBUTORS,
-) -> list[Steps]:
-    """Every contributor of ``og``, in :func:`step_families` order.
+) -> Figures:
+    """Every contributor of ``og``, as :func:`step_families` gives them.
 
     The exact count is computed first, so more than ``max_count``
-    contributors raise :class:`ResourceLimitError` before any is built.
+    contributors raise :class:`ResourceLimitError` before any is
+    enumerated.  The contributors come as :class:`Figures`, an exact,
+    read-only sequence whose step tuples are built when read.
     """
     return _contributors_from(
-        _all_steps(og.structure, strong_only=strong_only), max_vertices, max_count
+        og,
+        _all_steps(og.structure, strong_only=strong_only),
+        max_vertices,
+        max_count,
+        {"strong_only": strong_only},
     )
 
 
@@ -425,18 +486,20 @@ def class_contributors(
     strong_only: bool = False,
     max_vertices: int = limits.MAX_CONTRIBUTOR_VERTICES,
     max_count: int = limits.MAX_CONTRIBUTORS,
-) -> list[Steps]:
+) -> Figures:
     """Contributors whose step at each u_i heads to the matching w_i.
 
     Each class row keeps only its steps to w_i, so the exact count (and
-    the ``max_count`` guard) covers the class members alone.
+    the ``max_count`` guard) covers the class members alone.  They come
+    as :class:`Figures`, as from :func:`enumerate_contributors`.
     """
     options = _all_steps(og.structure, strong_only=strong_only)
     for u, w in cls.pairs():
         if u not in options:
             raise DomainError(f"no step tailed at {u!r}")
         options[u] = tuple(s for s in options[u] if s.head == w)
-    return _contributors_from(options, max_vertices, max_count)
+    replay = {"strong_only": strong_only, "class": {"rows": list(cls.u), "columns": list(cls.w)}}
+    return _contributors_from(og, options, max_vertices, max_count, replay)
 
 
 def reduce_contributor(c: Steps, cls: MinorClass) -> Steps:

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import re
 import runpy
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -28,6 +30,20 @@ BENCH_INPUTS = runpy.run_path(str(FIXTURE_DIR.parent / "perfbench" / "inputs.py"
 def rung(family: str, n: int, seed: int = 2019) -> OrientedHypergraph:
     """A size-ladder rung of the benchmark, seeded as it is there by default."""
     return loads_oriented(BENCH_INPUTS["rung_text"](family, n, seed))
+
+
+def _traced(call):
+    # What ``call`` leaves allocated and its peak, both above what was
+    # traced before it.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return size - before, peak - before
 
 
 # The step-family engine as it was before integer rows, kept as the

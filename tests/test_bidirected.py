@@ -1,12 +1,13 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_blocks_match_reference, rung, triangle
-from oriented_hypergraphs import limits
+from conftest import _traced, assert_blocks_match_reference, rung, triangle
+from oriented_hypergraphs import bidirected, limits
 from oriented_hypergraphs.bidirected import (
     Arborescence,
     BidirectedGraph,
@@ -27,8 +28,9 @@ from oriented_hypergraphs.contributors import (
     vertex_steps,
 )
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
-from oriented_hypergraphs.corpus import bidirected_corpus, graph_structure
+from oriented_hypergraphs.corpus import bidirected_corpus, graph_structure, structure_corpus
 from oriented_hypergraphs.errors import DomainError, InvariantError, ResourceLimitError
+from oriented_hypergraphs.jsonio import loads_oriented
 from oriented_hypergraphs.matrices import graph_orientation
 
 
@@ -243,11 +245,18 @@ def test_arborescence_count_matches_minor_coefficient():
     assert abs(poly.coefficient([("v1", "v1"), ("v2", "v2")])) == 2
 
 
+def _assert_replays(info, bg, roots):
+    reproducer = info.value.reproducer
+    assert loads_oriented(reproducer["input"]) == bg.og
+    assert reproducer["roots"] == list(roots)
+
+
 def test_total_unpack_refuses_open_steps():
     bg = k3()
     strong = enumerate_contributors(bg.og, strong_only=True)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="non-backstep") as info:
         total_unpack(bg, (), strong[0])
+    _assert_replays(info, bg, ())
 
 
 def test_single_element_classes_refuse_off_diagonal_classes():
@@ -540,3 +549,84 @@ def test_activation_members_are_the_doubling_order(bg):
         assert repr(members) == f"ActivationMembers({list(want)!r})"
         with pytest.raises(IndexError):
             members[len(want)]
+
+
+def test_classes_and_survivors_match_references_on_the_corpus():
+    # The two-incidence structures of criterion 3's corpus under
+    # seed-drawn +-1 signs, with no root, one root and two roots.
+    rng = random.Random(3)
+    for g in structure_corpus():
+        if any(len(g.incidences_on_edge[e]) != 2 for e in g.edges):
+            continue
+        signs = {i.id: rng.choice((1, -1)) for i in g.incidences}
+        bg = as_bidirected(OrientedHypergraph.build(g, signs))
+        options = full_options(bg)
+        built = _classes(bg, options, limits.MAX_CONTRIBUTORS)
+        assert [(a.bottom, a.opened, a.generators) for a in built] == classes_reference(bg, options)
+        for k in range(min(2, len(g.vertices)) + 1):
+            for roots in itertools.combinations(g.vertices, k):
+                cls = MinorClass.build(bg.og, roots, roots)
+                assert single_element_classes(bg, cls) == single_element_reference(bg, roots)
+
+
+def test_a_class_holds_its_position_not_a_choice():
+    # Seeded K6: 15,625 classes, each one int into the shared option rows
+    # (2,496,536 B held); with a choice tuple per class they held
+    # 3,442,608 B.
+    bg = as_bidirected(rung("K", 6))
+    held = []
+    size, _ = _traced(lambda: held.append(activation_classes(bg)))
+    classes = held[0]
+    assert len(classes) == 15625
+    assert [a.position for a in classes] == list(range(15625))
+    assert len({id(a.rows) for a in classes}) == 1
+    assert classes[-1].choice == (4,) * 6 and classes[7].choice == (0, 0, 0, 0, 1, 2)
+    assert size <= 180 * 15625
+
+
+def test_class_checks_carry_reproducers(monkeypatch):
+    bg = k3()
+    # Backsteps whose heads are the next vertex, not their tails.
+    steps = bidirected.vertex_steps
+    after = {"v1": "v2", "v2": "v3", "v3": "v1"}
+
+    def misheaded(g, v):
+        return tuple(replace(s, head=after[v]) if s.is_backstep else s for s in steps(g, v))
+
+    monkeypatch.setattr(bidirected, "vertex_steps", misheaded)
+    with pytest.raises(InvariantError, match="heads are not its tails") as info:
+        activation_classes(bg)
+    _assert_replays(info, bg, ())
+    monkeypatch.undo()
+    # Cycles that the unpacked heads do not follow.
+    monkeypatch.setattr(bidirected, "_map_cycles", lambda f: [tuple(range(len(f)))])
+    with pytest.raises(InvariantError, match="not a permutation") as info:
+        single_element_classes(bg, MinorClass.build(bg.og, ("v2",), ("v2",)))
+    _assert_replays(info, bg, ("v2",))
+    monkeypatch.undo()
+    # A family count the classes do not hold.
+    counts = bidirected._family_counts
+
+    def one_more(options):
+        out = counts(options)
+        out[-1] += 1
+        return out
+
+    monkeypatch.setattr(bidirected, "_family_counts", one_more)
+    with pytest.raises(InvariantError, match="hold 16 families, expected 17") as info:
+        activation_classes(bg)
+    _assert_replays(info, bg, ())
+
+
+def test_total_unpack_refuses_circles_and_non_roots():
+    bg = k3()
+    g = bg.og.structure
+    back = {v: next(s for s in vertex_steps(g, v) if s.is_backstep) for v in g.vertices}
+    # v1 and v2 open onto each other over e12.
+    with pytest.raises(InvariantError, match="circle") as info:
+        total_unpack(bg, ("v3",), (back["v1"], back["v2"]))
+    _assert_replays(info, bg, ("v3",))
+    # v2 opens onto v1 over e12, and v1 is neither a root nor unfolded.
+    with pytest.raises(InvariantError, match="drains to non-root 'v1'") as info:
+        total_unpack(bg, ("v3",), (back["v2"],))
+    _assert_replays(info, bg, ("v3",))

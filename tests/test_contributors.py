@@ -1,10 +1,8 @@
-import gc
 import itertools
 import math
 import random
 import sys
 import time
-import tracemalloc
 from unittest import mock
 
 import pytest
@@ -20,10 +18,12 @@ from conftest import (
     small_oriented,
     step_families_reference,
     triangle,
+    _traced,
 )
 from oriented_hypergraphs import contributors, limits
 from oriented_hypergraphs.contributors import (
     COMBOS,
+    Figures,
     MinorClass,
     OneStep,
     class_contributors,
@@ -359,6 +359,107 @@ def test_contributors_match_generator_reference_on_rungs(n, count):
     assert got == list(step_families_reference(_all_steps(og.structure), spanning=True))
 
 
+def _class_reference(everything, cls):
+    # The contributors, in order, whose step at each class row heads to its column.
+    return [
+        c for c in everything if all(dict((s.tail, s.head) for s in c)[u] == w for u, w in cls.pairs())
+    ]
+
+
+def assert_figures_match_reference(og):
+    # The three enumerators against the nested-generator reference, in
+    # order: every family and every spanning one, every contributor, and
+    # the class members of each single (row, column) pair and of the
+    # diagonal on the first two vertices.
+    options = _all_steps(og.structure)
+    for spanning in (False, True):
+        assert step_families(options, spanning=spanning) == list(
+            step_families_reference(options, spanning=spanning)
+        )
+    everything = list(step_families_reference(options, spanning=True))
+    assert enumerate_contributors(og) == everything
+    strong = list(step_families_reference(_all_steps(og.structure, strong_only=True), spanning=True))
+    assert enumerate_contributors(og, strong_only=True) == strong
+    vertices = og.vertices
+    classes = [MinorClass((u,), (w,)) for u in vertices for w in vertices]
+    classes.append(MinorClass(tuple(vertices[:2]), tuple(vertices[:2])))
+    for cls in classes:
+        assert class_contributors(og, cls) == _class_reference(everything, cls)
+
+
+def test_figures_match_the_generator_reference_on_the_corpus():
+    # Criterion 3's corpus; enumeration reads no sign.
+    for g in structure_corpus():
+        assert_figures_match_reference(OrientedHypergraph.build(g))
+
+
+@pytest.mark.parametrize("family, n", [("K", 5), ("C", 6), ("B", 5)])
+def test_figures_match_the_generator_reference_on_rungs(family, n):
+    assert_figures_match_reference(rung(family, n))
+
+
+def test_figures_are_a_lazy_sequence():
+    og = rung("K", 4)
+    figures = enumerate_contributors(og)
+    want = list(step_families_reference(_all_steps(og.structure), spanning=True))
+    assert len(figures) == len(want) == 168
+    assert type(figures) is Figures and isinstance(figures[0], tuple)
+    assert figures == want and want == figures and tuple(figures) == tuple(want)
+    assert [figures[k] for k in range(-len(want), 0)] == want
+    assert figures[1::3] == want[1::3] and figures[::-1] == want[::-1]
+    assert repr(figures) == f"Figures({want!r})"
+    with pytest.raises(IndexError):
+        figures[len(want)]
+    with pytest.raises(IndexError):
+        figures[-len(want) - 1]
+    # A skipped tail is left out of its family.
+    families = step_families(_all_steps(og.structure))
+    assert families[0] == () and families[-1] == want[-1]
+    assert step_families({}) == step_families({}, spanning=True) == [()]
+
+
+def test_figures_hold_a_few_bytes_each():
+    # Seeded K6: 34,960 contributors held as 6 one-byte step indices each
+    # (233,211 B); as tuples of shared OneStep objects they held
+    # 3,409,384 B.
+    og = rung("K", 6)
+    held = []
+    size, _ = _traced(lambda: held.append(enumerate_contributors(og)))
+    assert len(held[0]) == 34960
+    assert size <= 10 * 34960
+
+
+@pytest.mark.parametrize(
+    "call, replay",
+    [
+        (lambda og: enumerate_contributors(og), {"strong_only": False}),
+        (lambda og: enumerate_contributors(og, strong_only=True), {"strong_only": True}),
+        (
+            lambda og: class_contributors(og, MinorClass(("v1",), ("v2",))),
+            {"strong_only": False, "class": {"rows": ["v1"], "columns": ["v2"]}},
+        ),
+    ],
+    ids=["all", "strong", "class"],
+)
+def test_contributor_count_self_check_carries_a_reproducer(monkeypatch, call, replay):
+    # The search must find the exact count; one more in the count than
+    # the search finds raises with the structure and the arguments.
+    og = complete_graph(4, seed=4)
+    counts = contributors._family_counts
+
+    def one_more(options):
+        out = counts(options)
+        out[-1] += 1
+        return out
+
+    monkeypatch.setattr(contributors, "_family_counts", one_more)
+    with pytest.raises(InvariantError, match="found [0-9]+ contributors, expected") as info:
+        call(og)
+    reproducer = info.value.reproducer
+    assert loads_oriented(reproducer.pop("input")) == og
+    assert reproducer == replay
+
+
 def _pass_polys(structure, signs):
     return _one_pass(structure, _counted_rows(structure, limits.MAX_MINOR_VERTICES), signs)
 
@@ -431,20 +532,6 @@ def test_one_shot_answers_check_the_oracle_rows_before_the_walk(monkeypatch):
         total_minor_poly(og, "laplacian", "det")
     with pytest.raises(ResourceLimitError, match=message):
         oracle_equivalence(og)
-
-
-def _traced(call):
-    # What ``call`` leaves allocated and its peak, both above what was
-    # traced before it.
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        call()
-        size, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return size - before, peak - before
 
 
 @pytest.mark.parametrize("family, n", [("C", 6), ("K", 5)])

@@ -115,6 +115,22 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_no_module_imports_gc():
+    # The library keeps its figures few in objects rather than pausing
+    # the cyclic collector.
+    importing = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            importing += [(path.name, node.lineno) for name in names if name == "gc"]
+    assert importing == []
+
+
 def _raises_resource_limit(node):
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return isinstance(exc, ast.Name) and exc.id == "ResourceLimitError"
