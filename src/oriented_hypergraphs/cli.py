@@ -28,7 +28,7 @@ from .contributors import (
     total_minor_poly,
     univariate_from_contributors,
 )
-from .core import subhypergraph
+from .core import SORTS, subhypergraph
 from .errors import DomainError, InvariantError, ResourceLimitError
 from .jsonio import load_oriented_file
 from .matrices import (
@@ -227,20 +227,12 @@ def cmd_classify(og, args) -> tuple[list[str], dict[str, Any]]:
         _csv(args.incidences, "--incidences"),
     )
     chi = classify(k)
-    sections = [
-        ("vertex map", g.vertices, chi.vertex_map),
-        ("edge map", g.edges, chi.edge_map),
-        ("incidence map", [i.id for i in g.incidences], chi.incidence_map),
-    ]
     lines = []
-    for title, order, mapping in sections:
-        lines.append(f"{title}:")
-        lines.extend(f"  {x} -> {mapping[x]}" for x in order)
-    payload = {
-        "vertex_map": dict(chi.vertex_map),
-        "edge_map": dict(chi.edge_map),
-        "incidence_map": dict(chi.incidence_map),
-    }
+    payload = {}
+    for sort, ids, mapping in zip(SORTS, g.ids, chi.maps):
+        lines.append(f"{sort} map:")
+        lines.extend(f"  {x} -> {mapping[x]}" for x in ids)
+        payload[f"{sort}_map"] = dict(mapping)
     return lines, payload
 
 

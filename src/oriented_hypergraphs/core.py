@@ -13,6 +13,7 @@ repeated runs produce identical output.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ __all__ = [
     "HomSet",
     "Subhypergraph",
     "ProductResult",
+    "SORTS",
     "validate",
     "validate_homomorphism",
     "identity_homomorphism",
@@ -45,6 +47,11 @@ __all__ = [
 ]
 
 
+# The three sorts of the span V <- I -> E, in the order every per-sort
+# tuple below uses: ``IncidenceHypergraph.ids`` and ``Homomorphism.maps``.
+SORTS = ("vertex", "edge", "incidence")
+
+
 @dataclass(frozen=True)
 class Incidence:
     """One attachment of a vertex to an edge."""
@@ -52,6 +59,11 @@ class Incidence:
     id: str
     vertex: str
     edge: str
+
+    @property
+    def feet(self) -> tuple[str, str]:
+        """Where the incidence attaches: its vertex, then its edge."""
+        return (self.vertex, self.edge)
 
 
 @dataclass(frozen=True)
@@ -72,6 +84,11 @@ class IncidenceHypergraph:
             tuple(edges),
             tuple(Incidence(i, v, e) for i, v, e in incidences),
         )
+
+    @cached_property
+    def ids(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+        """The vertex, edge and incidence ids, one tuple per sort."""
+        return (self.vertices, self.edges, tuple(i.id for i in self.incidences))
 
     # Lookup tables are cached per instance; they assume the structure is
     # valid (see validate).  OrientedHypergraph.build and minor_catalog
@@ -233,33 +250,29 @@ class Homomorphism:
     edge_map: dict[str, str]
     incidence_map: dict[str, str]
 
+    @property
+    def maps(self) -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
+        """The vertex, edge and incidence maps, one per sort."""
+        return (self.vertex_map, self.edge_map, self.incidence_map)
+
 
 def validate_homomorphism(h: Homomorphism) -> ValidationReport:
     problems: list[str] = []
     src, dst = h.source, h.target
-    for v in src.vertices:
-        if v not in h.vertex_map:
-            problems.append(f"vertex map undefined on {v!r}")
-        elif h.vertex_map[v] not in dst.vertex_pos:
-            problems.append(f"vertex map sends {v!r} outside the target")
-    for e in src.edges:
-        if e not in h.edge_map:
-            problems.append(f"edge map undefined on {e!r}")
-        elif h.edge_map[e] not in dst.edge_pos:
-            problems.append(f"edge map sends {e!r} outside the target")
-    for i in src.incidences:
-        if i.id not in h.incidence_map:
-            problems.append(f"incidence map undefined on {i.id!r}")
-            continue
-        ti = h.incidence_map[i.id]
-        if ti not in dst.incidence_pos:
-            problems.append(f"incidence map sends {i.id!r} outside the target")
-            continue
-        image = dst.incidence_by_id[ti]
-        if i.vertex in h.vertex_map and image.vertex != h.vertex_map[i.vertex]:
-            problems.append(f"incidence {i.id!r} breaks the vertex attachment square")
-        if i.edge in h.edge_map and image.edge != h.edge_map[i.edge]:
-            problems.append(f"incidence {i.id!r} breaks the edge attachment square")
+    target_pos = (dst.vertex_pos, dst.edge_pos, dst.incidence_pos)
+    for sort, ids, m, targets in zip(SORTS, src.ids, h.maps, target_pos):
+        for k, x in enumerate(ids):
+            if x not in m:
+                problems.append(f"{sort} map undefined on {x!r}")
+            elif m[x] not in targets:
+                problems.append(f"{sort} map sends {x!r} outside the target")
+            elif sort == "incidence":
+                image = dst.incidence_by_id[m[x]]
+                for side, foot, image_foot, foot_map in zip(
+                    SORTS, src.incidences[k].feet, image.feet, h.maps
+                ):
+                    if foot in foot_map and image_foot != foot_map[foot]:
+                        problems.append(f"incidence {x!r} breaks the {side} attachment square")
     return ValidationReport(tuple(problems))
 
 
@@ -384,11 +397,11 @@ def product(g: IncidenceHypergraph, h: IncidenceHypergraph) -> ProductResult:
     Incidence pairs attach to the pair of their coordinate attachments,
     so |I| of the product is |I(g)| * |I(h)|.
     """
-    vertex_pairs = {(a, b): pair_id(a, b) for a in g.vertices for b in h.vertices}
-    edge_pairs = {(a, b): pair_id(a, b) for a in g.edges for b in h.edges}
-    incidence_pairs = {
-        (i.id, j.id): pair_id(i.id, j.id) for i in g.incidences for j in h.incidences
-    }
+    pairs = [
+        {(a, b): pair_id(a, b) for a in g_ids for b in h_ids}
+        for g_ids, h_ids in zip(g.ids, h.ids)
+    ]
+    vertex_pairs, edge_pairs, incidence_pairs = pairs
     incidences = tuple(
         Incidence(
             incidence_pairs[(i.id, j.id)],
@@ -401,21 +414,11 @@ def product(g: IncidenceHypergraph, h: IncidenceHypergraph) -> ProductResult:
     prod = IncidenceHypergraph(
         tuple(vertex_pairs.values()), tuple(edge_pairs.values()), incidences
     )
-    proj_l = Homomorphism(
-        prod,
-        g,
-        {pid: a for (a, _b), pid in vertex_pairs.items()},
-        {pid: a for (a, _b), pid in edge_pairs.items()},
-        {pid: a for (a, _b), pid in incidence_pairs.items()},
-    )
-    proj_r = Homomorphism(
-        prod,
-        h,
-        {pid: b for (_a, b), pid in vertex_pairs.items()},
-        {pid: b for (_a, b), pid in edge_pairs.items()},
-        {pid: b for (_a, b), pid in incidence_pairs.items()},
-    )
-    return ProductResult(prod, g, h, proj_l, proj_r, vertex_pairs, edge_pairs, incidence_pairs)
+    projections = []
+    for side, factor in enumerate((g, h)):
+        maps = [{pid: pair[side] for pair, pid in table.items()} for table in pairs]
+        projections.append(Homomorphism(prod, factor, *maps))
+    return ProductResult(prod, g, h, *projections, *pairs)
 
 
 def _hom_search_bound(g: IncidenceHypergraph, h: IncidenceHypergraph) -> int:
@@ -484,16 +487,17 @@ class HomSet(LazySequence):
         self.target = target
         # Every vertex and edge that carries an incidence, with the index
         # of its first incidence: that incidence's image pins its image.
-        self._pinned_vertices: dict[str, int] = {}
-        self._pinned_edges: dict[str, int] = {}
+        pinned: tuple[dict[str, int], dict[str, int]] = ({}, {})
         for k, i in enumerate(source.incidences):
-            self._pinned_vertices.setdefault(i.vertex, k)
-            self._pinned_edges.setdefault(i.edge, k)
-        self._free_vertices = [v for v in source.vertices if v not in self._pinned_vertices]
-        self._free_edges = [e for e in source.edges if e not in self._pinned_edges]
-        self._per_leaf = len(target.vertices) ** len(self._free_vertices) * len(
-            target.edges
-        ) ** len(self._free_edges)
+            for table, foot in zip(pinned, i.feet):
+                table.setdefault(foot, k)
+        self._pinned_vertices, self._pinned_edges = pinned
+        self._free = [
+            [x for x in ids if x not in table] for ids, table in zip(source.ids, pinned)
+        ]
+        self._per_leaf = math.prod(
+            len(images) ** len(free) for images, free in zip(target.ids, self._free)
+        )
         self._leaves = self._search()
 
     def _search(self) -> list[tuple[Incidence, ...]]:
@@ -543,21 +547,21 @@ class HomSet(LazySequence):
         leaf_k, rest = divmod(k, self._per_leaf)
         leaf = self._leaves[leaf_k]
         h = self.target
-        # Digits from the last (fastest) one back.
-        edge_digits = []
-        for _ in self._free_edges:
-            rest, d = divmod(rest, len(h.edges))
-            edge_digits.append(h.edges[d])
-        vertex_digits = []
-        for _ in self._free_vertices:
-            rest, d = divmod(rest, len(h.vertices))
-            vertex_digits.append(h.vertices[d])
-        vertex_map = {v: leaf[at].vertex for v, at in self._pinned_vertices.items()}
-        vertex_map.update(zip(self._free_vertices, reversed(vertex_digits)))
-        edge_map = {e: leaf[at].edge for e, at in self._pinned_edges.items()}
-        edge_map.update(zip(self._free_edges, reversed(edge_digits)))
+        pinned = (self._pinned_vertices, self._pinned_edges)
+        maps = [
+            {x: leaf[at].feet[side] for x, at in table.items()} for side, table in enumerate(pinned)
+        ]
+        # Digits from the last (fastest) one back: free edges, then free
+        # vertices.
+        for side in (1, 0):
+            images = h.ids[side]
+            digits = []
+            for _ in self._free[side]:
+                rest, d = divmod(rest, len(images))
+                digits.append(images[d])
+            maps[side].update(zip(self._free[side], reversed(digits)))
         incidence_map = {i.id: j.id for i, j in zip(self.source.incidences, leaf)}
-        return Homomorphism(self.source, h, vertex_map, edge_map, incidence_map)
+        return Homomorphism(self.source, h, *maps, incidence_map)
 
 
 def enumerate_homomorphisms(g: IncidenceHypergraph, h: IncidenceHypergraph) -> HomSet:

@@ -106,13 +106,7 @@ def tilde(g: IncidenceHypergraph) -> TildeResult:
             incidences.append((iid, v, e))
             k += 1
     ext = IncidenceHypergraph.build(vertices, edges, incidences)
-    eta = Homomorphism(
-        g,
-        ext,
-        {v: true_id(v) for v in g.vertices},
-        {e: true_id(e) for e in g.edges},
-        {i.id: true_id(i.id) for i in g.incidences},
-    )
+    eta = Homomorphism(g, ext, *[{x: true_id(x) for x in ids} for ids in g.ids])
     return TildeResult(ext, eta, false_incidence)
 
 
@@ -325,12 +319,8 @@ def subset_id(g_order: tuple[str, ...], chosen: Iterable[str]) -> str:
 
 
 def member_id(k: Subhypergraph) -> str:
-    p = k.parent
-    return (
-        subset_id(p.vertices, k.vertex_ids)
-        + subset_id(p.edges, k.edge_ids)
-        + subset_id(tuple(i.id for i in p.incidences), k.incidence_ids)
-    )
+    chosen = (k.vertex_ids, k.edge_ids, k.incidence_ids)
+    return "".join(subset_id(ids, c) for ids, c in zip(k.parent.ids, chosen))
 
 
 @dataclass(frozen=True)
@@ -404,37 +394,23 @@ def power_transpose(prod: ProductResult, phi: Homomorphism) -> Homomorphism:
         raise DomainError("phi must be defined on the given product")
     g, k = prod.left, prod.right
     pwr = power(g)
-    vmap = {}
-    v_true: dict[str, frozenset] = {}
-    for v in k.vertices:
-        s = frozenset(
-            w
-            for w in g.vertices
-            if phi.vertex_map[prod.vertex_pairs[(w, v)]] == omega.true_vertex
+    pair_ids = (prod.vertex_pairs, prod.edge_pairs, prod.incidence_pairs)
+    truths = (omega.true_vertex, omega.true_edge, omega.true_incidence)
+    # Per sort, each element of k -> the elements of g it pairs with truly.
+    partners = []
+    for g_ids, k_ids, pairs, m, truth in zip(g.ids, k.ids, pair_ids, phi.maps, truths):
+        partners.append(
+            {y: frozenset(x for x in g_ids if m[pairs[x, y]] == truth) for y in k_ids}
         )
-        v_true[v] = s
-        vmap[v] = pwr.vertex_subset_ids[s]
-    emap = {}
-    e_true: dict[str, frozenset] = {}
-    for e in k.edges:
-        t = frozenset(
-            f
-            for f in g.edges
-            if phi.edge_map[prod.edge_pairs[(f, e)]] == omega.true_edge
-        )
-        e_true[e] = t
-        emap[e] = pwr.edge_subset_ids[t]
+    v_true, e_true, i_true = partners
+    maps = []
+    for chosen, subset_ids in zip(partners, (pwr.vertex_subset_ids, pwr.edge_subset_ids)):
+        maps.append({y: subset_ids[s] for y, s in chosen.items()})
     imap = {}
     for i in k.incidences:
-        t_i = [
-            j.id
-            for j in g.incidences
-            if phi.incidence_map[prod.incidence_pairs[(j.id, i.id)]]
-            == omega.true_incidence
-        ]
-        gen = generated_subhypergraph(g, v_true[i.vertex], e_true[i.edge], t_i)
+        gen = generated_subhypergraph(g, v_true[i.vertex], e_true[i.edge], i_true[i.id])
         imap[i.id] = pwr.member_id_of(gen)
-    return Homomorphism(k, pwr.hypergraph, vmap, emap, imap)
+    return Homomorphism(k, pwr.hypergraph, *maps, imap)
 
 
 def power_map(phi: Homomorphism) -> Homomorphism:
@@ -442,21 +418,20 @@ def power_map(phi: Homomorphism) -> Homomorphism:
     g, h = phi.source, phi.target
     pwr_h = power(h)
     pwr_g = power(g)
-    vmap = {}
-    for s, sid in pwr_h.vertex_subset_ids.items():
-        pre = frozenset(v for v in g.vertices if phi.vertex_map[v] in s)
-        vmap[sid] = pwr_g.vertex_subset_ids[pre]
-    emap = {}
-    for t, tid in pwr_h.edge_subset_ids.items():
-        pre = frozenset(e for e in g.edges if phi.edge_map[e] in t)
-        emap[tid] = pwr_g.edge_subset_ids[pre]
+    subsets_h = (pwr_h.vertex_subset_ids, pwr_h.edge_subset_ids)
+    subsets_g = (pwr_g.vertex_subset_ids, pwr_g.edge_subset_ids)
+    maps = []
+    for ids, m, subset_ids_h, subset_ids_g in zip(g.ids, phi.maps, subsets_h, subsets_g):
+        table = {}
+        for s, sid in subset_ids_h.items():
+            table[sid] = subset_ids_g[frozenset(x for x in ids if m[x] in s)]
+        maps.append(table)
     imap = {}
     for mid, k in pwr_h.members.items():
-        pre_v = [v for v in g.vertices if phi.vertex_map[v] in k.vertex_ids]
-        pre_e = [e for e in g.edges if phi.edge_map[e] in k.edge_ids]
-        pre_i = [i.id for i in g.incidences if phi.incidence_map[i.id] in k.incidence_ids]
-        imap[mid] = pwr_g.member_id_of(generated_subhypergraph(g, pre_v, pre_e, pre_i))
-    return Homomorphism(pwr_h.hypergraph, pwr_g.hypergraph, vmap, emap, imap)
+        chosen = (k.vertex_ids, k.edge_ids, k.incidence_ids)
+        pre = [[x for x in ids if m[x] in c] for ids, m, c in zip(g.ids, phi.maps, chosen)]
+        imap[mid] = pwr_g.member_id_of(generated_subhypergraph(g, *pre))
+    return Homomorphism(pwr_h.hypergraph, pwr_g.hypergraph, *maps, imap)
 
 
 def is_injective(g: IncidenceHypergraph) -> bool:
@@ -477,16 +452,13 @@ def is_essential_mono(phi: Homomorphism) -> bool:
     if not is_monic(phi):
         raise DomainError("essential monomorphism test needs a monic map")
     g, h = phi.source, phi.target
-    if g.vertices:
-        if set(phi.vertex_map.values()) != set(h.vertices):
+    # The vertex and edge sorts; incidences are checked pair by pair below.
+    for ids, images, m in zip(g.ids[:2], h.ids[:2], phi.maps):
+        if ids:
+            if set(m.values()) != set(images):
+                return False
+        elif len(images) > 1:
             return False
-    elif len(h.vertices) > 1:
-        return False
-    if g.edges:
-        if set(phi.edge_map.values()) != set(h.edges):
-            return False
-    elif len(h.edges) > 1:
-        return False
     for v in g.vertices:
         for e in g.edges:
             source_inc = g.inc(v, e)
@@ -496,10 +468,7 @@ def is_essential_mono(phi: Homomorphism) -> bool:
             target_inc = set(h.inc(phi.vertex_map[v], phi.edge_map[e]))
             if image != target_inc:
                 return False
-    reached = {
-        (h.vertex_of(phi.incidence_map[i.id]), h.edge_of(phi.incidence_map[i.id]))
-        for i in g.incidences
-    }
+    reached = {h.incidence_by_id[phi.incidence_map[i.id]].feet for i in g.incidences}
     for x in h.vertices:
         for y in h.edges:
             if (x, y) not in reached and len(h.inc(x, y)) > 1:
