@@ -276,6 +276,13 @@ def validate_homomorphism(h: Homomorphism) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
+def require_valid_homomorphism(h: Homomorphism) -> None:
+    """Raise :class:`DomainError` with the first violation of ``h``."""
+    report = validate_homomorphism(h)
+    if not report.ok:
+        raise DomainError(report.first)
+
+
 def inclusion(sub: IncidenceHypergraph, parent: IncidenceHypergraph) -> Homomorphism:
     """The map sending every element of ``sub`` to the same id in ``parent``."""
     return Homomorphism(
@@ -395,8 +402,11 @@ def product(g: IncidenceHypergraph, h: IncidenceHypergraph) -> ProductResult:
     """Categorical product: everything is built coordinatewise.
 
     Incidence pairs attach to the pair of their coordinate attachments,
-    so |I| of the product is |I(g)| * |I(h)|.
+    so |I| of the product is |I(g)| * |I(h)|. Both factors are validated
+    first.
     """
+    require_valid(g)
+    require_valid(h)
     pairs = [
         {(a, b): pair_id(a, b) for a in g_ids for b in h_ids}
         for g_ids, h_ids in zip(g.ids, h.ids)

@@ -31,6 +31,7 @@ from .core import (
     is_monic,
     product,
     require_valid,
+    require_valid_homomorphism,
 )
 from .errors import DomainError
 
@@ -123,6 +124,7 @@ def tilde_map(phi: Homomorphism) -> Homomorphism:
     images of its attachments.  That is the partial map (eta, phi)
     represented by :func:`represent_partial`.
     """
+    require_valid_homomorphism(phi)
     return represent_partial(tilde(phi.source).eta, phi)
 
 
@@ -387,6 +389,7 @@ def elem_map(g: IncidenceHypergraph) -> tuple[ProductResult, Homomorphism]:
 def power_transpose(prod: ProductResult, phi: Homomorphism) -> Homomorphism:
     """The unique map into the power hypergraph matching a truth-valued
     map off the product: each element collects its true partners."""
+    require_valid_homomorphism(phi)
     omega = subobject_classifier()
     if phi.target != omega.omega:
         raise DomainError("transpose needs a map into the truth-value hypergraph")
@@ -415,6 +418,7 @@ def power_transpose(prod: ProductResult, phi: Homomorphism) -> Homomorphism:
 
 def power_map(phi: Homomorphism) -> Homomorphism:
     """Contravariant action on power hypergraphs by preimages."""
+    require_valid_homomorphism(phi)
     g, h = phi.source, phi.target
     pwr_h = power(h)
     pwr_g = power(g)
@@ -449,6 +453,7 @@ def is_essential_mono(phi: Homomorphism) -> bool:
     none), the same for edges, exact incidence images over source
     pairs, and at-most-one incidences over unreached target pairs.
     """
+    require_valid_homomorphism(phi)
     if not is_monic(phi):
         raise DomainError("essential monomorphism test needs a monic map")
     g, h = phi.source, phi.target

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -244,6 +245,14 @@ def test_hom_search_rejects_malformed_structures(structure):
             enumerate_homomorphisms(g, h)
         with pytest.raises(DomainError):
             HomSet(g, h)
+
+
+@pytest.mark.parametrize("structure", MALFORMED_STRUCTURES)
+def test_product_rejects_malformed_factors(structure):
+    message = re.escape(validate(structure).first)
+    for g, h in ((structure, terminal()), (terminal(), structure)):
+        with pytest.raises(DomainError, match=message):
+            product(g, h)
 
 
 def test_hom_count_into_triangle_from_point():

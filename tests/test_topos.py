@@ -1,4 +1,6 @@
+import re
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -331,6 +333,42 @@ _POINT_SQUARED = product(terminal(), terminal())
 def test_bad_input_raises_domain_error(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+_ONE = IncidenceHypergraph.build(["a"], ["e"], [("i", "a", "e")])
+_ONE_ELEM_PRODUCT, _ONE_MEMBERSHIP = elem_map(_ONE)
+
+
+def _broken(phi: Homomorphism, case: str) -> Homomorphism:
+    """``phi`` with its first vertex or incidence entry dropped, or its
+    first vertex sent outside the target."""
+    vertex_map, incidence_map = dict(phi.vertex_map), dict(phi.incidence_map)
+    first_vertex, first_incidence = phi.source.vertices[0], phi.source.incidences[0].id
+    if case == "vertex-undefined":
+        del vertex_map[first_vertex]
+    elif case == "vertex-outside":
+        vertex_map[first_vertex] = "ghost"
+    else:
+        del incidence_map[first_incidence]
+    return Homomorphism(phi.source, phi.target, vertex_map, dict(phi.edge_map), incidence_map)
+
+
+@pytest.mark.parametrize("case", ["vertex-undefined", "vertex-outside", "incidence-undefined"])
+@pytest.mark.parametrize(
+    "call, phi",
+    [
+        pytest.param(tilde_map, identity_homomorphism(_ONE), id="tilde_map"),
+        pytest.param(power_map, identity_homomorphism(_ONE), id="power_map"),
+        pytest.param(is_essential_mono, identity_homomorphism(_ONE), id="is_essential_mono"),
+        pytest.param(
+            partial(power_transpose, _ONE_ELEM_PRODUCT), _ONE_MEMBERSHIP, id="power_transpose"
+        ),
+    ],
+)
+def test_map_taking_functions_reject_invalid_maps(call, phi, case):
+    bad = _broken(phi, case)
+    with pytest.raises(DomainError, match=re.escape(validate_homomorphism(bad).first)):
+        call(bad)
 
 
 def test_represent_partial_demands_monic():
