@@ -22,6 +22,7 @@ from .contributors import (
     MinorClass,
     OneStep,
     Steps,
+    _all_steps,
     _family_counts,
     _map_cycles,
     vertex_steps,
@@ -219,7 +220,7 @@ def activation_classes(
     """
     g = bg.og.structure
     limits.check(len(g.vertices), max_vertices, "contributor enumeration", "vertices")
-    return _classes(bg, {v: vertex_steps(g, v) for v in g.vertices}, max_count)
+    return _classes(bg, _all_steps(g), max_count)
 
 
 @dataclass(frozen=True)
@@ -395,5 +396,8 @@ def k_arborescences(
 
     grow(0)
     if len(out) != count:
-        raise InvariantError(f"arborescence search found {len(out)} forests, expected {count}")
+        raise InvariantError(
+            f"arborescence search found {len(out)} forests, expected {count}",
+            reproducer=_replay(bg, root_list),
+        )
     return out

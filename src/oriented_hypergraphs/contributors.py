@@ -810,7 +810,7 @@ def total_minor_poly(
     limits.check(len(rows), limits.MAX_ORACLE_VERTICES, "Leibniz expansion", "rows")
     poly = _one_pass(og.structure, rows, og.signs, [(target, mode)])[(target, mode)]
     m = laplacian_matrix(og) if target == "laplacian" else adjacency_matrix(og)
-    if poly != symbolic_minor_poly(m, mode, max_vertices=max_vertices):
+    if poly != symbolic_minor_poly(m, mode):
         raise InvariantError(
             f"figure route disagrees with the Leibniz expansion for {target}/{mode}",
             reproducer={"input": dumps_oriented(og), "target": target, "mode": mode},
@@ -885,6 +885,5 @@ def oracle_equivalence(
     polys = _one_pass(og.structure, rows, og.signs)
     matrices = {"adjacency": adjacency_matrix(og), "laplacian": laplacian_matrix(og)}
     return {
-        (t, m): polys[t, m] == symbolic_minor_poly(matrices[t], m, max_vertices=max_vertices)
-        for t, m in COMBOS
+        (t, m): polys[t, m] == symbolic_minor_poly(matrices[t], m) for t, m in COMBOS
     }

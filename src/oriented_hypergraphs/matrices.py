@@ -29,6 +29,7 @@ from typing import Sequence
 from . import limits
 from .core import IncidenceHypergraph, OrientedHypergraph, require_valid
 from .errors import DomainError, InvariantError
+from .jsonio import dumps_oriented
 from .polynomial import IntPolynomial, MultivariatePolynomial
 
 __all__ = [
@@ -165,7 +166,8 @@ def laplacian_matrix(og: OrientedHypergraph) -> IntegerMatrix:
     """L = H*H^T, cross-checked against D - A on every call.
 
     H, D and A come from one pass over the edges; H*H^T is taken as dot
-    products of H's rows.
+    products of H's rows.  A mismatch raises an :class:`InvariantError`
+    that carries the structure as JSON.
     """
     h, degree, adjacency = _edge_pass(og)
     rows = tuple(tuple(sum(map(operator.mul, hu, hw)) for hw in h) for hu in h)
@@ -173,7 +175,9 @@ def laplacian_matrix(og: OrientedHypergraph) -> IntegerMatrix:
         # L - (D - A) = L + A - D must vanish.
         a[u] -= degree[u]
         if any(map(operator.add, row, a)):
-            raise InvariantError("H*H^T differs from D - A")
+            raise InvariantError(
+                "H*H^T differs from D - A", reproducer={"input": dumps_oriented(og)}
+            )
     return IntegerMatrix(og.vertices, og.vertices, rows)
 
 
@@ -253,19 +257,16 @@ def _leibniz(
     return MultivariatePolynomial._of(m.row_labels, level.get((1 << n) - 1, {}))
 
 
-def symbolic_minor_poly(
-    m: IntegerMatrix,
-    mode: str,
-    *,
-    max_vertices: int = limits.MAX_ORACLE_VERTICES,
-) -> MultivariatePolynomial:
+def symbolic_minor_poly(m: IntegerMatrix, mode: str) -> MultivariatePolynomial:
     """det or perm of (X - M), X a matrix of variables, by Leibniz expansion.
 
     This is the oracle that every contributor-side computation is compared
     against.  It reads only matrix entries and sums every permutation's
     term once; only the expansion of the rows below a row is shared.
+    More than ``limits.MAX_ORACLE_VERTICES`` rows raise
+    :class:`ResourceLimitError`.
     """
-    return _leibniz(m, mode, max_vertices, diagonal_only=False)
+    return _leibniz(m, mode, limits.MAX_ORACLE_VERTICES, diagonal_only=False)
 
 
 def char_poly_univariate(

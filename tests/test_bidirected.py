@@ -587,13 +587,16 @@ def test_a_class_holds_its_position_not_a_choice():
 def test_class_checks_carry_reproducers(monkeypatch):
     bg = k3()
     # Backsteps whose heads are the next vertex, not their tails.
-    steps = bidirected.vertex_steps
+    all_steps = bidirected._all_steps
     after = {"v1": "v2", "v2": "v3", "v3": "v1"}
 
-    def misheaded(g, v):
-        return tuple(replace(s, head=after[v]) if s.is_backstep else s for s in steps(g, v))
+    def misheaded(g):
+        return {
+            v: tuple(replace(s, head=after[v]) if s.is_backstep else s for s in steps)
+            for v, steps in all_steps(g).items()
+        }
 
-    monkeypatch.setattr(bidirected, "vertex_steps", misheaded)
+    monkeypatch.setattr(bidirected, "_all_steps", misheaded)
     with pytest.raises(InvariantError, match="heads are not its tails") as info:
         activation_classes(bg)
     _assert_replays(info, bg, ())
@@ -616,6 +619,15 @@ def test_class_checks_carry_reproducers(monkeypatch):
     with pytest.raises(InvariantError, match="hold 16 families, expected 17") as info:
         activation_classes(bg)
     _assert_replays(info, bg, ())
+
+
+def test_arborescence_count_check_carries_a_reproducer(monkeypatch):
+    bg = k3()
+    # A forest count the search does not find: K3 has 3 trees rooted at v1.
+    monkeypatch.setattr(bidirected, "_forest_count", lambda bg, others: 4)
+    with pytest.raises(InvariantError, match="found 3 forests, expected 4") as info:
+        k_arborescences(bg, ("v1",))
+    _assert_replays(info, bg, ("v1",))
 
 
 def test_total_unpack_refuses_circles_and_non_roots():

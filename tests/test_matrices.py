@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from conftest import rung, small_oriented, triangle
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
 from oriented_hypergraphs.corpus import bidirected_corpus, connected_graph_corpus, graph_structure
-from oriented_hypergraphs.errors import DomainError, ResourceLimitError
+from oriented_hypergraphs import limits, matrices
+from oriented_hypergraphs.errors import DomainError, InvariantError, ResourceLimitError
+from oriented_hypergraphs.jsonio import loads_oriented
 from oriented_hypergraphs.matrices import (
     IntegerMatrix,
     _leibniz,
@@ -434,6 +436,27 @@ def test_sachs_counts_parallel_edges_as_two_cycles(pairs):
 def test_bad_input_raises_domain_error(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+def test_symbolic_minor_poly_reads_the_oracle_cap_when_called(monkeypatch):
+    monkeypatch.setattr(limits, "MAX_ORACLE_VERTICES", 2)
+    with pytest.raises(ResourceLimitError, match="Leibniz expansion limited to 2 rows, got 3"):
+        symbolic_minor_poly(laplacian_matrix(triangle()), "det")
+
+
+def test_laplacian_check_carries_a_reproducer(monkeypatch):
+    og = triangle()
+    edge_pass = matrices._edge_pass
+
+    def one_degree_off(og):
+        h, degree, adjacency = edge_pass(og)
+        degree[0] += 1
+        return h, degree, adjacency
+
+    monkeypatch.setattr(matrices, "_edge_pass", one_degree_off)
+    with pytest.raises(InvariantError, match="differs from D - A") as info:
+        laplacian_matrix(og)
+    assert loads_oriented(info.value.reproducer["input"]) == og
 
 
 def test_sachs_rejects_loops():
