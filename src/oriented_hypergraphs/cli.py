@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import limits
 from .bidirected import activation_classes, as_bidirected, k_arborescences
@@ -42,6 +42,10 @@ from .polynomial import MultivariatePolynomial, canonical_terms, render_multivar
 from .topos import classify, loading, subobject_classifier
 
 JSON_FORMAT = 1
+
+# What every subcommand handler returns: the text lines, the JSON payload,
+# and whether every check passed (exit 3 when not).
+Answer = tuple[list[str], dict[str, Any], bool]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,7 +110,7 @@ def _profile_text(prof, sign: int) -> str:
     )
 
 
-def cmd_matrices(og, args) -> tuple[list[str], dict[str, Any]]:
+def cmd_matrices(og, args) -> Answer:
     named = [
         ("H", incidence_matrix(og)),
         ("A", adjacency_matrix(og)),
@@ -116,37 +120,35 @@ def cmd_matrices(og, args) -> tuple[list[str], dict[str, Any]]:
     lines: list[str] = []
     for name, m in named:
         lines.extend(_matrix_lines(name, m))
-    return lines, {name: asdict(m) for name, m in named}
+    return lines, {name: asdict(m) for name, m in named}, True
 
 
-def cmd_charpoly(og, args) -> tuple[list[str], dict[str, Any]]:
+def _total_minor(og, args, key: str, **fields: Any) -> Answer:
+    # ``total-minor --target`` and ``charpoly --matrix ... --multivariate``:
+    # the JSON key that names the matrix is the flag's name.
+    target = getattr(args, key)
+    p = total_minor_poly(og, target, args.mode, max_vertices=args.max_vertices)
+    payload = {key: target, "mode": args.mode, **fields, "terms": _poly_json(p, og.vertices)}
+    return [render_multivariate(p, og.vertices)], payload, True
+
+
+def cmd_charpoly(og, args) -> Answer:
     if args.multivariate:
-        p = total_minor_poly(og, args.matrix, args.mode, max_vertices=args.max_vertices)
-        return [render_multivariate(p, og.vertices)], {
-            "matrix": args.matrix,
-            "mode": args.mode,
-            "multivariate": True,
-            "terms": _poly_json(p, og.vertices),
-        }
+        return _total_minor(og, args, "matrix", multivariate=True)
     p = univariate_from_contributors(og, args.matrix, args.mode, max_vertices=args.max_vertices)
     return [render_univariate(p)], {
         "matrix": args.matrix,
         "mode": args.mode,
         "multivariate": False,
         "coefficients": list(p.coeffs),
-    }
+    }, True
 
 
-def cmd_total_minor(og, args) -> tuple[list[str], dict[str, Any]]:
-    p = total_minor_poly(og, args.target, args.mode, max_vertices=args.max_vertices)
-    return [render_multivariate(p, og.vertices)], {
-        "target": args.target,
-        "mode": args.mode,
-        "terms": _poly_json(p, og.vertices),
-    }
+def cmd_total_minor(og, args) -> Answer:
+    return _total_minor(og, args, "target")
 
 
-def cmd_contributors(og, args) -> tuple[list[str], dict[str, Any]]:
+def cmd_contributors(og, args) -> Answer:
     guards = {
         "strong_only": args.strong,
         "max_vertices": args.max_vertices,
@@ -185,10 +187,10 @@ def cmd_contributors(og, args) -> tuple[list[str], dict[str, Any]]:
     payload: dict[str, Any] = {"count": len(members), "contributors": records}
     if cls is not None:
         payload["class"] = {"rows": list(cls.u), "columns": list(cls.w)}
-    return lines, payload
+    return lines, payload, True
 
 
-def cmd_loading(og, args) -> tuple[list[str], dict[str, Any]]:
+def cmd_loading(og, args) -> Answer:
     before = og.structure
     padded = loading(before)
     after = padded.hypergraph
@@ -215,10 +217,10 @@ def cmd_loading(og, args) -> tuple[list[str], dict[str, Any]]:
             for iid in added
         ],
     }
-    return lines, payload
+    return lines, payload, True
 
 
-def cmd_classify(og, args) -> tuple[list[str], dict[str, Any]]:
+def cmd_classify(og, args) -> Answer:
     g = og.structure
     k = subhypergraph(
         g,
@@ -233,10 +235,10 @@ def cmd_classify(og, args) -> tuple[list[str], dict[str, Any]]:
         lines.append(f"{sort} map:")
         lines.extend(f"  {x} -> {mapping[x]}" for x in ids)
         payload[f"{sort}_map"] = dict(mapping)
-    return lines, payload
+    return lines, payload, True
 
 
-def cmd_omega(args) -> tuple[list[str], dict[str, Any]]:
+def cmd_omega(og, args) -> Answer:
     sc = subobject_classifier()
     om = sc.omega
     lines = [
@@ -260,10 +262,10 @@ def cmd_omega(args) -> tuple[list[str], dict[str, Any]]:
             "incidence": sc.true_incidence,
         },
     }
-    return lines, payload
+    return lines, payload, True
 
 
-def cmd_arborescences(og, args) -> tuple[list[str], dict[str, Any]]:
+def cmd_arborescences(og, args) -> Answer:
     bg = as_bidirected(og)
     roots = _csv(args.roots, "--roots")
     forests = k_arborescences(bg, roots, max_vertices=args.max_vertices, max_count=args.max_enum)
@@ -287,10 +289,10 @@ def cmd_arborescences(og, args) -> tuple[list[str], dict[str, Any]]:
         ],
         "coefficient": coeff,
     }
-    return lines, payload
+    return lines, payload, True
 
 
-def cmd_activation(og, args) -> tuple[list[str], dict[str, Any]]:
+def cmd_activation(og, args) -> Answer:
     bg = as_bidirected(og)
     classes = activation_classes(bg, max_vertices=args.max_vertices, max_count=args.max_enum)
     lines = [f"activation classes: {len(classes)}"]
@@ -309,10 +311,10 @@ def cmd_activation(og, args) -> tuple[list[str], dict[str, Any]]:
                 "bottom": [asdict(s) for s in a.bottom],
             }
         )
-    return lines, {"count": len(classes), "classes": records}
+    return lines, {"count": len(classes), "classes": records}, True
 
 
-def cmd_verify(og, args) -> tuple[list[str], dict[str, Any], bool]:
+def cmd_verify(og, args) -> Answer:
     results = oracle_equivalence(og, max_vertices=args.max_vertices)
     lines = []
     payload = {}
@@ -329,6 +331,7 @@ def build_parser() -> _Parser:
 
     def add(
         name: str,
+        handler: Callable[..., Answer],
         needs_input: bool = True,
         max_vertices: int | None = None,
         max_enum: bool = False,
@@ -336,6 +339,7 @@ def build_parser() -> _Parser:
         # Guard flags exist only where they are read, defaulting to the
         # limit that subcommand applies.
         p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         if needs_input:
             p.add_argument("input", help="path to a hypergraph JSON file")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -345,40 +349,38 @@ def build_parser() -> _Parser:
             p.add_argument("--max-enum", type=int, default=limits.MAX_CONTRIBUTORS)
         return p
 
-    add("matrices")
-    p = add("charpoly", max_vertices=limits.MAX_ORACLE_VERTICES)
+    add("matrices", cmd_matrices)
+    p = add("charpoly", cmd_charpoly, max_vertices=limits.MAX_ORACLE_VERTICES)
     p.add_argument("--matrix", choices=("adjacency", "laplacian"), required=True)
     p.add_argument("--mode", choices=("det", "perm"), required=True)
     p.add_argument("--multivariate", action="store_true")
-    p = add("total-minor", max_vertices=limits.MAX_MINOR_VERTICES)
+    p = add("total-minor", cmd_total_minor, max_vertices=limits.MAX_MINOR_VERTICES)
     p.add_argument("--target", choices=("adjacency", "laplacian"), required=True)
     p.add_argument("--mode", choices=("det", "perm"), required=True)
-    p = add("contributors", max_vertices=limits.MAX_CONTRIBUTOR_VERTICES, max_enum=True)
+    p = add(
+        "contributors",
+        cmd_contributors,
+        max_vertices=limits.MAX_CONTRIBUTOR_VERTICES,
+        max_enum=True,
+    )
     p.add_argument("--strong", action="store_true")
     p.add_argument("--class", dest="cls", default=None, metavar="U:W")
-    add("loading")
-    p = add("classify")
+    add("loading", cmd_loading)
+    p = add("classify", cmd_classify)
     p.add_argument("--vertices", default="")
     p.add_argument("--edges", default="")
     p.add_argument("--incidences", default="")
-    add("omega", needs_input=False)
-    p = add("arborescences", max_vertices=limits.MAX_ARBORESCENCE_VERTICES, max_enum=True)
+    add("omega", cmd_omega, needs_input=False)
+    p = add(
+        "arborescences",
+        cmd_arborescences,
+        max_vertices=limits.MAX_ARBORESCENCE_VERTICES,
+        max_enum=True,
+    )
     p.add_argument("--roots", required=True)
-    add("activation", max_vertices=limits.MAX_CONTRIBUTOR_VERTICES, max_enum=True)
-    add("verify", max_vertices=limits.MAX_MINOR_VERTICES)
+    add("activation", cmd_activation, max_vertices=limits.MAX_CONTRIBUTOR_VERTICES, max_enum=True)
+    add("verify", cmd_verify, max_vertices=limits.MAX_MINOR_VERTICES)
     return parser
-
-
-_HANDLERS = {
-    "matrices": cmd_matrices,
-    "charpoly": cmd_charpoly,
-    "total-minor": cmd_total_minor,
-    "contributors": cmd_contributors,
-    "loading": cmd_loading,
-    "classify": cmd_classify,
-    "arborescences": cmd_arborescences,
-    "activation": cmd_activation,
-}
 
 
 def _emit(args, command: str, lines: list[str], payload: dict[str, Any]) -> None:
@@ -394,18 +396,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "omega":
-            lines, payload = cmd_omega(args)
-            _emit(args, "omega", lines, payload)
-            return 0
-        og = load_oriented_file(args.input)
-        if args.command == "verify":
-            lines, payload, ok = cmd_verify(og, args)
-            _emit(args, "verify", lines, payload)
-            return 0 if ok else 3
-        lines, payload = _HANDLERS[args.command](og, args)
+        og = load_oriented_file(args.input) if "input" in args else None
+        lines, payload, ok = args.handler(og, args)
         _emit(args, args.command, lines, payload)
-        return 0
+        return 0 if ok else 3
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
