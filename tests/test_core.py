@@ -186,6 +186,58 @@ def test_validate_homomorphism_catches_broken_attachment():
     assert validate_homomorphism(good).ok
 
 
+def validate_homomorphism_reference(h: Homomorphism) -> tuple[str, ...]:
+    """Every violation, written out sort by sort: vertices, edges, then
+    each incidence followed by its vertex and edge attachment squares."""
+    problems: list[str] = []
+    src, dst = h.source, h.target
+    for v in src.vertices:
+        if v not in h.vertex_map:
+            problems.append(f"vertex map undefined on {v!r}")
+        elif h.vertex_map[v] not in dst.vertices:
+            problems.append(f"vertex map sends {v!r} outside the target")
+    for e in src.edges:
+        if e not in h.edge_map:
+            problems.append(f"edge map undefined on {e!r}")
+        elif h.edge_map[e] not in dst.edges:
+            problems.append(f"edge map sends {e!r} outside the target")
+    for i in src.incidences:
+        if i.id not in h.incidence_map:
+            problems.append(f"incidence map undefined on {i.id!r}")
+            continue
+        images = [j for j in dst.incidences if j.id == h.incidence_map[i.id]]
+        if not images:
+            problems.append(f"incidence map sends {i.id!r} outside the target")
+            continue
+        if i.vertex in h.vertex_map and images[-1].vertex != h.vertex_map[i.vertex]:
+            problems.append(f"incidence {i.id!r} breaks the vertex attachment square")
+        if i.edge in h.edge_map and images[-1].edge != h.edge_map[i.edge]:
+            problems.append(f"incidence {i.id!r} breaks the edge attachment square")
+    return tuple(problems)
+
+
+@st.composite
+def any_maps(draw):
+    """Three component maps between two small structures, each entry
+    missing, sent outside the target, or sent to any target id."""
+    shape = dict(max_vertices=2, max_edges=2, max_incidences=3)
+    g = draw(small_oriented(**shape)).structure
+    h = draw(small_oriented(**shape)).structure
+    maps = []
+    sorts = [(g.vertices, h.vertices), (g.edges, h.edges)]
+    sorts.append(([i.id for i in g.incidences], [j.id for j in h.incidences]))
+    for ids, images in sorts:
+        drawn = {x: draw(st.sampled_from([*images, "ghost", None])) for x in ids}
+        maps.append({x: y for x, y in drawn.items() if y is not None})
+    return Homomorphism(g, h, *maps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_maps())
+def test_validate_homomorphism_matches_the_sort_by_sort_reference(phi):
+    assert validate_homomorphism(phi).violations == validate_homomorphism_reference(phi)
+
+
 def test_subhypergraph_requires_closure():
     g = triangle().structure
     with pytest.raises(DomainError):

@@ -254,6 +254,18 @@ def test_sequences_go_through_the_one_lazy_sequence():
     assert sequences == indexing == {("core.py", "LazySequence")}
 
 
+def test_every_invariant_error_carries_a_reproducer():
+    # ``InvariantError`` means a library bug; each one names the input
+    # that replays it.
+    bare = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "InvariantError":
+                if not any(k.arg == "reproducer" for k in node.keywords):
+                    bare.append((path.name, node.lineno))
+    assert bare == []
+
+
 def test_bidirected_signs_are_read_only_by_the_wrapper():
     # ``as_bidirected`` checks that every sign is +1 or -1; past it, the
     # bidirected layer works on the shape alone.

@@ -5,9 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rung, small_oriented, triangle
+from oriented_hypergraphs import limits, matrices
 from oriented_hypergraphs.core import IncidenceHypergraph, OrientedHypergraph
 from oriented_hypergraphs.corpus import bidirected_corpus, connected_graph_corpus, graph_structure
-from oriented_hypergraphs import limits, matrices
 from oriented_hypergraphs.errors import DomainError, InvariantError, ResourceLimitError
 from oriented_hypergraphs.jsonio import loads_oriented
 from oriented_hypergraphs.matrices import (
